@@ -16,12 +16,10 @@ from .core import (
     QuantumState,
     ShotSpec,
     apply_cx,
-    apply_depolarizing,
     apply_ry,
     estimate_expectation,
     expectation,
     probabilities,
-    sample_counts,
     zero_state,
 )
 from .data import (
@@ -36,7 +34,7 @@ from .data import (
     synth_anomaly_dataset,
     with_anomaly_classes,
 )
-from .encoding import FeatureVector, amplitude_encode, encode_batch, l2_normalize
+from .encoding import amplitude_encode, encode_batch, l2_normalize
 from .exceptions import (
     CapacityError,
     ConfigError,
@@ -56,7 +54,6 @@ from .federation import (
     FederationConfig,
     RoundHistory,
     RoundRecord,
-    aggregate_uniform,
     aggregate_weighted,
     payload_bits,
     run_federation,
@@ -65,7 +62,6 @@ from .federation import (
 from .metrics import (
     ConfusionCounts,
     ScoredSet,
-    anomaly_score,
     aupr,
     auroc,
     confusion,

@@ -26,8 +26,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"artifact directory (overrides ${ENV_OUTPUT_DIR} and the config)")
     parser.add_argument("--mode", choices=MODES, default=None,
                         help="override the config's training mode")
-    parser.add_argument("--parallel", action="store_true",
-                        help="train the clients of each round concurrently")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +54,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            result = run(_resolved_config(args), parallel=args.parallel)
+            result = run(_resolved_config(args))
             final = result.summary["final"]
             print(
                 f"run complete: {result.output_dir}\n"
@@ -65,7 +63,7 @@ def main(argv=None) -> int:
                 f"aupr={final['aupr']:.6g}"
             )
         elif args.command == "sweep":
-            results = sweep(_resolved_config(args), parallel=args.parallel)
+            results = sweep(_resolved_config(args))
             root = os.path.dirname(results[0].output_dir) if results else ""
             print(f"sweep complete: {len(results)} runs under {root}")
         else:

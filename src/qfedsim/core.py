@@ -254,34 +254,6 @@ def normalized_probabilities(raw: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def sample_counts(state: QuantumState, shots: ShotSpec,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Histogram of `shots` i.i.d. computational-basis measurements."""
-    if shots.is_exact:
-        raise ContractError("sample_counts needs finite shots; exact mode has no histogram")
-    probs = normalized_probabilities(probabilities(state))
-    return rng.multinomial(shots.shots, probs)
-
-
-def apply_depolarizing(state: QuantumState, qubit: int, noise: NoiseSpec,
-                       rng: np.random.Generator) -> QuantumState:
-    """One trajectory sample of the single-qubit depolarizing channel.
-
-    With probability 1 - epsilon the state is returned unchanged; otherwise a
-    uniformly chosen X, Y or Z is applied to `qubit`. One uniform draw is
-    consumed per call, plus one integer draw when an error fires.
-    """
-    _check_qubit(state, qubit)
-    if not noise.active:
-        return state
-    if rng.random() >= noise.epsilon:
-        return state
-    which = int(rng.integers(0, 3))
-    amps = state.amplitudes.copy()
-    apply_one_qubit_kernel(amps, qubit, _PAULI_BY_INDEX[which])
-    return QuantumState(state.n_qubits, amps)
-
-
 def _parity_signs(n_qubits: int, mask: int) -> np.ndarray:
     """(-1)^popcount(j & mask) over all basis indices j."""
     signs = np.ones(1 << n_qubits)

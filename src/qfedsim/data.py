@@ -11,11 +11,11 @@ only and anomaly labels exist to build scored validation sets.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import FeatureVector
 from .exceptions import (
     ConfigError,
     DataError,
@@ -37,35 +37,45 @@ SCHEME_DIRICHLET = "dirichlet"
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Samples plus the normal/anomaly class split.
+    """A feature matrix and its class labels, plus the normal/anomaly split.
 
-    `class_ids` is the sorted tuple of every class id present in the split
-    sets; histograms and label maps index classes in this order.
+    `features` is (N, F) float64 and `labels` is (N,) int64; both are stored
+    as read-only views. `class_ids` is the sorted tuple of every class id in
+    the split sets; histograms index classes in this order.
     """
 
-    samples: tuple
+    features: np.ndarray
+    labels: np.ndarray
     normal_classes: frozenset
     anomaly_classes: frozenset
 
     def __post_init__(self):
-        samples = tuple(self.samples)
         normal = frozenset(int(c) for c in self.normal_classes)
         anomaly = frozenset(int(c) for c in self.anomaly_classes)
         if normal & anomaly:
             raise LabelError(f"classes {sorted(normal & anomaly)} are both normal and anomaly")
-        known = normal | anomaly
-        for fv in samples:
-            if fv.label not in known:
-                raise LabelError(f"label {fv.label} belongs to neither class set")
-        widths = {fv.values.size for fv in samples}
-        if len(widths) > 1:
-            raise SchemaError(f"inconsistent feature widths {sorted(widths)}")
-        object.__setattr__(self, "samples", samples)
+        try:
+            features = np.asarray(self.features, dtype=np.float64)
+        except ValueError as err:
+            raise SchemaError(f"feature rows do not form one matrix: {err}") from None
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if features.ndim != 2 or labels.shape != features.shape[:1]:
+            raise ShapeError(
+                f"features {features.shape} and labels {labels.shape} must be "
+                "(N, F) and (N,)"
+            )
+        unknown = np.setdiff1d(labels, sorted(normal | anomaly))
+        if unknown.size:
+            raise LabelError(f"label {unknown[0]} belongs to neither class set")
+        for name, arr in (("features", features), ("labels", labels)):
+            view = arr.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         object.__setattr__(self, "normal_classes", normal)
         object.__setattr__(self, "anomaly_classes", anomaly)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.labels.shape[0]
 
     @property
     def class_ids(self) -> tuple:
@@ -77,24 +87,21 @@ class LabeledDataset:
 
     @property
     def feature_dim(self) -> int:
-        return self.samples[0].values.size if self.samples else 0
-
-    def features_matrix(self) -> np.ndarray:
-        return np.stack([fv.values for fv in self.samples])
-
-    def labels_array(self) -> np.ndarray:
-        return np.array([fv.label for fv in self.samples], dtype=np.int64)
+        return self.features.shape[1]
 
     def subset(self, indices) -> "LabeledDataset":
+        rows = np.asarray(indices, dtype=np.intp)
         return LabeledDataset(
-            tuple(self.samples[i] for i in indices),
-            self.normal_classes,
-            self.anomaly_classes,
+            self.features[rows], self.labels[rows], self.normal_classes, self.anomaly_classes
         )
 
-    def normal_label_map(self) -> dict:
-        """Sorted normal class ids -> contiguous logit indices 0..C-1."""
-        return {c: i for i, c in enumerate(sorted(self.normal_classes))}
+    def logit_indices(self) -> np.ndarray:
+        """Each row's logit index: the rank of its class among the sorted
+        normal class ids (0..C-1), or -1 for a row of an anomaly class."""
+        normal = np.array(sorted(self.normal_classes), dtype=np.int64)
+        logits = np.searchsorted(normal, self.labels).astype(np.int64)
+        logits[~np.isin(self.labels, normal)] = -1
+        return logits
 
 
 @dataclass(frozen=True)
@@ -134,37 +141,50 @@ class PartitionStats:
 
 
 def load_features(path) -> LabeledDataset:
-    """Parse a feature CSV into a dataset; all classes start as normal."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    samples = []
+    """Parse a feature CSV into a dataset; all classes start as normal.
+
+    The file is read line by line into flat float64 and int64 buffers, so no
+    per-row objects outlive the line that produced them.
+    """
+    features = array("d")
+    labels = array("q")
     width = None
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        fields = [f.strip() for f in text.split(",")]
-        try:
-            values = [float(f) for f in fields]
-        except ValueError:
-            if lineno == 1 and not samples:
-                continue  # header row
-            raise ParseError(f"line {lineno}: non-numeric field in {text!r}") from None
-        if len(values) < 2:
-            raise SchemaError(f"line {lineno}: need at least one feature and a label")
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise SchemaError(
-                f"line {lineno}: row has {len(values)} fields, expected {width}"
-            )
-        label = values[-1]
-        if label != int(label):
-            raise ParseError(f"line {lineno}: label {fields[-1]!r} is not an integer")
-        samples.append(FeatureVector(np.array(values[:-1]), int(label)))
-    if not samples:
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text:
+                continue
+            fields = text.split(",")
+            try:
+                values = [float(f) for f in fields]
+            except ValueError:
+                if lineno == 1:
+                    continue  # header row
+                raise ParseError(f"line {lineno}: non-numeric field in {text!r}") from None
+            if len(values) < 2:
+                raise SchemaError(f"line {lineno}: need at least one feature and a label")
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise SchemaError(
+                    f"line {lineno}: row has {len(values)} fields, expected {width}"
+                )
+            label = values.pop()
+            if label != int(label):
+                raise ParseError(
+                    f"line {lineno}: label {fields[-1].strip()!r} is not an integer"
+                )
+            features.extend(values)
+            labels.append(int(label))
+    if not labels:
         raise DataError(f"{path} holds no samples")
-    return LabeledDataset(tuple(samples), frozenset(fv.label for fv in samples), frozenset())
+    label_array = np.frombuffer(labels, dtype=np.int64)
+    return LabeledDataset(
+        np.frombuffer(features, dtype=np.float64).reshape(len(labels), width - 1),
+        label_array,
+        frozenset(np.unique(label_array).tolist()),
+        frozenset(),
+    )
 
 
 def with_anomaly_classes(dataset: LabeledDataset, anomaly_ids) -> LabeledDataset:
@@ -177,7 +197,7 @@ def with_anomaly_classes(dataset: LabeledDataset, anomaly_ids) -> LabeledDataset
     normal = present - anomaly
     if not normal:
         raise LabelError("every class marked anomalous; nothing left to train on")
-    return LabeledDataset(dataset.samples, normal, anomaly)
+    return LabeledDataset(dataset.features, dataset.labels, normal, anomaly)
 
 
 def reduce_features(dataset: LabeledDataset, target_dim: int,
@@ -196,11 +216,12 @@ def reduce_features(dataset: LabeledDataset, target_dim: int,
     if target_dim == dim:
         return dataset
     projection = rng.normal(0.0, 1.0 / math.sqrt(target_dim), size=(target_dim, dim))
-    projected = dataset.features_matrix() @ projection.T
-    samples = tuple(
-        FeatureVector(projected[i], fv.label) for i, fv in enumerate(dataset.samples)
+    return LabeledDataset(
+        dataset.features @ projection.T,
+        dataset.labels,
+        dataset.normal_classes,
+        dataset.anomaly_classes,
     )
-    return LabeledDataset(samples, dataset.normal_classes, dataset.anomaly_classes)
 
 
 def synth_anomaly_dataset(n_normal_classes: int, per_class: int, n_anomaly: int,
@@ -226,20 +247,19 @@ def synth_anomaly_dataset(n_normal_classes: int, per_class: int, n_anomaly: int,
         raise ConfigError(f"per_class must be >= 1, got {per_class}")
     if separation <= 0:
         raise ConfigError(f"separation must be > 0, got {separation}")
-    samples = []
+    blocks = []
     for c in range(n_normal_classes):
         mean = np.zeros(dim)
         mean[c] = separation
-        points = rng.normal(0.0, 1.0, size=(per_class, dim)) + mean
-        samples.extend(FeatureVector(p, c) for p in points)
+        blocks.append(rng.normal(0.0, 1.0, size=(per_class, dim)) + mean)
     if n_anomaly > 0:
         direction = np.zeros(dim)
         direction[:n_normal_classes] = -1.0 / math.sqrt(n_normal_classes)
         mean = separation * direction
-        points = rng.normal(0.0, 1.0, size=(n_anomaly, dim)) + mean
-        samples.extend(FeatureVector(p, n_normal_classes) for p in points)
+        blocks.append(rng.normal(0.0, 1.0, size=(n_anomaly, dim)) + mean)
     return LabeledDataset(
-        tuple(samples),
+        np.concatenate(blocks),
+        np.repeat(np.arange(len(blocks)), [block.shape[0] for block in blocks]),
         frozenset(range(n_normal_classes)),
         frozenset([n_normal_classes]) if n_anomaly > 0 else frozenset(),
     )
@@ -313,7 +333,7 @@ def partition(dataset: LabeledDataset, scheme, n_clients: int,
         raise PartitionError(
             f"{len(dataset)} samples cannot fill {n_clients} non-empty shards"
         )
-    labels = dataset.labels_array()
+    labels = dataset.labels
     if scheme.kind == SCHEME_IID:
         order = rng.permutation(len(dataset))
         shards = [chunk.tolist() for chunk in np.array_split(order, n_clients)]
@@ -348,13 +368,12 @@ def heterogeneity(partitioned: PartitionedDataset, dataset: LabeledDataset) -> P
     renormalizing) so disjoint supports stay finite. A single client has no
     pairs; its divergence is 0.
     """
-    labels = dataset.labels_array()
     class_ids = dataset.class_ids
-    column = {c: i for i, c in enumerate(class_ids)}
-    hists = np.zeros((partitioned.n_clients, len(class_ids)), dtype=np.int64)
-    for client, shard in enumerate(partitioned.shards):
-        for i in shard:
-            hists[client, column[labels[i]]] += 1
+    columns = np.searchsorted(class_ids, dataset.labels)
+    hists = np.stack([
+        np.bincount(columns[list(shard)], minlength=len(class_ids))
+        for shard in partitioned.shards
+    ]).astype(np.int64)
     smoothed = [_smoothed(h.astype(np.float64)) for h in hists]
     divergences = [
         _symmetrized_kl(smoothed[a], smoothed[b])

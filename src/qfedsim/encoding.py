@@ -7,31 +7,12 @@ only the *direction* of a feature vector is visible to the quantum model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import QuantumState
 from .exceptions import CapacityError, DegenerateInputError, ShapeError
 
 ZERO_NORM_MESSAGE = "zero vector cannot be normalized"
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One sample: real-valued features plus an integer class label."""
-
-    values: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ShapeError(f"features must be a 1-D vector, got shape {vals.shape}")
-        if vals.size < 1:
-            raise DegenerateInputError("features must be non-empty")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "label", int(self.label))
 
 
 def l2_normalize(x: np.ndarray) -> np.ndarray:

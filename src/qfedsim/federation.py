@@ -14,7 +14,6 @@ update; both modes run the same code path, step for step.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,13 +192,6 @@ def aggregate_weighted(param_sets, alphas) -> ModelParams:
     )
 
 
-def aggregate_uniform(param_sets) -> ModelParams:
-    """Plain mean: the weighted form with exactly equal weights."""
-    _check_homogeneous(param_sets)
-    n = len(param_sets)
-    return aggregate_weighted(param_sets, np.full(n, 1.0 / n))
-
-
 # ---------------------------------------------------------------------------
 # Validation.
 
@@ -213,17 +205,12 @@ class ClientShard:
 
 def build_client_shards(partitioned: PartitionedDataset, spec: CircuitSpec) -> list:
     dataset = partitioned.dataset
-    label_map = dataset.normal_label_map()
-    shards = []
-    for shard in partitioned.shards:
-        sub = dataset.subset(shard)
-        raw = sub.labels_array()
-        bad = [int(l) for l in np.unique(raw) if l not in label_map]
-        if bad:
-            raise DataError(f"anomaly classes {bad} present in training shards")
-        labels = np.array([label_map[int(l)] for l in raw], dtype=np.int64)
-        shards.append(ClientShard(encode_batch(sub.features_matrix(), spec.n_qubits), labels))
-    return shards
+    logits = dataset.logit_indices()
+    if np.any(logits < 0):
+        bad = np.unique(dataset.labels[logits < 0]).tolist()
+        raise DataError(f"anomaly classes {bad} present in training shards")
+    rows = [list(shard) for shard in partitioned.shards]
+    return [ClientShard(encode_batch(dataset.features[r], spec.n_qubits), logits[r]) for r in rows]
 
 
 @dataclass(frozen=True)
@@ -246,18 +233,15 @@ def build_validation_context(validation_set: LabeledDataset, spec: CircuitSpec,
         raise ConfigError(
             "validation normal classes differ from the training normal classes"
         )
-    labels = validation_set.labels_array()
-    anomaly = np.isin(labels, sorted(validation_set.anomaly_classes)).astype(np.int64)
-    normal_rows = np.flatnonzero(anomaly == 0)
+    logits = validation_set.logit_indices()
+    normal_rows = np.flatnonzero(logits >= 0)
     if normal_rows.size == 0:
         raise DataError("validation set has no normal samples to compute loss on")
-    label_map = validation_set.normal_label_map()
-    normal_logits = np.array([label_map[int(l)] for l in labels[normal_rows]], dtype=np.int64)
     return ValidationContext(
-        encode_batch(validation_set.features_matrix(), spec.n_qubits),
-        anomaly,
+        encode_batch(validation_set.features, spec.n_qubits),
+        (logits < 0).astype(np.int64),
         normal_rows,
-        normal_logits,
+        logits[normal_rows],
         train_encoded,
     )
 
@@ -297,8 +281,7 @@ def evaluate_global(spec: CircuitSpec, params: ModelParams, ctx: ValidationConte
 # ---------------------------------------------------------------------------
 # Rounds.
 
-def _train_one_client(args):
-    config, round_index, client, global_params, shard = args
+def _train_one_client(config, round_index, client, global_params, shard):
     rng = client_rng(config.master_seed, round_index, client)
     try:
         return train_on_encoded(
@@ -317,27 +300,22 @@ def _train_one_client(args):
 
 
 def run_round(round_index: int, config: FederationConfig, global_params: ModelParams,
-              client_shards, validation, parallel: bool = False) -> tuple:
+              client_shards, validation) -> tuple:
     """One global round; returns (new global params, RoundRecord).
 
     `client_shards` are ClientShard values (see build_client_shards);
-    `validation` is a prebuilt ValidationContext. Client generators derive
-    from (master_seed, round, client), so sequential and concurrent schedules
-    produce identical results.
+    `validation` is a prebuilt ValidationContext. Clients train one after
+    another, each on its own generator derived from (master_seed, round,
+    client), so no client's draws depend on another's.
     """
     if len(client_shards) != config.n_clients:
         raise ConfigError(
             f"{len(client_shards)} shards for {config.n_clients} clients"
         )
-    jobs = [
-        (config, round_index, client, global_params, shard)
+    results = [
+        _train_one_client(config, round_index, client, global_params, shard)
         for client, shard in enumerate(client_shards)
     ]
-    if parallel and config.n_clients > 1:
-        with ThreadPoolExecutor(max_workers=config.n_clients) as pool:
-            results = list(pool.map(_train_one_client, jobs))
-    else:
-        results = [_train_one_client(job) for job in jobs]
     new_global = aggregate_weighted([r.params for r in results], config.client_weights)
     scores = evaluate_global(
         config.spec, new_global, validation, config.score_method, config.threshold
@@ -358,7 +336,7 @@ def run_round(round_index: int, config: FederationConfig, global_params: ModelPa
 
 
 def run_federation(config: FederationConfig, partitioned_data: PartitionedDataset,
-                   validation_set: LabeledDataset, parallel: bool = False) -> RoundHistory:
+                   validation_set: LabeledDataset) -> RoundHistory:
     """K rounds of federated training; deterministic under master_seed."""
     if config.train.mode != MODE_CLASSIFY:
         raise ConfigError("federation trains the classifier; vqe mode is local-only")
@@ -371,7 +349,7 @@ def run_federation(config: FederationConfig, partitioned_data: PartitionedDatase
     shards = build_client_shards(partitioned_data, config.spec)
     train_encoded = None
     if config.score_method == SCORE_CENTROID:
-        train_encoded = encode_batch(dataset.features_matrix(), config.spec.n_qubits)
+        train_encoded = encode_batch(dataset.features, config.spec.n_qubits)
     ctx = build_validation_context(
         validation_set, config.spec, dataset.normal_classes, train_encoded
     )
@@ -381,7 +359,7 @@ def run_federation(config: FederationConfig, partitioned_data: PartitionedDatase
     )
     history = RoundHistory(records=[])
     for k in range(config.global_rounds):
-        global_params, record = run_round(k, config, global_params, shards, ctx, parallel)
+        global_params, record = run_round(k, config, global_params, shards, ctx)
         history.records.append(record)
     history.final_params = global_params
     return history

@@ -58,16 +58,9 @@ class ConfusionCounts:
                 raise ContractError(f"{name} must be non-negative")
 
 
-def anomaly_score(class_probs: np.ndarray) -> float:
-    """1 - max class probability: low confidence in every class = anomalous."""
-    probs = np.asarray(class_probs, dtype=np.float64)
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ContractError(f"class probabilities sum to {probs.sum()!r}, not 1")
-    return float(1.0 - probs.max())
-
-
 def max_prob_scores(class_probs: np.ndarray) -> np.ndarray:
-    """Rowwise anomaly_score for a (B, C) probability matrix."""
+    """1 - max class probability, rowwise for a (B, C) probability matrix:
+    low confidence in every class = anomalous."""
     return 1.0 - np.asarray(class_probs, dtype=np.float64).max(axis=-1)
 
 

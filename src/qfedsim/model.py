@@ -20,7 +20,7 @@ import numpy as np
 
 from . import core
 from .core import NoiseSpec, QuantumState, ShotSpec
-from .encoding import FeatureVector, encode_batch
+from .encoding import encode_batch
 from .exceptions import (
     CapacityError,
     ConfigError,
@@ -222,13 +222,12 @@ def head_scores(params: ModelParams, probs: np.ndarray) -> np.ndarray:
     return probs @ params.head_weights.T + params.head_bias
 
 
-def forward(spec: CircuitSpec, params: ModelParams, x, shots: ShotSpec = ShotSpec.exact(),
-            noise: NoiseSpec = NoiseSpec.off(),
+def forward(spec: CircuitSpec, params: ModelParams, x: np.ndarray,
+            shots: ShotSpec = ShotSpec.exact(), noise: NoiseSpec = NoiseSpec.off(),
             rng: np.random.Generator | None = None) -> np.ndarray:
-    """Class scores y for one sample (FeatureVector or raw feature array)."""
+    """Class scores y for one raw feature vector."""
     check_params(spec, params)
-    values = x.values if isinstance(x, FeatureVector) else np.asarray(x, dtype=np.float64)
-    encoded = encode_batch(values[None, :], spec.n_qubits)
+    encoded = encode_batch(np.asarray(x, dtype=np.float64)[None, :], spec.n_qubits)
     probs = probability_batch(spec, params.angles, encoded, shots, noise, rng)
     return head_scores(params, probs)[0]
 

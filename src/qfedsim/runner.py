@@ -93,7 +93,7 @@ def split_dataset(dataset: LabeledDataset, val_fraction: float, data_fraction: f
     shuffle depends only on master_seed, so shrinking data_fraction yields
     nested training subsets and an unchanged validation set.
     """
-    labels = dataset.labels_array()
+    labels = dataset.labels
     anomaly_ids = sorted(dataset.anomaly_classes)
     if not anomaly_ids:
         raise DataError("dataset has no anomaly classes to validate against")
@@ -169,7 +169,7 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def run(config: ExperimentConfig, parallel: bool = False) -> RunResult:
+def run(config: ExperimentConfig) -> RunResult:
     """Execute one experiment and write its artifact directory."""
     if not config.output_dir:
         raise ConfigError("no output directory configured")
@@ -185,7 +185,7 @@ def run(config: ExperimentConfig, parallel: bool = False) -> RunResult:
     )
     stats = heterogeneity(partitioned, train_set)
     fed_config = config.federation_config([len(s) for s in partitioned.shards])
-    history = run_federation(fed_config, partitioned, validation_set, parallel=parallel)
+    history = run_federation(fed_config, partitioned, validation_set)
 
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
@@ -223,7 +223,7 @@ def _sorted_axis(values) -> list:
     return sorted(values, key=lambda v: (v is None, 0 if v is None else v))
 
 
-def sweep(config: ExperimentConfig, parallel: bool = False) -> list:
+def sweep(config: ExperimentConfig) -> list:
     """Run the cartesian product of the config's sweep axes.
 
     Each point runs in its own subdirectory of output_dir, named
@@ -248,7 +248,7 @@ def sweep(config: ExperimentConfig, parallel: bool = False) -> list:
             _apply_axis(mapping, axis, value)
             parts.append(f"{axis}_{_format_axis_value(value)}")
         mapping["output_dir"] = os.path.join(config.output_dir, "__".join(parts))
-        results.append(run(config_from_mapping(mapping), parallel=parallel))
+        results.append(run(config_from_mapping(mapping)))
 
     header = (
         ["run_dir"]

@@ -2,8 +2,7 @@
 
 Every stochastic stage of an experiment owns a generator derived from
 (master_seed, stage path), so results never depend on execution order:
-training client 2 before client 1, or running clients on separate threads,
-consumes exactly the same streams.
+training client 2 before client 1 consumes exactly the same streams.
 
 Derivation uses numpy's SeedSequence spawn keys. The documented paths are:
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import core
 from .core import NoiseSpec, Observable, QuantumState, ShotSpec
-from .encoding import FeatureVector, encode_batch
+from .data import LabeledDataset
+from .encoding import encode_batch
 from .exceptions import ConfigError, DataError, LabelError, NumericError, ShapeError
 from .model import (
     CircuitSpec,
@@ -119,14 +120,6 @@ def loss_vqe(spec: CircuitSpec, params: ModelParams, observable: Observable,
     return core.estimate_expectation(state, observable, shots, rng)
 
 
-def _batch_arrays(batch) -> tuple:
-    if len(batch) == 0:
-        raise DataError("empty batch")
-    features = np.stack([fv.values for fv in batch])
-    labels = np.array([fv.label for fv in batch], dtype=np.int64)
-    return features, labels
-
-
 def _check_labels(labels: np.ndarray, n_classes: int) -> None:
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         bad = labels[(labels < 0) | (labels >= n_classes)][0]
@@ -141,14 +134,17 @@ def cross_entropy(params: ModelParams, readout: np.ndarray, labels: np.ndarray) 
     return float(-log_p.mean())
 
 
-def loss_classify(spec: CircuitSpec, params: ModelParams, batch,
+def loss_classify(spec: CircuitSpec, params: ModelParams, batch: LabeledDataset,
                   shots: ShotSpec = ShotSpec.exact(), noise: NoiseSpec = NoiseSpec.off(),
                   rng: np.random.Generator | None = None) -> float:
-    """Mean cross-entropy of true labels under softmax head scores."""
+    """Mean cross-entropy of the rows' logit indices (see
+    LabeledDataset.logit_indices) under softmax head scores."""
     check_params(spec, params)
-    features, labels = _batch_arrays(batch)
+    if len(batch) == 0:
+        raise DataError("empty batch")
+    labels = batch.logit_indices()
     _check_labels(labels, params.n_classes)
-    encoded = encode_batch(features, spec.n_qubits)
+    encoded = encode_batch(batch.features, spec.n_qubits)
     readout = probability_batch(spec, params.angles, encoded, shots, noise, rng)
     return cross_entropy(params, readout, labels)
 
@@ -246,26 +242,6 @@ def personalized_step(params: ModelParams, grad: GradientEstimate, eta: float,
     )
 
 
-def _train_classify_loop(spec, params, encoded, labels, config, global_params,
-                         shots, noise, rng):
-    trace = np.zeros(config.local_epochs)
-    evals = 0
-    count = encoded.shape[0]
-    for epoch in range(config.local_epochs):
-        order = rng.permutation(count)
-        loss_sum = 0.0
-        for start in range(0, count, config.batch_size):
-            sel = order[start : start + config.batch_size]
-            loss, grad = classify_loss_and_grad(
-                spec, params, encoded[sel], labels[sel], shots, noise, rng
-            )
-            params = personalized_step(params, grad, config.eta, config.lam, global_params)
-            loss_sum += loss * sel.size
-            evals += grad.evals_used
-        trace[epoch] = loss_sum / count
-    return LocalTrainResult(params, trace, evals)
-
-
 def _train_vqe_loop(spec, params, observable, config, global_params, shots, noise, rng):
     trace = np.zeros(config.local_epochs)
     evals = 0
@@ -281,17 +257,17 @@ def _train_vqe_loop(spec, params, observable, config, global_params, shots, nois
     return LocalTrainResult(params, trace, evals)
 
 
-def local_train(spec: CircuitSpec, start_params: ModelParams, dataset_shard,
-                config: TrainConfig, global_params: ModelParams | None = None,
+def local_train(spec: CircuitSpec, start_params: ModelParams,
+                dataset_shard: LabeledDataset | None, config: TrainConfig,
+                global_params: ModelParams | None = None,
                 shots: ShotSpec = ShotSpec.exact(), noise: NoiseSpec = NoiseSpec.off(),
                 rng: np.random.Generator | None = None,
                 observable: Observable | None = None) -> LocalTrainResult:
     """T local epochs of proximal mini-batch training.
 
-    classify mode: `dataset_shard` is a non-empty list of FeatureVector;
-    each epoch shuffles the shard (from `rng`) and steps over mini-batches.
-    The trace holds each epoch's sample-weighted mean batch loss, evaluated at
-    the parameters the batch was seen with.
+    classify mode: `dataset_shard` is a non-empty LabeledDataset whose rows
+    train against their logit indices; it is encoded once and handed to
+    train_on_encoded.
 
     vqe mode: Algorithm-style observable minimization; `dataset_shard` is
     ignored (the loss consumes no data), one gradient step per epoch, and the
@@ -306,13 +282,11 @@ def local_train(spec: CircuitSpec, start_params: ModelParams, dataset_shard,
         return _train_vqe_loop(
             spec, start_params, observable, config, global_params, shots, noise, rng
         )
-    if dataset_shard is None or len(dataset_shard) == 0:
+    if dataset_shard is None:
         raise DataError("classify training needs a non-empty shard")
-    features, labels = _batch_arrays(dataset_shard)
-    _check_labels(labels, start_params.n_classes)
-    encoded = encode_batch(features, spec.n_qubits)
-    return _train_classify_loop(
-        spec, start_params, encoded, labels, config, global_params, shots, noise, rng
+    return train_on_encoded(
+        spec, start_params, encode_batch(dataset_shard.features, spec.n_qubits),
+        dataset_shard.logit_indices(), config, global_params, shots, noise, rng,
     )
 
 
@@ -320,12 +294,30 @@ def train_on_encoded(spec: CircuitSpec, start_params: ModelParams, encoded: np.n
                      labels: np.ndarray, config: TrainConfig,
                      global_params: ModelParams | None, shots: ShotSpec,
                      noise: NoiseSpec, rng: np.random.Generator) -> LocalTrainResult:
-    """classify-mode local_train over pre-encoded inputs (federation hot path;
-    same loop, so trajectories match local_train bit for bit)."""
+    """classify-mode local training over pre-encoded inputs and logit labels.
+
+    Each epoch shuffles the rows (from `rng`) and steps over mini-batches.
+    The trace holds each epoch's sample-weighted mean batch loss, evaluated at
+    the parameters the batch was seen with.
+    """
     check_params(spec, start_params)
-    if encoded.shape[0] == 0:
+    count = encoded.shape[0]
+    if count == 0:
         raise DataError("classify training needs a non-empty shard")
     _check_labels(labels, start_params.n_classes)
-    return _train_classify_loop(
-        spec, start_params, encoded, labels, config, global_params, shots, noise, rng
-    )
+    params = start_params
+    trace = np.zeros(config.local_epochs)
+    evals = 0
+    for epoch in range(config.local_epochs):
+        order = rng.permutation(count)
+        loss_sum = 0.0
+        for start in range(0, count, config.batch_size):
+            sel = order[start : start + config.batch_size]
+            loss, grad = classify_loss_and_grad(
+                spec, params, encoded[sel], labels[sel], shots, noise, rng
+            )
+            params = personalized_step(params, grad, config.eta, config.lam, global_params)
+            loss_sum += loss * sel.size
+            evals += grad.evals_used
+        trace[epoch] = loss_sum / count
+    return LocalTrainResult(params, trace, evals)

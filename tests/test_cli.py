@@ -111,14 +111,6 @@ class TestRunCommand:
         ) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_parallel_flag_matches_sequential(self, tmp_path):
-        config = write_config(tmp_path)
-        a, b = tmp_path / "seq", tmp_path / "par"
-        assert main(["run", "--config", config, "--output-dir", str(a)]) == 0
-        assert main(["run", "--config", config, "--output-dir", str(b), "--parallel"]) == 0
-        assert (a / HISTORY_NAME).read_bytes() == (b / HISTORY_NAME).read_bytes()
-        assert (a / PARAMS_NAME).read_bytes() == (b / PARAMS_NAME).read_bytes()
-
 
 class TestSweepCommand:
     def test_sweep_runs_each_point(self, tmp_path, capsys):

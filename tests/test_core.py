@@ -10,15 +10,15 @@ from qfedsim.core import (
     QuantumState,
     ShotSpec,
     apply_cx,
-    apply_depolarizing,
     apply_ry,
+    depolarize_kernel,
     estimate_expectation,
     expectation,
     probabilities,
-    sample_counts,
     zero_state,
 )
 from qfedsim.exceptions import CapacityError, ConfigError, ContractError, ShapeError
+from qfedsim.model import CircuitSpec, readout_batch, run_ansatz_kernel
 
 SQ2 = np.sqrt(0.5)
 
@@ -202,81 +202,86 @@ class TestProbabilities:
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def shot_counts(state, shots, rng):
+    """Histogram of one row's shot readout, recovered from its frequencies."""
+    freqs = readout_batch(state.amplitudes[None, :], ShotSpec(shots), rng)[0]
+    return np.rint(freqs * shots).astype(np.int64)
+
+
+def z_expectations(amps):
+    """<Z> on a one-qubit batch, row by row."""
+    probs = np.abs(amps) ** 2
+    return probs[:, 0] - probs[:, 1]
+
+
 class TestSampleCounts:
     def test_degenerate_distribution(self):
-        counts = sample_counts(zero_state(1), ShotSpec(100), np.random.default_rng(0))
+        counts = shot_counts(zero_state(1), 100, np.random.default_rng(0))
         assert np.array_equal(counts, [100, 0])
 
     def test_same_seed_same_histogram(self):
         state = apply_ry(zero_state(2), 0, 1.1)
-        a = sample_counts(state, ShotSpec(500), np.random.default_rng(42))
-        b = sample_counts(state, ShotSpec(500), np.random.default_rng(42))
+        a = shot_counts(state, 500, np.random.default_rng(42))
+        b = shot_counts(state, 500, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_histogram_sums_to_shots(self):
         state = apply_ry(zero_state(2), 1, 0.7)
-        counts = sample_counts(state, ShotSpec(1234), np.random.default_rng(5))
+        counts = shot_counts(state, 1234, np.random.default_rng(5))
         assert counts.sum() == 1234
 
     def test_binomial_confidence_bound(self):
         state = QuantumState(1, np.array([SQ2, SQ2]))
-        counts = sample_counts(state, ShotSpec(10000), np.random.default_rng(9))
+        counts = shot_counts(state, 10000, np.random.default_rng(9))
         freq = counts[0] / 10000
         assert abs(freq - 0.5) <= 3 * np.sqrt(0.25 / 10000)
-
-    def test_exact_mode_rejected(self):
-        with pytest.raises(ContractError):
-            sample_counts(zero_state(1), ShotSpec.exact(), np.random.default_rng(0))
 
 
 class TestDepolarizing:
     def test_zero_epsilon_unchanged(self):
         rng = np.random.default_rng(0)
-        state = random_state(2, np.random.default_rng(1))
-        out = apply_depolarizing(state, 0, NoiseSpec(0.0, True), rng)
-        assert np.array_equal(out.amplitudes, state.amplitudes)
+        amps = np.stack([random_state(2, np.random.default_rng(1)).amplitudes] * 8)
+        out = amps.copy()
+        depolarize_kernel(out, 0, 0.0, rng)
+        assert np.array_equal(out, amps)
 
     def test_disabled_noise_unchanged(self):
-        rng = np.random.default_rng(0)
-        state = random_state(1, np.random.default_rng(2))
-        out = apply_depolarizing(state, 0, NoiseSpec(0.9, False), rng)
-        assert np.array_equal(out.amplitudes, state.amplitudes)
+        spec = CircuitSpec(2, 1)
+        angles = np.array([[0.3, 1.2]])
+        amps = np.stack([random_state(2, np.random.default_rng(2)).amplitudes] * 4)
+        clean, disabled = amps.copy(), amps.copy()
+        run_ansatz_kernel(clean, spec, angles, NoiseSpec.off(), None)
+        run_ansatz_kernel(disabled, spec, angles, NoiseSpec(0.9, False),
+                          np.random.default_rng(0))
+        assert np.array_equal(disabled, clean)
 
     def test_trajectory_mean_matches_channel(self):
         # <Z> after the full-strength channel on |0>, vs the density-matrix value
         rho = np.array([[1, 0], [0, 0]], dtype=complex)
         channel_value = np.trace(oracles.Z @ oracles.depolarize_density(rho, 1.0)).real
-        rng = np.random.default_rng(31)
-        obs = Observable(((1.0, "Z"),))
-        noise = NoiseSpec(1.0, True)
-        total = 0.0
         trials = 10000
-        for _ in range(trials):
-            total += expectation(apply_depolarizing(zero_state(1), 0, noise, rng), obs)
-        assert abs(total / trials - channel_value) < 0.05
+        amps = np.tile(zero_state(1).amplitudes, (trials, 1))
+        depolarize_kernel(amps, 0, 1.0, np.random.default_rng(31))
+        assert abs(z_expectations(amps).mean() - channel_value) < 0.05
 
     def test_partial_epsilon_matches_channel(self):
         epsilon = 0.3
         state = apply_ry(zero_state(1), 0, 0.9)
         rho = np.outer(state.amplitudes, state.amplitudes.conj())
         channel_value = np.trace(oracles.Z @ oracles.depolarize_density(rho, epsilon)).real
-        rng = np.random.default_rng(37)
-        obs = Observable(((1.0, "Z"),))
-        noise = NoiseSpec(epsilon, True)
         trials = 20000
-        total = sum(
-            expectation(apply_depolarizing(state, 0, noise, rng), obs)
-            for _ in range(trials)
-        )
+        amps = np.tile(state.amplitudes, (trials, 1))
+        depolarize_kernel(amps, 0, epsilon, np.random.default_rng(37))
         sigma = 1.0 / np.sqrt(trials)  # |<Z>| <= 1 bounds the spread
-        assert abs(total / trials - channel_value) < 3 * sigma + 0.01
+        assert abs(z_expectations(amps).mean() - channel_value) < 3 * sigma + 0.01
 
     def test_fixed_seed_deterministic(self):
-        state = random_state(2, np.random.default_rng(3))
-        noise = NoiseSpec(0.8, True)
-        a = apply_depolarizing(state, 1, noise, np.random.default_rng(77))
-        b = apply_depolarizing(state, 1, noise, np.random.default_rng(77))
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        amps = np.stack([random_state(2, np.random.default_rng(s)).amplitudes
+                         for s in range(3, 11)])
+        a, b = amps.copy(), amps.copy()
+        depolarize_kernel(a, 1, 0.8, np.random.default_rng(77))
+        depolarize_kernel(b, 1, 0.8, np.random.default_rng(77))
+        assert np.array_equal(a, b)
 
     def test_epsilon_range_validated(self):
         with pytest.raises(ConfigError):
@@ -288,14 +293,15 @@ class TestNormPreservation:
         rng = np.random.default_rng(41)
         for n in (1, 2, 3):
             state = random_state(n, rng)
-            noise = NoiseSpec(0.5, True)
             for _ in range(30):
                 kind = rng.integers(0, 3 if n > 1 else 2)
                 q = int(rng.integers(n))
                 if kind == 0:
                     state = apply_ry(state, q, float(rng.normal()))
                 elif kind == 1 or n == 1:
-                    state = apply_depolarizing(state, q, noise, rng)
+                    amps = state.amplitudes[None, :].copy()
+                    depolarize_kernel(amps, q, 0.5, rng)
+                    state = QuantumState(n, amps[0])
                 else:
                     t = (q + 1 + int(rng.integers(n - 1))) % n
                     state = apply_cx(state, q, t)

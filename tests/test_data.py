@@ -19,7 +19,6 @@ from qfedsim.data import (
     synth_anomaly_dataset,
     with_anomaly_classes,
 )
-from qfedsim.encoding import FeatureVector
 from qfedsim.exceptions import (
     ConfigError,
     DataError,
@@ -33,53 +32,49 @@ from qfedsim.exceptions import (
 
 
 def tiny_dataset(labels, dim=2):
-    samples = tuple(
-        FeatureVector(np.full(dim, float(i)), int(c)) for i, c in enumerate(labels)
-    )
-    return LabeledDataset(samples, frozenset(int(c) for c in labels), frozenset())
+    features = np.repeat(np.arange(len(labels), dtype=np.float64)[:, None], dim, axis=1)
+    return LabeledDataset(features, labels, frozenset(int(c) for c in labels), frozenset())
 
 
 class TestLabeledDataset:
     def test_unknown_label_rejected(self):
         with pytest.raises(LabelError):
-            LabeledDataset(
-                (FeatureVector(np.array([1.0, 0.0]), 7),), frozenset({0}), frozenset({1})
-            )
+            LabeledDataset([[1.0, 0.0]], [7], frozenset({0}), frozenset({1}))
 
     def test_overlapping_class_sets_rejected(self):
         with pytest.raises(LabelError):
-            LabeledDataset((), frozenset({0, 1}), frozenset({1}))
+            LabeledDataset(np.empty((0, 2)), [], frozenset({0, 1}), frozenset({1}))
 
     def test_inconsistent_widths_rejected(self):
         with pytest.raises(SchemaError):
-            LabeledDataset(
-                (
-                    FeatureVector(np.array([1.0, 2.0]), 0),
-                    FeatureVector(np.array([1.0, 2.0, 3.0]), 0),
-                ),
-                frozenset({0}),
-                frozenset(),
-            )
+            LabeledDataset([[1.0, 2.0], [1.0, 2.0, 3.0]], [0, 0], frozenset({0}), frozenset())
 
     def test_class_ids_sorted_and_label_map_contiguous(self):
-        ds = LabeledDataset(
-            (
-                FeatureVector(np.array([1.0]), 5),
-                FeatureVector(np.array([2.0]), 2),
-                FeatureVector(np.array([3.0]), 9),
-            ),
-            frozenset({2, 5}),
-            frozenset({9}),
-        )
+        ds = LabeledDataset([[1.0], [2.0], [3.0]], [5, 2, 9], frozenset({2, 5}), frozenset({9}))
         assert ds.class_ids == (2, 5, 9)
-        assert ds.normal_label_map() == {2: 0, 5: 1}
+        assert ds.logit_indices().tolist() == [1, 0, -1]
 
     def test_subset_preserves_class_sets(self):
         ds = tiny_dataset([0, 1, 0, 1])
         sub = ds.subset([1, 3])
         assert len(sub) == 2
         assert sub.normal_classes == ds.normal_classes
-        assert sub.samples[0].values[0] == 1.0
+        assert sub.features[0, 0] == 1.0
+        assert sub.labels.tolist() == [1, 1]
+
+    def test_arrays_are_read_only_float64_and_int64(self):
+        ds = tiny_dataset([0, 1, 0])
+        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
+        with pytest.raises(ValueError):
+            ds.features[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            ds.labels[0] = 1
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ShapeError):
+            LabeledDataset(np.ones(3), [0, 0, 0], frozenset({0}), frozenset())
+        with pytest.raises(ShapeError):
+            LabeledDataset(np.ones((3, 2)), [0, 0], frozenset({0}), frozenset())
 
 
 class TestLoadFeatures:
@@ -92,7 +87,7 @@ class TestLoadFeatures:
         ds = load_features(self.write(tmp_path, "1.0,2.0,0\n3.0,4.0,1\n"))
         assert len(ds) == 2
         assert ds.feature_dim == 2
-        assert ds.labels_array().tolist() == [0, 1]
+        assert ds.labels.tolist() == [0, 1]
         assert ds.normal_classes == {0, 1}
         assert ds.anomaly_classes == frozenset()
 
@@ -126,6 +121,28 @@ class TestLoadFeatures:
         ds = load_features(self.write(tmp_path, "1.0,2.0,0\n\n3.0,4.0,1\n"))
         assert len(ds) == 2
 
+    def test_header_only_file_rejected(self, tmp_path):
+        with pytest.raises(DataError):
+            load_features(self.write(tmp_path, "f1,f2,label\n"))
+
+    def test_single_class_file_loads(self, tmp_path):
+        ds = load_features(self.write(tmp_path, "1.0,2.0,3\n4.0,5.0,3\n"))
+        assert ds.labels.tolist() == [3, 3]
+        assert ds.normal_classes == {3}
+        assert ds.anomaly_classes == frozenset()
+
+    def test_repr_round_trip_is_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(21)
+        features = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-8, 9, size=(40, 6))
+        labels = rng.integers(-2, 4, size=40)
+        lines = ["a,b,c,d,e,f,label"] + [
+            ",".join(repr(v) for v in row) + f",{label}"
+            for row, label in zip(features.tolist(), labels.tolist())
+        ]
+        ds = load_features(self.write(tmp_path, "\n".join(lines) + "\n"))
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.tolist() == labels.tolist()
+
 
 class TestWithAnomalyClasses:
     def test_resplit(self, tmp_path):
@@ -147,8 +164,8 @@ class TestSynthAnomalyDataset:
     def test_deterministic_under_seed(self):
         a = synth_anomaly_dataset(3, 10, 5, 8, 4.0, np.random.default_rng(7))
         b = synth_anomaly_dataset(3, 10, 5, 8, 4.0, np.random.default_rng(7))
-        assert np.array_equal(a.features_matrix(), b.features_matrix())
-        assert np.array_equal(a.labels_array(), b.labels_array())
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.labels, b.labels)
 
     def test_counts_and_class_sets(self):
         ds = synth_anomaly_dataset(3, 10, 5, 8, 4.0, np.random.default_rng(0))
@@ -165,8 +182,8 @@ class TestSynthAnomalyDataset:
         sep = 10.0
         ds = synth_anomaly_dataset(4, 50, 0, 8, sep, np.random.default_rng(1))
         centers = sep * np.eye(4, 8)
-        features = ds.features_matrix()
-        labels = ds.labels_array()
+        features = ds.features
+        labels = ds.labels
         assigned = np.argmin(
             np.linalg.norm(features[:, None, :] - centers[None, :, :], axis=2), axis=1
         )
@@ -174,8 +191,8 @@ class TestSynthAnomalyDataset:
 
     def test_anomalies_point_away_from_normal_classes(self):
         ds = synth_anomaly_dataset(3, 30, 30, 8, 6.0, np.random.default_rng(2))
-        features = ds.features_matrix()
-        labels = ds.labels_array()
+        features = ds.features
+        labels = ds.labels
         anomaly_mean = features[labels == 3].mean(axis=0)
         assert np.all(anomaly_mean[:3] < 0)
         for c in range(3):
@@ -204,17 +221,16 @@ class TestReduceFeatures:
         ds = synth_anomaly_dataset(2, 10, 0, 16, 4.0, np.random.default_rng(3))
         a = reduce_features(ds, 4, np.random.default_rng(5))
         b = reduce_features(ds, 4, np.random.default_rng(5))
-        assert np.array_equal(a.features_matrix(), b.features_matrix())
+        assert np.array_equal(a.features, b.features)
 
     def test_pairwise_distances_roughly_preserved(self):
         rng = np.random.default_rng(11)
-        samples = tuple(FeatureVector(rng.normal(size=128), 0) for _ in range(40))
-        ds = LabeledDataset(samples, frozenset({0}), frozenset())
+        ds = LabeledDataset(rng.normal(size=(40, 128)), np.zeros(40), frozenset({0}), frozenset())
         out = reduce_features(ds, 32, np.random.default_rng(12))
-        x, y = ds.features_matrix(), out.features_matrix()
+        x, y = ds.features, out.features
         ratios = []
-        for i in range(len(samples)):
-            for j in range(i + 1, len(samples)):
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
                 ratios.append(
                     np.linalg.norm(y[i] - y[j]) / np.linalg.norm(x[i] - x[j])
                 )
@@ -254,7 +270,7 @@ class TestPartition:
         ds = tiny_dataset([c for c in range(6) for _ in range(4)])
         scheme = PartitionScheme(SCHEME_STEP, step_remainder=0.0)
         out = partition(ds, scheme, 3, np.random.default_rng(0))
-        labels = ds.labels_array()
+        labels = ds.labels
         owned = [sorted({int(labels[i]) for i in shard}) for shard in out.shards]
         assert owned == [[0, 1], [2, 3], [4, 5]]
 
@@ -263,7 +279,7 @@ class TestPartition:
         # every class; at alpha = 100 that should essentially never happen
         n_classes, per_class, n_clients = 40, 20, 10
         ds = tiny_dataset([c for c in range(n_classes) for _ in range(per_class)])
-        labels = ds.labels_array()
+        labels = ds.labels
 
         def majority_fraction(alpha, draws, seed):
             scheme = PartitionScheme(SCHEME_DIRICHLET, alpha=alpha)
@@ -367,14 +383,7 @@ class TestHeterogeneity:
         assert median_kl(0.01) > median_kl(1.0)
 
     def test_histogram_columns_follow_sorted_class_ids(self):
-        ds = LabeledDataset(
-            (
-                FeatureVector(np.array([1.0]), 9),
-                FeatureVector(np.array([2.0]), 2),
-            ),
-            frozenset({2, 9}),
-            frozenset(),
-        )
+        ds = LabeledDataset([[1.0], [2.0]], [9, 2], frozenset({2, 9}), frozenset())
         part = PartitionedDataset(ds, ((0,), (1,)), "manual")
         stats = heterogeneity(part, ds)
         assert stats.class_histograms.tolist() == [[0, 1], [1, 0]]

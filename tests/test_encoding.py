@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfedsim.core import probabilities
-from qfedsim.encoding import FeatureVector, amplitude_encode, encode_batch, l2_normalize
+from qfedsim.encoding import amplitude_encode, encode_batch, l2_normalize
 from qfedsim.exceptions import CapacityError, DegenerateInputError, ShapeError
 
 
@@ -88,13 +88,3 @@ class TestEncodeBatch:
         with pytest.raises(ShapeError):
             encode_batch(np.ones(4), 2)
 
-
-class TestFeatureVector:
-    def test_holds_values_and_label(self):
-        fv = FeatureVector(np.array([1.0, 2.0]), 3)
-        assert fv.label == 3
-        assert fv.values.dtype == np.float64
-
-    def test_rejects_matrix_values(self):
-        with pytest.raises(ShapeError):
-            FeatureVector(np.ones((2, 2)), 0)

@@ -8,7 +8,6 @@ from qfedsim.exceptions import ContractError, DegenerateInputError, UndefinedMet
 from qfedsim.metrics import (
     ConfusionCounts,
     ScoredSet,
-    anomaly_score,
     aupr,
     auroc,
     centroid_distance_scores,
@@ -56,16 +55,12 @@ class TestScoredSet:
 
 class TestAnomalyScore:
     def test_confident_prediction_scores_low(self):
-        assert anomaly_score(np.array([0.9, 0.05, 0.05])) == pytest.approx(0.1, abs=1e-12)
+        assert max_prob_scores(np.array([[0.9, 0.05, 0.05]]))[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_uniform_prediction_scores_high(self):
-        assert anomaly_score(np.array([0.25, 0.25, 0.25, 0.25])) == pytest.approx(
+        assert max_prob_scores(np.array([[0.25, 0.25, 0.25, 0.25]]))[0] == pytest.approx(
             0.75, abs=1e-12
         )
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ContractError):
-            anomaly_score(np.array([0.5, 0.6]))
 
     def test_batch_version_matches_rowwise(self):
         rng = np.random.default_rng(0)
@@ -73,7 +68,7 @@ class TestAnomalyScore:
         probs = raw / raw.sum(axis=1, keepdims=True)
         batch = max_prob_scores(probs)
         for i in range(8):
-            assert batch[i] == pytest.approx(anomaly_score(probs[i]), abs=1e-12)
+            assert batch[i] == pytest.approx(max_prob_scores(probs[i]), abs=1e-12)
 
     def test_centroid_distance(self):
         probs = np.array([[1.0, 0.0], [0.5, 0.5]])

@@ -95,7 +95,7 @@ class TestBuildDataset:
     def test_deterministic(self):
         a = build_dataset(make_config())
         b = build_dataset(make_config())
-        assert np.array_equal(a.features_matrix(), b.features_matrix())
+        assert np.array_equal(a.features, b.features)
 
     def test_wide_csv_features_projected_to_capacity(self, tmp_path):
         rows = ["1.0,2.0,3.0,4.0,5.0,6.0,0", "2.0,1.0,0.5,0.2,0.1,3.0,1"]
@@ -120,8 +120,8 @@ class TestSplitDataset:
     def test_all_anomalies_validate(self):
         ds = build_dataset(make_config())
         train, val = split_dataset(ds, 0.25, 1.0, 11)
-        assert np.sum(np.isin(train.labels_array(), [2])) == 0
-        assert np.sum(np.isin(val.labels_array(), [2])) == 6
+        assert np.sum(np.isin(train.labels, [2])) == 0
+        assert np.sum(np.isin(val.labels, [2])) == 6
 
     def test_sizes_follow_val_fraction(self):
         ds = build_dataset(make_config())
@@ -133,16 +133,16 @@ class TestSplitDataset:
         ds = build_dataset(make_config())
         a_train, a_val = split_dataset(ds, 0.25, 1.0, 11)
         b_train, b_val = split_dataset(ds, 0.25, 1.0, 11)
-        assert np.array_equal(a_train.features_matrix(), b_train.features_matrix())
-        assert np.array_equal(a_val.features_matrix(), b_val.features_matrix())
+        assert np.array_equal(a_train.features, b_train.features)
+        assert np.array_equal(a_val.features, b_val.features)
 
     def test_data_fraction_nests_and_keeps_validation(self):
         ds = build_dataset(make_config())
         full_train, full_val = split_dataset(ds, 0.25, 1.0, 11)
         half_train, half_val = split_dataset(ds, 0.25, 0.5, 11)
-        assert np.array_equal(full_val.features_matrix(), half_val.features_matrix())
-        full_rows = {tuple(row) for row in full_train.features_matrix()}
-        half_rows = {tuple(row) for row in half_train.features_matrix()}
+        assert np.array_equal(full_val.features, half_val.features)
+        full_rows = {tuple(row) for row in full_train.features}
+        half_rows = {tuple(row) for row in half_train.features}
         assert half_rows < full_rows
         assert len(half_train) == round(0.5 * len(full_train))
 
@@ -151,8 +151,9 @@ class TestSplitDataset:
         ds = build_dataset(config)
         from qfedsim.data import LabeledDataset
 
+        keep = ds.labels != 2
         normals_only = LabeledDataset(
-            tuple(s for s in ds.samples if s.label != 2), ds.normal_classes, frozenset()
+            ds.features[keep], ds.labels[keep], ds.normal_classes, frozenset()
         )
         with pytest.raises(DataError):
             split_dataset(normals_only, 0.25, 1.0, 11)
@@ -228,16 +229,6 @@ class TestRun:
         sb = json.loads(read_bytes(b.output_dir, SUMMARY_NAME))
         assert (sa.pop("mode"), sb.pop("mode")) == ("pqfl", "qfl")
         assert sa == sb
-
-    def test_parallel_run_is_byte_identical(self, base_run, tmp_path):
-        threaded = run(
-            make_config(output_dir=tmp_path / "threads", target_loss=100.0),
-            parallel=True,
-        )
-        for name in ARTIFACTS:
-            assert read_bytes(base_run.output_dir, name) == read_bytes(
-                threaded.output_dir, name
-            ), name
 
 
 class TestSweep:

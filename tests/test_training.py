@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from qfedsim.core import NoiseSpec, Observable, ShotSpec
-from qfedsim.encoding import FeatureVector, encode_batch
+from qfedsim.data import LabeledDataset
+from qfedsim.encoding import encode_batch
 from qfedsim.exceptions import ConfigError, DataError, LabelError
 from qfedsim.model import CircuitSpec, ModelParams, init_params
 from qfedsim.training import (
@@ -30,11 +31,15 @@ def make_params(spec, n_classes, seed=0):
     return init_params(spec, n_classes, np.random.default_rng(seed))
 
 
+def labeled(features, labels, n_classes):
+    """Rows with class ids 0..n_classes-1, which are also their logit indices."""
+    return LabeledDataset(features, labels, frozenset(range(n_classes)), frozenset())
+
+
 def make_batch(rng, n_samples, n_features, n_classes):
-    return [
-        FeatureVector(rng.normal(size=n_features), int(rng.integers(n_classes)))
-        for _ in range(n_samples)
-    ]
+    rows = [(rng.normal(size=n_features), int(rng.integers(n_classes)))
+            for _ in range(n_samples)]
+    return labeled([x for x, _ in rows], [c for _, c in rows], n_classes)
 
 
 class TestLossVqe:
@@ -91,7 +96,7 @@ class TestLossClassify:
         params = ModelParams(
             np.array([[0.0]]), np.zeros((2, 2)), np.array([1000.0, 0.0])
         )
-        batch = [FeatureVector(np.array([1.0, 0.0]), 0)]
+        batch = labeled([[1.0, 0.0]], [0], 2)
         assert loss_classify(spec, params, batch) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_hand_computation(self):
@@ -101,12 +106,12 @@ class TestLossClassify:
         batch = make_batch(rng, 3, 4, 3)
         from qfedsim.model import class_probabilities, head_scores, probability_batch
 
-        encoded = encode_batch(np.stack([fv.values for fv in batch]), 2)
+        encoded = encode_batch(batch.features, 2)
         probs = class_probabilities(
             head_scores(params, probability_batch(spec, params.angles, encoded, EXACT, CLEAN, None))
         )
         expected = -np.mean(
-            [np.log(probs[i, fv.label]) for i, fv in enumerate(batch)]
+            [np.log(probs[i, label]) for i, label in enumerate(batch.labels)]
         )
         assert loss_classify(spec, params, batch) == pytest.approx(expected, abs=1e-12)
 
@@ -114,13 +119,13 @@ class TestLossClassify:
         spec = CircuitSpec(1, 1)
         params = make_params(spec, 2)
         with pytest.raises(LabelError):
-            loss_classify(spec, params, [FeatureVector(np.array([1.0]), 5)])
+            loss_classify(spec, params, labeled([[1.0]], [5], 6))
 
     def test_empty_batch(self):
         spec = CircuitSpec(1, 1)
         params = make_params(spec, 2)
         with pytest.raises(DataError):
-            loss_classify(spec, params, [])
+            loss_classify(spec, params, labeled(np.empty((0, 2)), [], 2))
 
 
 class TestGradParameterShift:
@@ -168,11 +173,9 @@ class TestGradParameterShift:
             n_classes = 3
             params = make_params(spec, n_classes, seed=int(rng.integers(1000)))
             batch = make_batch(rng, 6, 1 << n, n_classes)
-            features = np.stack([fv.values for fv in batch])
-            labels = np.array([fv.label for fv in batch])
-            encoded = encode_batch(features, n)
+            encoded = encode_batch(batch.features, n)
             loss, est = classify_loss_and_grad(
-                spec, params, encoded, labels, EXACT, CLEAN, None
+                spec, params, encoded, batch.labels, EXACT, CLEAN, None
             )
             assert loss == pytest.approx(loss_classify(spec, params, batch), abs=1e-12)
 
@@ -350,7 +353,8 @@ class TestLocalTrain:
         spec = CircuitSpec(1, 1)
         config = TrainConfig(mode=MODE_CLASSIFY)
         with pytest.raises(DataError):
-            local_train(spec, make_params(spec, 2), [], config, rng=np.random.default_rng(0))
+            local_train(spec, make_params(spec, 2), labeled(np.empty((0, 2)), [], 2), config,
+                        rng=np.random.default_rng(0))
 
     def test_bit_identical_under_same_seed(self):
         spec = CircuitSpec(2, 1)
@@ -385,13 +389,12 @@ class TestLocalTrain:
         spec = CircuitSpec(2, 1)
         params = make_params(spec, 2, seed=17)
         # two direction-separated classes so the task is learnable
-        batch = [
-            FeatureVector(np.array([1.0, 0.1, 0.0, 0.0]) + 0.05 * rng.normal(size=4), 0)
-            for _ in range(8)
-        ] + [
-            FeatureVector(np.array([0.0, 0.0, 0.1, 1.0]) + 0.05 * rng.normal(size=4), 1)
-            for _ in range(8)
-        ]
+        batch = labeled(
+            [np.array([1.0, 0.1, 0.0, 0.0]) + 0.05 * rng.normal(size=4) for _ in range(8)]
+            + [np.array([0.0, 0.0, 0.1, 1.0]) + 0.05 * rng.normal(size=4) for _ in range(8)],
+            [0] * 8 + [1] * 8,
+            2,
+        )
         config = TrainConfig(eta=0.5, lam=0.0, local_epochs=30, batch_size=16)
         result = local_train(spec, params, batch, config, rng=np.random.default_rng(18))
         assert result.loss_trace[-1] < result.loss_trace[0]
@@ -401,11 +404,9 @@ class TestLocalTrain:
         params = make_params(spec, 2, seed=19)
         batch = make_batch(np.random.default_rng(20), 7, 4, 2)
         config = TrainConfig(eta=0.05, lam=0.1, local_epochs=2, batch_size=3)
-        features = np.stack([fv.values for fv in batch])
-        labels = np.array([fv.label for fv in batch])
         a = local_train(spec, params, batch, config, global_params=params,
                         rng=np.random.default_rng(21))
-        b = train_on_encoded(spec, params, encode_batch(features, 2), labels, config,
+        b = train_on_encoded(spec, params, encode_batch(batch.features, 2), batch.labels, config,
                              params, EXACT, CLEAN, np.random.default_rng(21))
         assert np.array_equal(a.params.to_vector(), b.params.to_vector())
         assert np.array_equal(a.loss_trace, b.loss_trace)
