@@ -3,15 +3,21 @@
 Conventions, fixed project-wide:
   - Qubit ordering is little-endian: qubit 0 is the least significant bit of
     the basis index, so basis state |j> assigns qubit q the bit (j >> q) & 1.
-  - States are complex amplitude vectors of length 2**n_qubits, unit norm.
+  - A state is a unit-norm amplitude vector of length 2**n_qubits. The
+    public QuantumState is complex, because expectations rotate X and Y
+    terms into the computational basis. The batched circuit path (model and
+    training modules) holds real float64 amplitudes: amplitude encoding of
+    real features, Ry and CX are all real, and depolarizing noise keeps a
+    real row real (Y = i*XZ, and i is a global phase of the row).
   - The only circuit gates are Ry rotations and CX; depolarizing noise is
     realized as stochastic Pauli insertion (quantum trajectories), keeping the
     engine a pure statevector simulator.
 
-The private kernel functions operate in place on arrays of shape (..., 2**n),
-acting on the last axis; the public operations wrap them with immutable
-QuantumState values. Batched evaluation (model module) reuses the same
-kernels on 2-D arrays, so there is exactly one implementation of each gate.
+The kernel functions are dtype-generic and operate in place on arrays of
+shape (..., 2**n), acting on the last axis; the public operations wrap them
+with immutable QuantumState values. Batched evaluation (model module) reuses
+the same kernels on (rows, 2**n) batches and (S, rows, 2**n) stacks, so there
+is exactly one implementation of each gate.
 """
 
 from __future__ import annotations
@@ -27,11 +33,11 @@ MAX_QUBITS = 20
 
 _SQRT1_2 = np.sqrt(0.5)
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-_PAULI_BY_LABEL = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-_PAULI_BY_INDEX = (PAULI_X, PAULI_Y, PAULI_Z)
+_PAULI_BY_LABEL = {
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
 
 # Basis changes mapping the X/Y eigenbases onto the computational basis:
 # measuring P on |psi> is measuring Z on ROT_P |psi>.
@@ -139,15 +145,53 @@ class ShotSpec:
 # ---------------------------------------------------------------------------
 # In-place kernels on raw amplitude arrays of shape (..., 2**n), last axis.
 
+def ry_matrices(angles) -> np.ndarray:
+    """Real Ry(a) = [[cos a/2, -sin a/2], [sin a/2, cos a/2]] for every angle:
+    shape angles.shape + (2, 2)."""
+    half = 0.5 * np.asarray(angles, dtype=np.float64)
+    c, s = np.cos(half), np.sin(half)
+    return np.stack([c, -s, s, c], axis=-1).reshape(half.shape + (2, 2))
+
+
+@lru_cache(maxsize=None)
+def _qubit_pairing(dim: int, qubit: int) -> tuple:
+    """Per basis index j: its `qubit` bit, the flipped bit, and j with the bit flipped."""
+    idx = np.arange(dim)
+    bit = (idx >> qubit) & 1
+    return bit, 1 - bit, idx ^ (1 << qubit)
+
+
 def apply_one_qubit_kernel(amps: np.ndarray, qubit: int, mat: np.ndarray) -> None:
-    """Apply a 2x2 matrix to one qubit of every state in `amps`, in place."""
+    """Apply a 2x2 matrix to one qubit of every state in `amps`, in place.
+
+    `mat` is one (2, 2) matrix for every state, or an (S, 2, 2) stack whose
+    k-th matrix acts on block amps[k] of an (S, ..., 2**n) stack. Amplitude j
+    becomes mat[b, b] * amps[j] + mat[b, 1 - b] * amps[j ^ 2**qubit], b the
+    qubit's bit of j. The halves b = 0 and b = 1 are updated through a
+    strided view; at strides 2 and 4 that view's inner loops are so short
+    that gathering every amplitude's partner is faster. Both orders of the
+    same two products give bit-identical sums.
+    """
     dim = amps.shape[-1]
     stride = 1 << qubit
+    if stride in (2, 4):
+        bit, flipped_bit, partner = _qubit_pairing(dim, qubit)
+        diagonal, off_diagonal = mat[..., bit, bit], mat[..., bit, flipped_bit]
+        if mat.ndim == 3:
+            shape = mat.shape[:1] + (1,) * (amps.ndim - 2) + (dim,)
+            diagonal, off_diagonal = diagonal.reshape(shape), off_diagonal.reshape(shape)
+        swapped = amps[..., partner]
+        swapped *= off_diagonal
+        amps *= diagonal
+        amps += swapped
+        return
     view = amps.reshape(amps.shape[:-1] + (dim >> (qubit + 1), 2, stride))
     lo = view[..., 0, :].copy()
     hi = view[..., 1, :]
-    view[..., 0, :] = mat[0, 0] * lo + mat[0, 1] * hi
-    view[..., 1, :] = mat[1, 0] * lo + mat[1, 1] * hi
+    if mat.ndim == 3:
+        mat = mat.reshape(mat.shape[:1] + (1,) * (lo.ndim - 1) + (2, 2))
+    view[..., 0, :] = mat[..., 0, 0] * lo + mat[..., 0, 1] * hi
+    view[..., 1, :] = mat[..., 1, 0] * lo + mat[..., 1, 1] * hi
 
 
 @lru_cache(maxsize=None)
@@ -165,23 +209,29 @@ def apply_cx_kernel(amps: np.ndarray, n_qubits: int, control: int, target: int) 
 
 def depolarize_kernel(amps: np.ndarray, qubit: int, epsilon: float,
                       rng: np.random.Generator) -> None:
-    """One trajectory sample of the depolarizing channel on a batch, in place.
+    """One trajectory sample of the depolarizing channel on every row, in place.
 
-    Draws one uniform and one Pauli choice per row (the choice is drawn even
-    for rows that take no error, keeping the draw count data-independent).
+    A row is one state: every index but the last. Draws one uniform and then
+    one Pauli choice (0 = X, 1 = Y, 2 = Z) per row; the choice is drawn even
+    for rows that take no error, keeping the draw count data-independent.
+    The Paulis act as a bit-flip permutation plus a sign: Z negates the
+    amplitudes whose `qubit` bit is 1, X swaps the two halves, and Y applies
+    XZ, which is Y up to the global phase i of the row.
     """
-    rows = amps.shape[0]
+    dim = amps.shape[-1]
+    rows = amps.size // dim
     u = rng.random(rows)
     which = rng.integers(0, 3, size=rows)
     hit = u < epsilon
     if not hit.any():
         return
-    for k in range(3):
-        sel = hit & (which == k)
-        if sel.any():
-            sub = amps[sel]
-            apply_one_qubit_kernel(sub, qubit, _PAULI_BY_INDEX[k])
-            amps[sel] = sub
+    view = amps.reshape(rows, dim >> (qubit + 1), 2, 1 << qubit)
+    lo, hi = view[:, :, 0, :], view[:, :, 1, :]
+    np.negative(hi, out=hi, where=(hit & (which != 0))[:, None, None])
+    flip = (hit & (which != 2))[:, None, None]
+    old_lo = lo.copy()
+    np.copyto(lo, hi, where=flip)
+    np.copyto(hi, old_lo, where=flip)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +256,8 @@ def _check_qubit(state: QuantumState, qubit: int) -> None:
 def apply_ry(state: QuantumState, qubit: int, angle: float) -> QuantumState:
     """Rotate one qubit by Ry(angle) = [[cos a/2, -sin a/2], [sin a/2, cos a/2]]."""
     _check_qubit(state, qubit)
-    half = 0.5 * angle
-    c, s = np.cos(half), np.sin(half)
-    mat = np.array([[c, -s], [s, c]], dtype=np.complex128)
     amps = state.amplitudes.copy()
-    apply_one_qubit_kernel(amps, qubit, mat)
+    apply_one_qubit_kernel(amps, qubit, ry_matrices(angle))
     return QuantumState(state.n_qubits, amps)
 
 

@@ -44,7 +44,8 @@ def amplitude_encode(x: np.ndarray, n_qubits: int) -> QuantumState:
 
 
 def encode_batch(rows: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Amplitude-encode a (B, F) matrix into a (B, 2**n_qubits) complex array."""
+    """Amplitude-encode a (B, F) matrix into a (B, 2**n_qubits) float64 array
+    of real amplitudes."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise ShapeError("encode_batch expects a 2-D sample matrix")
@@ -53,7 +54,7 @@ def encode_batch(rows: np.ndarray, n_qubits: int) -> np.ndarray:
         raise CapacityError(
             f"{rows.shape[1]} features exceed the {dim} amplitudes of {n_qubits} qubits"
         )
-    out = np.zeros((rows.shape[0], dim), dtype=np.complex128)
+    out = np.zeros((rows.shape[0], dim))
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0.0):
         raise DegenerateInputError(ZERO_NORM_MESSAGE)

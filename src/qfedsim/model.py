@@ -7,8 +7,12 @@ affine map y = W p + b, squashed by a stable softmax when probabilities are
 needed.
 
 All evaluation funnels through `run_ansatz_kernel`, which acts in place on a
-(rows, 2**n) amplitude array, so single-sample and batched paths share one
-gate implementation.
+(rows, 2**n) amplitude array run at one (layers, qubits) angle matrix, or on
+an (S, rows, 2**n) stack whose block k runs at the k-th matrix of an
+(S, layers, qubits) angle stack. Single-sample, batched and stacked paths
+share one gate implementation; the stacked form lets training evaluate a
+batch at the base angles and at every parameter-shifted angle matrix in one
+pass.
 """
 
 from __future__ import annotations
@@ -155,20 +159,20 @@ def init_params(spec: CircuitSpec, n_classes: int, rng: np.random.Generator) -> 
 
 def run_ansatz_kernel(amps: np.ndarray, spec: CircuitSpec, angles: np.ndarray,
                       noise: NoiseSpec, rng: np.random.Generator | None) -> None:
-    """Run the full ansatz in place on a (rows, 2**n) amplitude array.
+    """Run the full ansatz in place on a (rows, 2**n) amplitude array at a
+    (layers, qubits) angle matrix, or on an (S, rows, 2**n) stack at an
+    (S, layers, qubits) angle stack.
 
     With noise active, one depolarizing trajectory sample follows every gate
     on every qubit the gate touched (CX: control first, then target); draws
-    are vectorized across rows.
+    are vectorized across all rows of all blocks.
     """
     noisy = noise.active
     pairs = spec.entangler_pairs()
+    mats = core.ry_matrices(angles)
     for layer in range(spec.n_layers):
         for q in range(spec.n_qubits):
-            half = 0.5 * angles[layer, q]
-            c, s = np.cos(half), np.sin(half)
-            mat = np.array([[c, -s], [s, c]], dtype=np.complex128)
-            core.apply_one_qubit_kernel(amps, q, mat)
+            core.apply_one_qubit_kernel(amps, q, mats[..., layer, q, :, :])
             if noisy:
                 core.depolarize_kernel(amps, q, noise.epsilon, rng)
         for control, target in pairs:
@@ -197,9 +201,11 @@ def run_circuit(spec: CircuitSpec, params: ModelParams, input_state: QuantumStat
 
 def readout_batch(amps: np.ndarray, shots: ShotSpec,
                   rng: np.random.Generator | None) -> np.ndarray:
-    """Probability readout for a batch: exact |amps|^2, or per-row frequency
-    estimates from `shots` measurements."""
-    probs = amps.real * amps.real + amps.imag * amps.imag
+    """Probability readout for a batch or stack: exact |amps|^2, or per-row
+    frequency estimates from `shots` measurements."""
+    probs = amps.real * amps.real
+    if np.iscomplexobj(amps):
+        probs += amps.imag * amps.imag
     if shots.is_exact:
         return probs
     if rng is None:
@@ -211,8 +217,11 @@ def readout_batch(amps: np.ndarray, shots: ShotSpec,
 def probability_batch(spec: CircuitSpec, angles: np.ndarray, encoded: np.ndarray,
                       shots: ShotSpec, noise: NoiseSpec,
                       rng: np.random.Generator | None) -> np.ndarray:
-    """Encoded inputs (B, 2**n) -> readout probabilities (B, 2**n)."""
-    amps = encoded.copy()
+    """Encoded inputs (B, 2**n) -> readout probabilities (B, 2**n) at a
+    (layers, qubits) angle matrix, or the (S, B, 2**n) readouts of an
+    (S, layers, qubits) angle stack."""
+    amps = np.empty(angles.shape[:-2] + encoded.shape, dtype=encoded.dtype)
+    amps[...] = encoded
     run_ansatz_kernel(amps, spec, angles, noise, rng)
     return readout_batch(amps, shots, rng)
 

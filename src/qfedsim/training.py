@@ -10,16 +10,21 @@ Two training modes share the machinery:
     readout itself: the cotangent c = W^T (softmax(y) - onehot), frozen at the
     base parameters, turns each shifted evaluation into the linear functional
     sum(c * p(angles)) whose shift-rule derivative equals the exact
-    chain-rule gradient. Head gradients are analytic.
+    chain-rule gradient. Head gradients are analytic. The base readout and
+    all 2 * D shifted readouts of a batch run as stacked blocks of real
+    amplitudes, several blocks per ansatz pass (see classify_loss_and_grad).
 
 `evals_used` counts gradient-rule circuit executions only (2 per angle per
 probability readout): in exact VQE mode a T-step training consumes exactly
-2 * D * T evaluations.
+2 * D * T evaluations. This is the paper's parameter-shift cost model, what
+the procedure would spend on hardware, and it is what `circuit_evals`
+reports; it does not change with how the simulator stacks its passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +47,14 @@ MODE_VQE = "vqe"
 MODE_CLASSIFY = "classify"
 
 PARAMETER_SHIFT = np.pi / 2
+
+# Amplitude bytes one exact-mode ansatz pass of classify_loss_and_grad may
+# stack: all 9 blocks of a 16-row batch at 4 qubits and 1 layer, 2 blocks of
+# a 12-row batch at 10 qubits. Stacking pays while per-call overhead rules
+# the gate kernels and loses once a pass outgrows the caches: on a 2-vCPU VM
+# a 4-qubit run took 6.2 / 3.9 / 3.4 s at 2 / 5 / 9 blocks per pass, and a
+# 10-qubit run 5.3 / 6.1 / 11.1 s at 1-2 / 10 / 31.
+STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -97,7 +110,7 @@ class LocalTrainResult:
 
 
 def _zero_state_batch(spec: CircuitSpec) -> np.ndarray:
-    amps = np.zeros((1, spec.dim), dtype=np.complex128)
+    amps = np.zeros((1, spec.dim))
     amps[0, 0] = 1.0
     return amps
 
@@ -182,31 +195,68 @@ def grad_parameter_shift(spec: CircuitSpec, params: ModelParams, loss_closure,
     )
 
 
+@lru_cache(maxsize=None)
+def _shift_offsets(shape: tuple) -> np.ndarray:
+    """Offsets that turn an angle matrix of `shape` into the (2D+1,) + shape
+    stack [base, +s e0, -s e0, +s e1, ...] over its D angles in row-major
+    order: block 2k+1 (2k+2) shifts angle k up (down) by PARAMETER_SHIFT."""
+    count = int(np.prod(shape))
+    offsets = np.zeros((2 * count + 1, count))
+    k = np.arange(count)
+    offsets[2 * k + 1, k] = PARAMETER_SHIFT
+    offsets[2 * k + 2, k] = -PARAMETER_SHIFT
+    offsets.flags.writeable = False
+    return offsets.reshape((2 * count + 1,) + shape)
+
+
 def classify_loss_and_grad(spec: CircuitSpec, params: ModelParams, encoded: np.ndarray,
                            labels: np.ndarray, shots: ShotSpec, noise: NoiseSpec,
                            rng: np.random.Generator | None) -> tuple:
     """One batch's cross-entropy and full gradient (pre-encoded inputs).
 
-    Returns (loss, GradientEstimate). The angle gradient shifts the
-    probability readout against cotangents frozen at the base parameters; the
-    head gradient is analytic from the base readout.
+    Returns (loss, GradientEstimate). The head gradient is analytic from the
+    base readout; the angle gradient applies the two-point shift rule to the
+    functional sum(c * p(angles)), with the cotangent c frozen at the base
+    parameters.
+
+    The base and the 2D shifted angle matrices (see _shift_offsets) run as
+    stacked blocks through one ansatz pass per chunk. In exact mode a chunk
+    holds as many blocks as fit STACK_BYTES; with active noise or finite
+    shots it holds one, so the generator is drawn in the order of separate
+    evaluations: base first, then the + and - shift of each angle. Each
+    chunk is reduced to one functional value per block before the next runs.
+    `evals_used` stays 2 * D * rows, the parameter-shift hardware cost.
     """
     rows = encoded.shape[0]
-    readout = probability_batch(spec, params.angles, encoded, shots, noise, rng)
-    loss = cross_entropy(params, readout, labels)
-    delta = class_probabilities(head_scores(params, readout))
-    delta[np.arange(rows), labels] -= 1.0
-    delta /= rows
-    head_w = delta.T @ readout
-    head_b = delta.sum(axis=0)
-    cotangent = delta @ params.head_weights
-
-    def shifted_functional(angles):
-        shifted = probability_batch(spec, angles, encoded, shots, noise, rng)
-        return float((cotangent * shifted).sum())
-
-    est = grad_parameter_shift(spec, params, shifted_functional, evals_per_call=rows)
-    return loss, GradientEstimate(est.angle_grads, head_w, head_b, est.evals_used)
+    blocks = params.angles + _shift_offsets(params.angles.shape)
+    if noise.active or not shots.is_exact:
+        chunk = 1
+    else:
+        chunk = max(1, STACK_BYTES // max(encoded.nbytes, 1))
+    values = np.zeros(blocks.shape[0])
+    for start in range(0, blocks.shape[0], chunk):
+        readout = probability_batch(spec, blocks[start : start + chunk], encoded,
+                                    shots, noise, rng)
+        if start == 0:
+            base = readout[0]
+            loss = cross_entropy(params, base, labels)
+            delta = class_probabilities(head_scores(params, base))
+            delta[np.arange(rows), labels] -= 1.0
+            delta /= rows
+            cotangent = delta @ params.head_weights
+        weighted = cotangent * readout
+        values[start : start + len(weighted)] = weighted.reshape(len(weighted), -1).sum(axis=1)
+    up, down = values[1::2], values[2::2]
+    finite = np.isfinite(up) & np.isfinite(down)
+    if not finite.all():
+        idx = np.unravel_index(int(np.argmin(finite)), params.angles.shape)
+        raise NumericError(f"non-finite loss at shifted angle {tuple(map(int, idx))}")
+    return loss, GradientEstimate(
+        (0.5 * (up - down)).reshape(params.angles.shape),
+        delta.T @ base,
+        delta.sum(axis=0),
+        2 * params.angles.size * rows,
+    )
 
 
 def sgd_step(params: ModelParams, grad: GradientEstimate, eta: float) -> ModelParams:

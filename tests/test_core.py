@@ -288,6 +288,55 @@ class TestDepolarizing:
             NoiseSpec(1.5, True)
 
 
+def squared_modulus(amps):
+    return amps.real * amps.real + np.imag(amps) * np.imag(amps)
+
+
+def real_states(n, rows, rng):
+    amps = rng.normal(size=(rows, 1 << n))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+class TestDepolarizeKernelAgainstOracle:
+    """Each hit row is the dense Pauli times the row, up to a global phase."""
+
+    PAULIS = (oracles.X, oracles.Y, oracles.Z)
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_rows_match_dense_paulis(self, kind, qubit):
+        n, rows, epsilon, seed = 3, 40, 0.75, 17
+        if kind == "complex":
+            rng = np.random.default_rng(qubit)
+            before = np.stack([random_state(n, rng).amplitudes for _ in range(rows)])
+        else:
+            before = real_states(n, rows, np.random.default_rng(qubit))
+        after = before.copy()
+        rng = np.random.default_rng(seed)
+        depolarize_kernel(after, qubit, epsilon, rng)
+
+        expected_rng = np.random.default_rng(seed)
+        hit = expected_rng.random(rows) < epsilon
+        which = expected_rng.integers(0, 3, rows)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+        assert set(which[hit]) == {0, 1, 2}
+        assert after.dtype == before.dtype
+        for row in range(rows):
+            if not hit[row]:
+                assert np.array_equal(after[row], before[row])
+                continue
+            dense = oracles.lift_one(n, qubit, self.PAULIS[which[row]]) @ before[row]
+            assert np.array_equal(dense, after[row]) or np.array_equal(dense, 1j * after[row])
+            assert np.array_equal(squared_modulus(dense), squared_modulus(after[row]))
+
+    def test_stack_rows_match_flat_rows(self):
+        flat = real_states(2, 12, np.random.default_rng(3))
+        stack = flat.reshape(3, 4, 4).copy()
+        depolarize_kernel(flat, 1, 0.6, np.random.default_rng(5))
+        depolarize_kernel(stack, 1, 0.6, np.random.default_rng(5))
+        assert np.array_equal(stack.reshape(12, 4), flat)
+
+
 class TestNormPreservation:
     def test_random_gate_sequences(self):
         rng = np.random.default_rng(41)

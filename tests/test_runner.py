@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qfedsim.config import config_from_mapping
-from qfedsim.exceptions import ConfigError, DataError
+from qfedsim.exceptions import ConfigError, DataError, NumericError
 from qfedsim.model import load_params
 from qfedsim.runner import (
     CONFIG_NAME,
@@ -214,6 +214,13 @@ class TestRun:
         assert result.summary["rounds_to_target"] is None
         summary = json.loads(read_bytes(result.output_dir, SUMMARY_NAME))
         assert summary["rounds_to_target"] is None
+
+    def test_divergence_names_client_and_round_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "diverged"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="client 0, round 0"):
+                run(make_config(output_dir=out, eta=1e308))
+        assert not out.exists()
 
     def test_requires_output_dir(self):
         with pytest.raises(ConfigError, match="output"):

@@ -8,12 +8,23 @@ from qfedsim.core import NoiseSpec, Observable, ShotSpec
 from qfedsim.data import LabeledDataset
 from qfedsim.encoding import encode_batch
 from qfedsim.exceptions import ConfigError, DataError, LabelError
-from qfedsim.model import CircuitSpec, ModelParams, init_params
+from qfedsim import model, training
+from qfedsim.model import (
+    LINEAR_CHAIN,
+    RING,
+    CircuitSpec,
+    ModelParams,
+    class_probabilities,
+    head_scores,
+    init_params,
+    probability_batch,
+)
 from qfedsim.training import (
     MODE_CLASSIFY,
     MODE_VQE,
     TrainConfig,
     classify_loss_and_grad,
+    cross_entropy,
     grad_parameter_shift,
     local_train,
     loss_classify,
@@ -207,6 +218,85 @@ class TestGradParameterShift:
         labels = rng.integers(0, 2, size=7)
         _, est = classify_loss_and_grad(spec, params, encoded, labels, EXACT, CLEAN, None)
         assert est.evals_used == 2 * spec.quantum_param_count * 7
+
+
+def per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng):
+    """The unstacked reference: one complex-amplitude ansatz pass for the base
+    readout, then grad_parameter_shift over the cotangent functional, one pass
+    per shifted angle matrix."""
+    encoded = encoded.astype(np.complex128)
+    rows = encoded.shape[0]
+    readout = probability_batch(spec, params.angles, encoded, shots, noise, rng)
+    loss = cross_entropy(params, readout, labels)
+    delta = class_probabilities(head_scores(params, readout))
+    delta[np.arange(rows), labels] -= 1.0
+    delta /= rows
+    cotangent = delta @ params.head_weights
+
+    def functional(angles):
+        shifted = probability_batch(spec, angles, encoded, shots, noise, rng)
+        return float((cotangent * shifted).sum())
+
+    est = grad_parameter_shift(spec, params, functional, evals_per_call=rows)
+    return loss, est.angle_grads, delta.T @ readout, delta.sum(axis=0), est.evals_used
+
+
+def assert_same_gradient(spec, params, encoded, labels, shots=EXACT, noise=CLEAN, seed=None):
+    rng_fast = None if seed is None else np.random.default_rng(seed)
+    rng_ref = None if seed is None else np.random.default_rng(seed)
+    loss, est = classify_loss_and_grad(spec, params, encoded, labels, shots, noise, rng_fast)
+    ref = per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng_ref)
+    assert loss == ref[0]
+    assert np.array_equal(est.angle_grads, ref[1])
+    assert np.array_equal(est.head_weight_grads, ref[2])
+    assert np.array_equal(est.head_bias_grads, ref[3])
+    assert est.evals_used == ref[4]
+    if seed is not None:
+        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+
+class TestStackedShiftGradient:
+    """classify_loss_and_grad against the per-shift path it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n, layers", [(2, 1), (3, 2), (4, 3)])
+    @pytest.mark.parametrize("entangler", [LINEAR_CHAIN, RING])
+    @pytest.mark.parametrize("rows", [1, 7, 16])
+    def test_exact_matches_per_shift_path(self, n, layers, entangler, rows):
+        spec = CircuitSpec(n, layers, entangler)
+        params = make_params(spec, 3, seed=10 * n + layers)
+        rng = np.random.default_rng(rows)
+        encoded = encode_batch(rng.normal(size=(rows, 1 << n)), n)
+        labels = rng.integers(0, 3, size=rows)
+        assert encoded.dtype == np.float64
+        assert_same_gradient(spec, params, encoded, labels)
+
+    def test_chunks_with_remainder_match(self, monkeypatch):
+        spec = CircuitSpec(3, 2, RING)
+        params = make_params(spec, 2, seed=4)
+        rng = np.random.default_rng(6)
+        encoded = encode_batch(rng.normal(size=(7, 8)), 3)
+        labels = rng.integers(0, 2, size=7)
+        monkeypatch.setattr(training, "STACK_BYTES", 5 * encoded.nbytes)
+        blocks_per_pass = []
+        original = model.run_ansatz_kernel
+
+        def recording(amps, *args):
+            blocks_per_pass.append(amps.shape[0])
+            return original(amps, *args)
+
+        monkeypatch.setattr(model, "run_ansatz_kernel", recording)
+        assert_same_gradient(spec, params, encoded, labels)
+        # 2 * 6 + 1 = 13 blocks, then the reference's 13 single passes.
+        assert blocks_per_pass[:3] == [5, 5, 3]
+
+    def test_noisy_finite_shots_keep_the_draw_order(self):
+        spec = CircuitSpec(3, 2)
+        params = make_params(spec, 3, seed=8)
+        rng = np.random.default_rng(9)
+        encoded = encode_batch(rng.normal(size=(7, 8)), 3)
+        labels = rng.integers(0, 3, size=7)
+        assert_same_gradient(spec, params, encoded, labels, ShotSpec(200),
+                             NoiseSpec(0.4, True), seed=12)
 
 
 class TestSgdStep:
