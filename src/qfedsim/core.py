@@ -15,9 +15,10 @@ Conventions, fixed project-wide:
 
 The kernel functions are dtype-generic and operate in place on arrays of
 shape (..., 2**n), acting on the last axis; the public operations wrap them
-with immutable QuantumState values. Batched evaluation (model module) reuses
-the same kernels on (rows, 2**n) batches and (S, rows, 2**n) stacks, so there
-is exactly one implementation of each gate.
+with immutable QuantumState values. Batched evaluation (model module) and the
+adjoint gradient sweep (training module) reuse the same kernels on
+(rows, 2**n) batches and (2, rows, 2**n) state/adjoint pairs, so there is
+exactly one implementation of each gate.
 """
 
 from __future__ import annotations
@@ -161,13 +162,24 @@ def _qubit_pairing(dim: int, qubit: int) -> tuple:
     return bit, 1 - bit, idx ^ (1 << qubit)
 
 
-def apply_one_qubit_kernel(amps: np.ndarray, qubit: int, mat: np.ndarray) -> None:
-    """Apply a 2x2 matrix to one qubit of every state in `amps`, in place.
+@lru_cache(maxsize=None)
+def ry_pi_tables(n_qubits: int) -> tuple:
+    """(partners, signs), each (n_qubits, 2**n): Ry(pi) on qubit q maps an
+    amplitude vector v to signs[q] * v[partners[q]], where partners[q, j] is
+    j with bit q flipped and signs[q, j] is +1 if bit q of j is set, else -1."""
+    pairings = [_qubit_pairing(1 << n_qubits, q) for q in range(n_qubits)]
+    partners = np.stack([partner for _, _, partner in pairings])
+    signs = np.stack([2.0 * bit - 1.0 for bit, _, _ in pairings])
+    partners.flags.writeable = False
+    signs.flags.writeable = False
+    return partners, signs
 
-    `mat` is one (2, 2) matrix for every state, or an (S, 2, 2) stack whose
-    k-th matrix acts on block amps[k] of an (S, ..., 2**n) stack. Amplitude j
-    becomes mat[b, b] * amps[j] + mat[b, 1 - b] * amps[j ^ 2**qubit], b the
-    qubit's bit of j. The halves b = 0 and b = 1 are updated through a
+
+def apply_one_qubit_kernel(amps: np.ndarray, qubit: int, mat: np.ndarray) -> None:
+    """Apply one 2x2 matrix to one qubit of every state in `amps`, in place.
+
+    Amplitude j becomes mat[b, b] * amps[j] + mat[b, 1 - b] * amps[j ^ 2**qubit],
+    b the qubit's bit of j. The halves b = 0 and b = 1 are updated through a
     strided view; at strides 2 and 4 that view's inner loops are so short
     that gathering every amplitude's partner is faster. Both orders of the
     same two products give bit-identical sums.
@@ -176,22 +188,16 @@ def apply_one_qubit_kernel(amps: np.ndarray, qubit: int, mat: np.ndarray) -> Non
     stride = 1 << qubit
     if stride in (2, 4):
         bit, flipped_bit, partner = _qubit_pairing(dim, qubit)
-        diagonal, off_diagonal = mat[..., bit, bit], mat[..., bit, flipped_bit]
-        if mat.ndim == 3:
-            shape = mat.shape[:1] + (1,) * (amps.ndim - 2) + (dim,)
-            diagonal, off_diagonal = diagonal.reshape(shape), off_diagonal.reshape(shape)
         swapped = amps[..., partner]
-        swapped *= off_diagonal
-        amps *= diagonal
+        swapped *= mat[bit, flipped_bit]
+        amps *= mat[bit, bit]
         amps += swapped
         return
     view = amps.reshape(amps.shape[:-1] + (dim >> (qubit + 1), 2, stride))
     lo = view[..., 0, :].copy()
     hi = view[..., 1, :]
-    if mat.ndim == 3:
-        mat = mat.reshape(mat.shape[:1] + (1,) * (lo.ndim - 1) + (2, 2))
-    view[..., 0, :] = mat[..., 0, 0] * lo + mat[..., 0, 1] * hi
-    view[..., 1, :] = mat[..., 1, 0] * lo + mat[..., 1, 1] * hi
+    view[..., 0, :] = mat[0, 0] * lo + mat[0, 1] * hi
+    view[..., 1, :] = mat[1, 0] * lo + mat[1, 1] * hi
 
 
 @lru_cache(maxsize=None)

@@ -7,12 +7,9 @@ affine map y = W p + b, squashed by a stable softmax when probabilities are
 needed.
 
 All evaluation funnels through `run_ansatz_kernel`, which acts in place on a
-(rows, 2**n) amplitude array run at one (layers, qubits) angle matrix, or on
-an (S, rows, 2**n) stack whose block k runs at the k-th matrix of an
-(S, layers, qubits) angle stack. Single-sample, batched and stacked paths
-share one gate implementation; the stacked form lets training evaluate a
-batch at the base angles and at every parameter-shifted angle matrix in one
-pass.
+(rows, 2**n) amplitude array run at one (layers, qubits) angle matrix, so
+single-sample and batched paths share one gate implementation. Training's
+adjoint sweep walks the same gates backwards (see the training module).
 """
 
 from __future__ import annotations
@@ -160,19 +157,18 @@ def init_params(spec: CircuitSpec, n_classes: int, rng: np.random.Generator) -> 
 def run_ansatz_kernel(amps: np.ndarray, spec: CircuitSpec, angles: np.ndarray,
                       noise: NoiseSpec, rng: np.random.Generator | None) -> None:
     """Run the full ansatz in place on a (rows, 2**n) amplitude array at a
-    (layers, qubits) angle matrix, or on an (S, rows, 2**n) stack at an
-    (S, layers, qubits) angle stack.
+    (layers, qubits) angle matrix.
 
     With noise active, one depolarizing trajectory sample follows every gate
     on every qubit the gate touched (CX: control first, then target); draws
-    are vectorized across all rows of all blocks.
+    are vectorized across all rows.
     """
     noisy = noise.active
     pairs = spec.entangler_pairs()
     mats = core.ry_matrices(angles)
     for layer in range(spec.n_layers):
         for q in range(spec.n_qubits):
-            core.apply_one_qubit_kernel(amps, q, mats[..., layer, q, :, :])
+            core.apply_one_qubit_kernel(amps, q, mats[layer, q])
             if noisy:
                 core.depolarize_kernel(amps, q, noise.epsilon, rng)
         for control, target in pairs:
@@ -201,8 +197,8 @@ def run_circuit(spec: CircuitSpec, params: ModelParams, input_state: QuantumStat
 
 def readout_batch(amps: np.ndarray, shots: ShotSpec,
                   rng: np.random.Generator | None) -> np.ndarray:
-    """Probability readout for a batch or stack: exact |amps|^2, or per-row
-    frequency estimates from `shots` measurements."""
+    """Probability readout for a batch: exact |amps|^2, or per-row frequency
+    estimates from `shots` measurements."""
     probs = amps.real * amps.real
     if np.iscomplexobj(amps):
         probs += amps.imag * amps.imag
@@ -218,10 +214,8 @@ def probability_batch(spec: CircuitSpec, angles: np.ndarray, encoded: np.ndarray
                       shots: ShotSpec, noise: NoiseSpec,
                       rng: np.random.Generator | None) -> np.ndarray:
     """Encoded inputs (B, 2**n) -> readout probabilities (B, 2**n) at a
-    (layers, qubits) angle matrix, or the (S, B, 2**n) readouts of an
-    (S, layers, qubits) angle stack."""
-    amps = np.empty(angles.shape[:-2] + encoded.shape, dtype=encoded.dtype)
-    amps[...] = encoded
+    (layers, qubits) angle matrix."""
+    amps = encoded.copy()
     run_ansatz_kernel(amps, spec, angles, noise, rng)
     return readout_batch(amps, shots, rng)
 

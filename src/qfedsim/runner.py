@@ -10,6 +10,11 @@ A run writes one directory:
 
 Everything downstream of (config, master_seed) is deterministic, so a rerun
 into a fresh directory reproduces every artifact byte for byte.
+
+The directory appears whole or not at all: the artifacts are written to a
+hidden sibling directory that is renamed into place once all five are
+complete. A re-run replaces a previous run's directory; a directory holding
+anything else is refused, never deleted.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import shutil
+import uuid
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +54,9 @@ PARTITION_NAME = "partition.json"
 HISTORY_NAME = "history.csv"
 SUMMARY_NAME = "summary.json"
 PARAMS_NAME = "params.bin"
+ARTIFACT_NAMES = frozenset(
+    (CONFIG_NAME, PARTITION_NAME, HISTORY_NAME, SUMMARY_NAME, PARAMS_NAME)
+)
 
 # Sub-stream tags under STAGE_DATA.
 _SUBSTAGE_PROJECT = 1
@@ -169,10 +179,43 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _check_replaceable(out: str) -> None:
+    """A run may replace `out` only if it is absent or holds run artifacts alone."""
+    if not os.path.lexists(out):
+        return
+    if not os.path.isdir(out) or os.path.islink(out):
+        raise ConfigError(f"output path {out} exists and is not a directory")
+    foreign = sorted(set(os.listdir(out)) - ARTIFACT_NAMES)
+    if foreign:
+        raise ConfigError(
+            f"output directory {out} holds files other than run artifacts "
+            f"({', '.join(foreign)}); refusing to replace it"
+        )
+
+
+def _publish(staging: str, out: str) -> None:
+    """Rename the complete `staging` directory to `out`, replacing a previous
+    run's directory there."""
+    _check_replaceable(out)
+    if not os.path.lexists(out):
+        os.rename(staging, out)
+        return
+    retired = staging + ".old"
+    os.rename(out, retired)
+    try:
+        os.rename(staging, out)
+    except OSError:
+        os.rename(retired, out)
+        raise
+    shutil.rmtree(retired)
+
+
 def run(config: ExperimentConfig) -> RunResult:
-    """Execute one experiment and write its artifact directory."""
+    """Execute one experiment and write its artifact directory atomically."""
     if not config.output_dir:
         raise ConfigError("no output directory configured")
+    out = os.path.abspath(config.output_dir)
+    _check_replaceable(out)
     dataset = build_dataset(config)
     train_set, validation_set = split_dataset(
         dataset, config.val_fraction, config.data_fraction, config.master_seed
@@ -186,18 +229,26 @@ def run(config: ExperimentConfig) -> RunResult:
     stats = heterogeneity(partitioned, train_set)
     fed_config = config.federation_config([len(s) for s in partitioned.shards])
     history = run_federation(fed_config, partitioned, validation_set)
-
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, CONFIG_NAME), "w", encoding="utf-8") as fh:
-        fh.write(config.to_json())
-    _write_json(os.path.join(out, PARTITION_NAME), _partition_manifest(partitioned, stats))
-    with open(os.path.join(out, HISTORY_NAME), "w", encoding="utf-8") as fh:
-        fh.write(history.to_csv_text())
     summary = _build_summary(config, history, stats, len(train_set), len(validation_set))
-    _write_json(os.path.join(out, SUMMARY_NAME), summary)
-    save_params(os.path.join(out, PARAMS_NAME), fed_config.spec, history.final_params)
-    return RunResult(config, out, history, summary)
+
+    parent, name = os.path.split(out)
+    os.makedirs(parent, exist_ok=True)
+    staging = os.path.join(parent, f".{name}.{uuid.uuid4().hex}.partial")
+    os.mkdir(staging)
+    try:
+        with open(os.path.join(staging, CONFIG_NAME), "w", encoding="utf-8") as fh:
+            fh.write(config.to_json())
+        _write_json(os.path.join(staging, PARTITION_NAME),
+                    _partition_manifest(partitioned, stats))
+        with open(os.path.join(staging, HISTORY_NAME), "w", encoding="utf-8") as fh:
+            fh.write(history.to_csv_text())
+        _write_json(os.path.join(staging, SUMMARY_NAME), summary)
+        save_params(os.path.join(staging, PARAMS_NAME), fed_config.spec, history.final_params)
+        _publish(staging, out)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    return RunResult(config, config.output_dir, history, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -6,29 +6,30 @@ Two training modes share the machinery:
     from |0...0>. The loss is linear in the measured expectation, so the
     two-point shift rule differentiates it exactly.
   - classify: softmax cross-entropy on top of the linear head. The loss is
-    nonlinear in the probability readout, so the angle gradient shifts the
-    readout itself: the cotangent c = W^T (softmax(y) - onehot), frozen at the
-    base parameters, turns each shifted evaluation into the linear functional
-    sum(c * p(angles)) whose shift-rule derivative equals the exact
-    chain-rule gradient. Head gradients are analytic. The base readout and
-    all 2 * D shifted readouts of a batch run as stacked blocks of real
-    amplitudes, several blocks per ansatz pass (see classify_loss_and_grad).
+    nonlinear in the probability readout, so the angle gradient is taken of
+    the linear functional sum(c * p(angles)), with the cotangent
+    c = W^T (softmax(y) - onehot) frozen at the base parameters; its
+    derivative equals the exact chain-rule gradient. Head gradients are
+    analytic. In exact mode one adjoint sweep back through the circuit gives
+    every angle derivative (Jones & Gacon, arXiv:2009.02823); with noise or
+    finite shots the two-point shift rule differentiates the functional, one
+    stochastic ansatz pass per shifted angle (see classify_loss_and_grad).
 
 `evals_used` counts gradient-rule circuit executions only (2 per angle per
 probability readout): in exact VQE mode a T-step training consumes exactly
 2 * D * T evaluations. This is the paper's parameter-shift cost model, what
 the procedure would spend on hardware, and it is what `circuit_evals`
-reports; it does not change with how the simulator stacks its passes.
+reports; it does not change when the simulator differentiates by the
+adjoint method instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from . import core
+from . import core, model
 from .core import NoiseSpec, Observable, QuantumState, ShotSpec
 from .data import LabeledDataset
 from .encoding import encode_batch
@@ -47,14 +48,6 @@ MODE_VQE = "vqe"
 MODE_CLASSIFY = "classify"
 
 PARAMETER_SHIFT = np.pi / 2
-
-# Amplitude bytes one exact-mode ansatz pass of classify_loss_and_grad may
-# stack: all 9 blocks of a 16-row batch at 4 qubits and 1 layer, 2 blocks of
-# a 12-row batch at 10 qubits. Stacking pays while per-call overhead rules
-# the gate kernels and loses once a pass outgrows the caches: on a 2-vCPU VM
-# a 4-qubit run took 6.2 / 3.9 / 3.4 s at 2 / 5 / 9 blocks per pass, and a
-# 10-qubit run 5.3 / 6.1 / 11.1 s at 1-2 / 10 / 31.
-STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -195,18 +188,31 @@ def grad_parameter_shift(spec: CircuitSpec, params: ModelParams, loss_closure,
     )
 
 
-@lru_cache(maxsize=None)
-def _shift_offsets(shape: tuple) -> np.ndarray:
-    """Offsets that turn an angle matrix of `shape` into the (2D+1,) + shape
-    stack [base, +s e0, -s e0, +s e1, ...] over its D angles in row-major
-    order: block 2k+1 (2k+2) shifts angle k up (down) by PARAMETER_SHIFT."""
-    count = int(np.prod(shape))
-    offsets = np.zeros((2 * count + 1, count))
-    k = np.arange(count)
-    offsets[2 * k + 1, k] = PARAMETER_SHIFT
-    offsets[2 * k + 2, k] = -PARAMETER_SHIFT
-    offsets.flags.writeable = False
-    return offsets.reshape((2 * count + 1,) + shape)
+def _adjoint_angle_grads(spec: CircuitSpec, angles: np.ndarray, state: np.ndarray,
+                         adjoint: np.ndarray) -> np.ndarray:
+    """Angle gradient of sum(c * state**2) by one reverse sweep, given the
+    real ansatz output `state` (B, 2**n) and `adjoint` = c * state.
+
+    Layer by layer from the top, the CX gates are undone on the
+    (state, adjoint) pair. The Ry gates of a layer commute and
+    dRy(a)/da = Ry(a + pi) / 2, so with d(state**2) = 2 * state * d(state)
+    angle (l, q) has derivative sum(adjoint * Ry_q(pi) state), read for all
+    q at once; then the layer's Ry gates are undone with Ry(-a).
+    """
+    n = spec.n_qubits
+    pairs = spec.entangler_pairs()[::-1]
+    partners, signs = core.ry_pi_tables(n)
+    undo = core.ry_matrices(-angles)
+    pair = np.stack([state, adjoint])
+    grads = np.empty_like(angles)
+    for layer in reversed(range(spec.n_layers)):
+        for control, target in pairs:
+            core.apply_cx_kernel(pair, n, control, target)
+        grads[layer] = np.einsum("bj,qj,bqj->q", pair[1], signs, pair[0][:, partners])
+        if layer:
+            for q in range(n):
+                core.apply_one_qubit_kernel(pair, q, undo[layer, q])
+    return grads
 
 
 def classify_loss_and_grad(spec: CircuitSpec, params: ModelParams, encoded: np.ndarray,
@@ -215,44 +221,49 @@ def classify_loss_and_grad(spec: CircuitSpec, params: ModelParams, encoded: np.n
     """One batch's cross-entropy and full gradient (pre-encoded inputs).
 
     Returns (loss, GradientEstimate). The head gradient is analytic from the
-    base readout; the angle gradient applies the two-point shift rule to the
-    functional sum(c * p(angles)), with the cotangent c frozen at the base
-    parameters.
+    base readout; the angle gradient is that of the functional
+    sum(c * p(angles)), with the cotangent c frozen at the base parameters.
 
-    The base and the 2D shifted angle matrices (see _shift_offsets) run as
-    stacked blocks through one ansatz pass per chunk. In exact mode a chunk
-    holds as many blocks as fit STACK_BYTES; with active noise or finite
-    shots it holds one, so the generator is drawn in the order of separate
-    evaluations: base first, then the + and - shift of each angle. Each
-    chunk is reduced to one functional value per block before the next runs.
-    `evals_used` stays 2 * D * rows, the parameter-shift hardware cost.
+    In exact mode (no active noise, exact shots) one forward pass gives the
+    real output amplitudes psi and p = psi**2, and one adjoint sweep (see
+    _adjoint_angle_grads) seeded with c * psi gives every angle derivative.
+    With active noise or finite shots, grad_parameter_shift applies the
+    two-point rule to the functional, one stochastic pass per shifted angle
+    matrix: the generator is drawn for the base readout first, then for the
+    + and - shift of each angle in row-major order.
+
+    A non-finite loss or gradient raises NumericError.
+    `evals_used` is 2 * D * rows in both modes: the parameter-shift hardware
+    cost the paper reports, not what the adjoint sweep costs the simulator.
     """
     rows = encoded.shape[0]
-    blocks = params.angles + _shift_offsets(params.angles.shape)
-    if noise.active or not shots.is_exact:
-        chunk = 1
+    exact = shots.is_exact and not noise.active
+    if exact:
+        # Looked up on the module, like probability_batch does, so that
+        # wrappers installed there (perfbench's tracer) see the pass.
+        state = encoded.copy()
+        model.run_ansatz_kernel(state, spec, params.angles, noise, rng)
+        base = model.readout_batch(state, shots, rng)
     else:
-        chunk = max(1, STACK_BYTES // max(encoded.nbytes, 1))
-    values = np.zeros(blocks.shape[0])
-    for start in range(0, blocks.shape[0], chunk):
-        readout = probability_batch(spec, blocks[start : start + chunk], encoded,
-                                    shots, noise, rng)
-        if start == 0:
-            base = readout[0]
-            loss = cross_entropy(params, base, labels)
-            delta = class_probabilities(head_scores(params, base))
-            delta[np.arange(rows), labels] -= 1.0
-            delta /= rows
-            cotangent = delta @ params.head_weights
-        weighted = cotangent * readout
-        values[start : start + len(weighted)] = weighted.reshape(len(weighted), -1).sum(axis=1)
-    up, down = values[1::2], values[2::2]
-    finite = np.isfinite(up) & np.isfinite(down)
-    if not finite.all():
-        idx = np.unravel_index(int(np.argmin(finite)), params.angles.shape)
-        raise NumericError(f"non-finite loss at shifted angle {tuple(map(int, idx))}")
+        base = probability_batch(spec, params.angles, encoded, shots, noise, rng)
+    loss = cross_entropy(params, base, labels)
+    if not np.isfinite(loss):
+        raise NumericError("non-finite batch loss")
+    delta = class_probabilities(head_scores(params, base))
+    delta[np.arange(rows), labels] -= 1.0
+    delta /= rows
+    cotangent = delta @ params.head_weights
+    if exact:
+        angle_grads = _adjoint_angle_grads(spec, params.angles, state, cotangent * state)
+    else:
+        def functional(angles):
+            shifted = probability_batch(spec, angles, encoded, shots, noise, rng)
+            return float((cotangent * shifted).sum())
+
+        angle_grads = grad_parameter_shift(spec, params, functional,
+                                           evals_per_call=rows).angle_grads
     return loss, GradientEstimate(
-        (0.5 * (up - down)).reshape(params.angles.shape),
+        angle_grads,
         delta.T @ base,
         delta.sum(axis=0),
         2 * params.angles.size * rows,

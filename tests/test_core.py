@@ -329,13 +329,6 @@ class TestDepolarizeKernelAgainstOracle:
             assert np.array_equal(dense, after[row]) or np.array_equal(dense, 1j * after[row])
             assert np.array_equal(squared_modulus(dense), squared_modulus(after[row]))
 
-    def test_stack_rows_match_flat_rows(self):
-        flat = real_states(2, 12, np.random.default_rng(3))
-        stack = flat.reshape(3, 4, 4).copy()
-        depolarize_kernel(flat, 1, 0.6, np.random.default_rng(5))
-        depolarize_kernel(stack, 1, 0.6, np.random.default_rng(5))
-        assert np.array_equal(stack.reshape(12, 4), flat)
-
 
 class TestNormPreservation:
     def test_random_gate_sequences(self):

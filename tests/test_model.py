@@ -24,7 +24,6 @@ from qfedsim.model import (
     init_params,
     load_params,
     params_from_vector,
-    run_ansatz_kernel,
     run_circuit,
     save_params,
 )
@@ -143,32 +142,6 @@ class TestRunCircuit:
         params = make_params(spec, 2)
         with pytest.raises(ConfigError):
             run_circuit(spec, params, zero_state(2), NoiseSpec(0.1, True), None)
-
-
-class TestStackedAnsatz:
-    """Block k of an (S, rows, 2**n) stack runs bit for bit as a (rows, 2**n)
-    batch at the k-th angle matrix; real and complex amplitudes agree."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_blocks_match_separate_batches_and_oracle(self, n):
-        rng = np.random.default_rng(n)
-        spec = CircuitSpec(n, 2, RING)
-        angles = rng.uniform(-np.pi, np.pi, size=(3, 2, n))
-        batch = rng.normal(size=(4, 1 << n))
-        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-        stack = np.repeat(batch[None], 3, axis=0)
-        complex_stack = stack.astype(np.complex128)
-        run_ansatz_kernel(stack, spec, angles, NoiseSpec.off(), None)
-        run_ansatz_kernel(complex_stack, spec, angles, NoiseSpec.off(), None)
-        assert stack.dtype == np.float64
-        assert np.array_equal(complex_stack.real, stack)
-        assert not complex_stack.imag.any()
-        for k in range(3):
-            single = batch.copy()
-            run_ansatz_kernel(single, spec, angles[k], NoiseSpec.off(), None)
-            assert np.array_equal(stack[k], single)
-            dense = oracles.ansatz_matrix(n, angles[k], spec.entangler_pairs())
-            assert np.allclose(single, batch @ dense.T, atol=1e-12)
 
 
 class TestForward:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from qfedsim import runner
 from qfedsim.config import config_from_mapping
 from qfedsim.exceptions import ConfigError, DataError, NumericError
 from qfedsim.model import load_params
@@ -236,6 +237,39 @@ class TestRun:
         sb = json.loads(read_bytes(b.output_dir, SUMMARY_NAME))
         assert (sa.pop("mode"), sb.pop("mode")) == ("pqfl", "qfl")
         assert sa == sb
+
+
+class TestAtomicRunDirectory:
+    def test_failed_artifact_write_leaves_no_directory(self, tmp_path, monkeypatch):
+        def failing_save(*_args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(runner, "save_params", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            run(make_config(output_dir=tmp_path / "partial"))
+        assert os.listdir(tmp_path) == []
+
+    def test_rerun_replaces_existing_run_directory(self, tmp_path):
+        out = tmp_path / "run"
+        run(make_config(output_dir=out, master_seed=3))
+        second = run(make_config(output_dir=out, master_seed=4))
+        fresh = run(make_config(output_dir=tmp_path / "fresh", master_seed=4))
+        assert sorted(os.listdir(tmp_path)) == ["fresh", "run"]
+        assert sorted(os.listdir(out)) == sorted(ARTIFACTS)
+        for name in ARTIFACTS:
+            assert read_bytes(second.output_dir, name) == read_bytes(
+                fresh.output_dir, name
+            ), name
+        assert json.loads(read_bytes(out, CONFIG_NAME))["master_seed"] == 4
+
+    def test_directory_with_other_files_is_refused_and_kept(self, tmp_path):
+        out = tmp_path / "notes"
+        out.mkdir()
+        (out / "keep.txt").write_text("mine")
+        with pytest.raises(ConfigError, match="keep.txt"):
+            run(make_config(output_dir=out))
+        assert os.listdir(out) == ["keep.txt"]
+        assert sorted(os.listdir(tmp_path)) == ["notes"]
 
 
 class TestSweep:

@@ -7,8 +7,7 @@ import oracles
 from qfedsim.core import NoiseSpec, Observable, ShotSpec
 from qfedsim.data import LabeledDataset
 from qfedsim.encoding import encode_batch
-from qfedsim.exceptions import ConfigError, DataError, LabelError
-from qfedsim import model, training
+from qfedsim.exceptions import ConfigError, DataError, LabelError, NumericError
 from qfedsim.model import (
     LINEAR_CHAIN,
     RING,
@@ -241,9 +240,11 @@ def per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng):
     return loss, est.angle_grads, delta.T @ readout, delta.sum(axis=0), est.evals_used
 
 
-def assert_same_gradient(spec, params, encoded, labels, shots=EXACT, noise=CLEAN, seed=None):
-    rng_fast = None if seed is None else np.random.default_rng(seed)
-    rng_ref = None if seed is None else np.random.default_rng(seed)
+def assert_same_gradient(spec, params, encoded, labels, shots, noise, seed):
+    """The stochastic path against the reference, bit for bit, generator
+    state included."""
+    rng_fast = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
     loss, est = classify_loss_and_grad(spec, params, encoded, labels, shots, noise, rng_fast)
     ref = per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng_ref)
     assert loss == ref[0]
@@ -251,14 +252,15 @@ def assert_same_gradient(spec, params, encoded, labels, shots=EXACT, noise=CLEAN
     assert np.array_equal(est.head_weight_grads, ref[2])
     assert np.array_equal(est.head_bias_grads, ref[3])
     assert est.evals_used == ref[4]
-    if seed is not None:
-        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+    assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestStackedShiftGradient:
-    """classify_loss_and_grad against the per-shift path it replaced, bit for bit."""
+    """classify_loss_and_grad against the per-shift reference: the exact-mode
+    adjoint sweep within 1e-10 and against finite differences; the stochastic
+    shift path bit for bit."""
 
-    @pytest.mark.parametrize("n, layers", [(2, 1), (3, 2), (4, 3)])
+    @pytest.mark.parametrize("n, layers", [(1, 1), (2, 1), (3, 2), (4, 3), (10, 3)])
     @pytest.mark.parametrize("entangler", [LINEAR_CHAIN, RING])
     @pytest.mark.parametrize("rows", [1, 7, 16])
     def test_exact_matches_per_shift_path(self, n, layers, entangler, rows):
@@ -268,26 +270,20 @@ class TestStackedShiftGradient:
         encoded = encode_batch(rng.normal(size=(rows, 1 << n)), n)
         labels = rng.integers(0, 3, size=rows)
         assert encoded.dtype == np.float64
-        assert_same_gradient(spec, params, encoded, labels)
+        loss, est = classify_loss_and_grad(spec, params, encoded, labels, EXACT, CLEAN, None)
+        ref = per_shift_loss_and_grad(spec, params, encoded, labels, EXACT, CLEAN, None)
+        assert loss == ref[0]
+        assert np.allclose(est.angle_grads, ref[1], rtol=0.0, atol=1e-10)
+        assert np.array_equal(est.head_weight_grads, ref[2])
+        assert np.array_equal(est.head_bias_grads, ref[3])
+        assert est.evals_used == ref[4]
 
-    def test_chunks_with_remainder_match(self, monkeypatch):
-        spec = CircuitSpec(3, 2, RING)
-        params = make_params(spec, 2, seed=4)
-        rng = np.random.default_rng(6)
-        encoded = encode_batch(rng.normal(size=(7, 8)), 3)
-        labels = rng.integers(0, 2, size=7)
-        monkeypatch.setattr(training, "STACK_BYTES", 5 * encoded.nbytes)
-        blocks_per_pass = []
-        original = model.run_ansatz_kernel
+        def functional_loss(angles):
+            readout = probability_batch(spec, angles, encoded, EXACT, CLEAN, None)
+            return cross_entropy(params, readout, labels)
 
-        def recording(amps, *args):
-            blocks_per_pass.append(amps.shape[0])
-            return original(amps, *args)
-
-        monkeypatch.setattr(model, "run_ansatz_kernel", recording)
-        assert_same_gradient(spec, params, encoded, labels)
-        # 2 * 6 + 1 = 13 blocks, then the reference's 13 single passes.
-        assert blocks_per_pass[:3] == [5, 5, 3]
+        fd = oracles.finite_difference(functional_loss, params.angles)
+        assert np.allclose(est.angle_grads, fd, atol=1e-6)
 
     def test_noisy_finite_shots_keep_the_draw_order(self):
         spec = CircuitSpec(3, 2)
@@ -297,6 +293,31 @@ class TestStackedShiftGradient:
         labels = rng.integers(0, 3, size=7)
         assert_same_gradient(spec, params, encoded, labels, ShotSpec(200),
                              NoiseSpec(0.4, True), seed=12)
+
+    @pytest.mark.parametrize("shots, noise", [(ShotSpec(200), CLEAN),
+                                              (EXACT, NoiseSpec(0.4, True))])
+    def test_noise_or_shots_alone_keep_the_draw_order(self, shots, noise):
+        spec = CircuitSpec(3, 2, RING)
+        params = make_params(spec, 2, seed=4)
+        rng = np.random.default_rng(6)
+        encoded = encode_batch(rng.normal(size=(7, 8)), 3)
+        labels = rng.integers(0, 2, size=7)
+        assert_same_gradient(spec, params, encoded, labels, shots, noise, seed=13)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_overflowing_head_raises_instead_of_returning_inf_or_nan(self, rows):
+        # Finite head weights near the float limit: the cotangent overflows
+        # at one row (NaN angle gradients), the loss at seven (inf).
+        spec = CircuitSpec(3, 2)
+        params = make_params(spec, 3, seed=5)
+        rng = np.random.default_rng(7)
+        encoded = encode_batch(rng.normal(size=(rows, 8)), 3)
+        labels = rng.integers(0, 3, size=rows)
+        huge = ModelParams(params.angles, 1e308 * np.sign(params.head_weights),
+                           params.head_bias)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError):
+                classify_loss_and_grad(spec, huge, encoded, labels, EXACT, CLEAN, None)
 
 
 class TestSgdStep:
