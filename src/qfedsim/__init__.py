@@ -15,12 +15,7 @@ from .core import (
     Observable,
     QuantumState,
     ShotSpec,
-    apply_cx,
-    apply_ry,
-    estimate_expectation,
     expectation,
-    probabilities,
-    zero_state,
 )
 from .data import (
     LabeledDataset,
@@ -34,7 +29,7 @@ from .data import (
     synth_anomaly_dataset,
     with_anomaly_classes,
 )
-from .encoding import amplitude_encode, encode_batch, l2_normalize
+from .encoding import encode_batch
 from .exceptions import (
     CapacityError,
     ConfigError,
@@ -73,7 +68,6 @@ from .model import (
     CircuitSpec,
     ModelParams,
     class_probabilities,
-    forward,
     init_params,
     load_params,
     run_circuit,
@@ -86,7 +80,6 @@ from .training import (
     TrainConfig,
     grad_parameter_shift,
     local_train,
-    loss_classify,
     loss_vqe,
     personalized_step,
     sgd_step,

@@ -153,7 +153,7 @@ class ExperimentConfig:
             epsilons = self.noise
         else:
             epsilons = (float(self.noise),) * self.n_clients
-        return tuple(NoiseSpec(e, e > 0) for e in epsilons)
+        return tuple(NoiseSpec(e) for e in epsilons)
 
     def resolve_client_weights(self, shard_sizes) -> np.ndarray:
         sizes = np.asarray(shard_sizes, dtype=np.float64)

@@ -4,21 +4,22 @@ Conventions, fixed project-wide:
   - Qubit ordering is little-endian: qubit 0 is the least significant bit of
     the basis index, so basis state |j> assigns qubit q the bit (j >> q) & 1.
   - A state is a unit-norm amplitude vector of length 2**n_qubits. The
-    public QuantumState is complex, because expectations rotate X and Y
-    terms into the computational basis. The batched circuit path (model and
-    training modules) holds real float64 amplitudes: amplitude encoding of
-    real features, Ry and CX are all real, and depolarizing noise keeps a
-    real row real (Y = i*XZ, and i is a global phase of the row).
+    public QuantumState is complex, because `expectation` applies Y, which
+    is imaginary. The batched circuit path (model and training modules)
+    holds real float64 amplitudes: amplitude encoding of real features, Ry
+    and CX are all real, and depolarizing noise keeps a real row real
+    (Y = i*XZ, and i is a global phase of the row).
   - The only circuit gates are Ry rotations and CX; depolarizing noise is
     realized as stochastic Pauli insertion (quantum trajectories), keeping the
     engine a pure statevector simulator.
 
 The kernel functions are dtype-generic and operate in place on arrays of
-shape (..., 2**n), acting on the last axis; the public operations wrap them
-with immutable QuantumState values. Batched evaluation (model module) and the
-adjoint gradient sweep (training module) reuse the same kernels on
-(rows, 2**n) batches and (2, rows, 2**n) state/adjoint pairs, so there is
-exactly one implementation of each gate.
+shape (..., 2**n), acting on the last axis. Their callers use them directly:
+batched evaluation (model module) on (rows, 2**n) batches, the adjoint
+gradient sweep (training module) on (2, rows, 2**n) state/adjoint pairs, and
+`expectation` on one complex vector per Pauli term, so there is exactly one
+implementation of each gate. Expectations are exact; shot sampling exists
+only for the probability readout of a batch (model.readout_batch).
 """
 
 from __future__ import annotations
@@ -32,18 +33,11 @@ from .exceptions import CapacityError, ConfigError, ContractError, ShapeError
 
 MAX_QUBITS = 20
 
-_SQRT1_2 = np.sqrt(0.5)
-
 _PAULI_BY_LABEL = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
-
-# Basis changes mapping the X/Y eigenbases onto the computational basis:
-# measuring P on |psi> is measuring Z on ROT_P |psi>.
-_ROT_X = _SQRT1_2 * np.array([[1, 1], [1, -1]], dtype=np.complex128)
-_ROT_Y = _SQRT1_2 * np.array([[1, -1j], [1, 1j]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -106,10 +100,10 @@ class Observable:
 @dataclass(frozen=True)
 class NoiseSpec:
     """Per-gate depolarizing noise: with probability epsilon, a uniformly
-    chosen Pauli (X, Y or Z) hits each qubit a gate touched."""
+    chosen Pauli (X, Y or Z) hits each qubit a gate touched. Epsilon 0 is
+    noiseless."""
 
     epsilon: float = 0.0
-    enabled: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
@@ -117,11 +111,11 @@ class NoiseSpec:
 
     @classmethod
     def off(cls) -> "NoiseSpec":
-        return cls(0.0, False)
+        return cls(0.0)
 
     @property
     def active(self) -> bool:
-        return self.enabled and self.epsilon > 0.0
+        return self.epsilon > 0.0
 
 
 @dataclass(frozen=True)
@@ -241,48 +235,7 @@ def depolarize_kernel(amps: np.ndarray, qubit: int, epsilon: float,
 
 
 # ---------------------------------------------------------------------------
-# Public operations on immutable states.
-
-def zero_state(n_qubits: int) -> QuantumState:
-    """The all-zeros computational basis state |0...0>."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise CapacityError(
-            f"n_qubits must lie in [1, {MAX_QUBITS}], got {n_qubits}"
-        )
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return QuantumState(n_qubits, amps)
-
-
-def _check_qubit(state: QuantumState, qubit: int) -> None:
-    if not 0 <= qubit < state.n_qubits:
-        raise IndexError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-
-
-def apply_ry(state: QuantumState, qubit: int, angle: float) -> QuantumState:
-    """Rotate one qubit by Ry(angle) = [[cos a/2, -sin a/2], [sin a/2, cos a/2]]."""
-    _check_qubit(state, qubit)
-    amps = state.amplitudes.copy()
-    apply_one_qubit_kernel(amps, qubit, ry_matrices(angle))
-    return QuantumState(state.n_qubits, amps)
-
-
-def apply_cx(state: QuantumState, control: int, target: int) -> QuantumState:
-    """Flip `target` on the basis states where `control` is 1."""
-    _check_qubit(state, control)
-    _check_qubit(state, target)
-    if control == target:
-        raise IndexError(f"control and target must differ, both were {control}")
-    amps = state.amplitudes.copy()
-    apply_cx_kernel(amps, state.n_qubits, control, target)
-    return QuantumState(state.n_qubits, amps)
-
-
-def probabilities(state: QuantumState) -> np.ndarray:
-    """Computational-basis outcome probabilities |amplitude|^2."""
-    amps = state.amplitudes
-    return (amps.real * amps.real + amps.imag * amps.imag)
-
+# Readout: exact expectations of a state, sampling distributions of a batch.
 
 def expectation(state: QuantumState, obs: Observable) -> float:
     """<psi| H |psi> for a Pauli-sum H; O(2^n) per non-identity term."""
@@ -305,51 +258,3 @@ def normalized_probabilities(raw: np.ndarray) -> np.ndarray:
     """Clip float dust and renormalize so sampling sees an exact distribution."""
     probs = np.clip(raw, 0.0, None)
     return probs / probs.sum(axis=-1, keepdims=True)
-
-
-def _parity_signs(n_qubits: int, mask: int) -> np.ndarray:
-    """(-1)^popcount(j & mask) over all basis indices j."""
-    signs = np.ones(1 << n_qubits)
-    for q in range(n_qubits):
-        if (mask >> q) & 1:
-            signs *= 1.0 - 2.0 * ((np.arange(1 << n_qubits) >> q) & 1)
-    return signs
-
-
-def estimate_expectation(state: QuantumState, obs: Observable, shots: ShotSpec,
-                         rng: np.random.Generator) -> float:
-    """Shot estimate of <H>: each Pauli term is measured in its own eigenbasis
-    with M fresh shots (distinct Pauli bases are incompatible measurements, so
-    shots are never shared across terms). Identity terms contribute exactly.
-    """
-    if shots.is_exact:
-        return expectation(state, obs)
-    if obs.n_qubits != state.n_qubits:
-        raise ShapeError(
-            f"observable on {obs.n_qubits} qubits does not match "
-            f"state on {state.n_qubits}"
-        )
-    total = 0.0
-    for coef, string in obs.terms:
-        mask = 0
-        vec = None
-        for q, label in enumerate(string):
-            if label == "I":
-                continue
-            mask |= 1 << q
-            if label == "X":
-                vec = state.amplitudes.copy() if vec is None else vec
-                apply_one_qubit_kernel(vec, q, _ROT_X)
-            elif label == "Y":
-                vec = state.amplitudes.copy() if vec is None else vec
-                apply_one_qubit_kernel(vec, q, _ROT_Y)
-        if mask == 0:
-            total += coef
-            continue
-        if vec is None:
-            vec = state.amplitudes
-        probs = normalized_probabilities(vec.real * vec.real + vec.imag * vec.imag)
-        counts = rng.multinomial(shots.shots, probs)
-        signs = _parity_signs(state.n_qubits, mask)
-        total += coef * float(counts @ signs) / shots.shots
-    return float(total)

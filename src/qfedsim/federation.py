@@ -21,7 +21,7 @@ import numpy as np
 from .core import NoiseSpec, ShotSpec
 from .data import LabeledDataset, PartitionedDataset
 from .encoding import encode_batch
-from .exceptions import ConfigError, ContractError, DataError, ShapeError
+from .exceptions import ConfigError, ContractError, DataError, NumericError, ShapeError
 from .metrics import (
     ScoredSet,
     auroc,
@@ -251,10 +251,13 @@ def evaluate_global(spec: CircuitSpec, params: ModelParams, ctx: ValidationConte
     """Exact-mode validation of one parameter set.
 
     Returns val_loss (cross-entropy on normal samples), fe_pct, me_pct under
-    the configured threshold rule, and auroc/aupr over the scored set.
+    the configured threshold rule, and auroc/aupr over the scored set. A
+    non-finite validation loss raises NumericError.
     """
     readout = probability_batch(spec, params.angles, ctx.encoded, _EXACT, _NOISELESS, None)
     val_loss = cross_entropy(params, readout[ctx.normal_rows], ctx.normal_logits)
+    if not np.isfinite(val_loss):
+        raise NumericError("non-finite validation loss")
     probs = class_probabilities(head_scores(params, readout))
     if score_method == SCORE_CENTROID:
         if ctx.train_encoded is None:

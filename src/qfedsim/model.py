@@ -7,9 +7,11 @@ affine map y = W p + b, squashed by a stable softmax when probabilities are
 needed.
 
 All evaluation funnels through `run_ansatz_kernel`, which acts in place on a
-(rows, 2**n) amplitude array run at one (layers, qubits) angle matrix, so
-single-sample and batched paths share one gate implementation. Training's
-adjoint sweep walks the same gates backwards (see the training module).
+(rows, 2**n) amplitude array run at one (layers, qubits) angle matrix. Class
+scores for a batch of encoded rows are head_scores(params,
+probability_batch(...)); `run_circuit` runs the same kernel on one
+QuantumState. Training's adjoint sweep walks the same gates backwards (see
+the training module).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 from . import core
 from .core import NoiseSpec, QuantumState, ShotSpec
-from .encoding import encode_batch
 from .exceptions import (
     CapacityError,
     ConfigError,
@@ -128,21 +129,6 @@ def check_params(spec: CircuitSpec, params: ModelParams) -> None:
         )
 
 
-def params_from_vector(spec: CircuitSpec, n_classes: int, vec: np.ndarray) -> ModelParams:
-    """Inverse of ModelParams.to_vector for a known geometry."""
-    vec = np.asarray(vec, dtype=np.float64)
-    n_angles = spec.quantum_param_count
-    n_weights = n_classes * spec.dim
-    expected = n_angles + n_weights + n_classes
-    if vec.shape != (expected,):
-        raise ShapeError(f"parameter vector of shape {vec.shape}, expected ({expected},)")
-    return ModelParams(
-        vec[:n_angles].reshape(spec.n_layers, spec.n_qubits),
-        vec[n_angles : n_angles + n_weights].reshape(n_classes, spec.dim),
-        vec[n_angles + n_weights :],
-    )
-
-
 def init_params(spec: CircuitSpec, n_classes: int, rng: np.random.Generator) -> ModelParams:
     """Seeded init: angles uniform on [0, pi), head weights uniform on
     [-0.1, 0.1], bias zero."""
@@ -197,11 +183,9 @@ def run_circuit(spec: CircuitSpec, params: ModelParams, input_state: QuantumStat
 
 def readout_batch(amps: np.ndarray, shots: ShotSpec,
                   rng: np.random.Generator | None) -> np.ndarray:
-    """Probability readout for a batch: exact |amps|^2, or per-row frequency
-    estimates from `shots` measurements."""
-    probs = amps.real * amps.real
-    if np.iscomplexobj(amps):
-        probs += amps.imag * amps.imag
+    """Probability readout for a batch of real amplitudes: exact amps**2, or
+    per-row frequency estimates from `shots` measurements."""
+    probs = amps * amps
     if shots.is_exact:
         return probs
     if rng is None:
@@ -223,16 +207,6 @@ def probability_batch(spec: CircuitSpec, angles: np.ndarray, encoded: np.ndarray
 def head_scores(params: ModelParams, probs: np.ndarray) -> np.ndarray:
     """y = W p + b, rowwise for batches."""
     return probs @ params.head_weights.T + params.head_bias
-
-
-def forward(spec: CircuitSpec, params: ModelParams, x: np.ndarray,
-            shots: ShotSpec = ShotSpec.exact(), noise: NoiseSpec = NoiseSpec.off(),
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Class scores y for one raw feature vector."""
-    check_params(spec, params)
-    encoded = encode_batch(np.asarray(x, dtype=np.float64)[None, :], spec.n_qubits)
-    probs = probability_batch(spec, params.angles, encoded, shots, noise, rng)
-    return head_scores(params, probs)[0]
 
 
 def class_probabilities(y: np.ndarray) -> np.ndarray:

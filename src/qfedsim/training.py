@@ -2,9 +2,10 @@
 
 Two training modes share the machinery:
 
-  - vqe: minimize the expectation <H> of an observable over the circuit run
-    from |0...0>. The loss is linear in the measured expectation, so the
-    two-point shift rule differentiates it exactly.
+  - vqe: minimize the exact expectation <H> of an observable over the
+    circuit run from |0...0> (optionally under trajectory noise; there is no
+    shot-sampled readout of <H>). The loss is linear in the expectation, so
+    the two-point shift rule differentiates it exactly.
   - classify: softmax cross-entropy on top of the linear head. The loss is
     nonlinear in the probability readout, so the angle gradient is taken of
     the linear functional sum(c * p(angles)), with the cotangent
@@ -109,9 +110,9 @@ def _zero_state_batch(spec: CircuitSpec) -> np.ndarray:
 
 
 def loss_vqe(spec: CircuitSpec, params: ModelParams, observable: Observable,
-             noise: NoiseSpec = NoiseSpec.off(), shots: ShotSpec = ShotSpec.exact(),
+             noise: NoiseSpec = NoiseSpec.off(),
              rng: np.random.Generator | None = None) -> float:
-    """<H> (or its shot estimate) on the ansatz output from |0...0>."""
+    """Exact <H> on the ansatz output from |0...0>."""
     check_params(spec, params)
     if observable.n_qubits != spec.n_qubits:
         raise ShapeError(
@@ -120,10 +121,7 @@ def loss_vqe(spec: CircuitSpec, params: ModelParams, observable: Observable,
         )
     amps = _zero_state_batch(spec)
     run_ansatz_kernel(amps, spec, params.angles, noise, rng)
-    state = QuantumState(spec.n_qubits, amps[0])
-    if shots.is_exact:
-        return core.expectation(state, observable)
-    return core.estimate_expectation(state, observable, shots, rng)
+    return core.expectation(QuantumState(spec.n_qubits, amps[0]), observable)
 
 
 def _check_labels(labels: np.ndarray, n_classes: int) -> None:
@@ -140,30 +138,15 @@ def cross_entropy(params: ModelParams, readout: np.ndarray, labels: np.ndarray) 
     return float(-log_p.mean())
 
 
-def loss_classify(spec: CircuitSpec, params: ModelParams, batch: LabeledDataset,
-                  shots: ShotSpec = ShotSpec.exact(), noise: NoiseSpec = NoiseSpec.off(),
-                  rng: np.random.Generator | None = None) -> float:
-    """Mean cross-entropy of the rows' logit indices (see
-    LabeledDataset.logit_indices) under softmax head scores."""
-    check_params(spec, params)
-    if len(batch) == 0:
-        raise DataError("empty batch")
-    labels = batch.logit_indices()
-    _check_labels(labels, params.n_classes)
-    encoded = encode_batch(batch.features, spec.n_qubits)
-    readout = probability_batch(spec, params.angles, encoded, shots, noise, rng)
-    return cross_entropy(params, readout, labels)
-
-
 def grad_parameter_shift(spec: CircuitSpec, params: ModelParams, loss_closure,
-                         shift: float = PARAMETER_SHIFT,
                          evals_per_call: int = 1) -> GradientEstimate:
-    """Angle gradients by the two-point rule: [f(t + s) - f(t - s)] / 2.
+    """Angle gradients by the two-point rule: [f(t + s) - f(t - s)] / 2 at
+    the fixed shift s = PARAMETER_SHIFT = pi/2.
 
     `loss_closure` maps an angle matrix to a scalar loss and must be linear in
     the circuit readout (an expectation value, or a fixed linear functional of
-    the probability vector); for such losses the rule at the default shift
-    pi/2 is exact. Head gradients are not the closure's business and are
+    the probability vector); for such losses the rule at shift pi/2 is
+    exact. Head gradients are not the closure's business and are
     returned as zeros; `evals_per_call` is the number of circuit executions
     one closure call performs (batch size for batched readouts).
     """
@@ -172,9 +155,9 @@ def grad_parameter_shift(spec: CircuitSpec, params: ModelParams, loss_closure,
     evals = 0
     for idx in np.ndindex(*base.shape):
         plus = base.copy()
-        plus[idx] += shift
+        plus[idx] += PARAMETER_SHIFT
         minus = base.copy()
-        minus[idx] -= shift
+        minus[idx] -= PARAMETER_SHIFT
         up, down = loss_closure(plus), loss_closure(minus)
         if not (np.isfinite(up) and np.isfinite(down)):
             raise NumericError(f"non-finite loss at shifted angle {idx}")
@@ -303,14 +286,14 @@ def personalized_step(params: ModelParams, grad: GradientEstimate, eta: float,
     )
 
 
-def _train_vqe_loop(spec, params, observable, config, global_params, shots, noise, rng):
+def _train_vqe_loop(spec, params, observable, config, global_params, noise, rng):
     trace = np.zeros(config.local_epochs)
     evals = 0
     for epoch in range(config.local_epochs):
-        trace[epoch] = loss_vqe(spec, params, observable, noise, shots, rng)
+        trace[epoch] = loss_vqe(spec, params, observable, noise, rng)
 
         def shifted_loss(angles):
-            return loss_vqe(spec, params.with_angles(angles), observable, noise, shots, rng)
+            return loss_vqe(spec, params.with_angles(angles), observable, noise, rng)
 
         grad = grad_parameter_shift(spec, params, shifted_loss)
         params = personalized_step(params, grad, config.eta, config.lam, global_params)
@@ -332,7 +315,8 @@ def local_train(spec: CircuitSpec, start_params: ModelParams,
 
     vqe mode: Algorithm-style observable minimization; `dataset_shard` is
     ignored (the loss consumes no data), one gradient step per epoch, and the
-    trace holds the loss at the start of each step. `observable` is required.
+    trace holds the loss at the start of each step. `observable` is required,
+    and `shots` must be exact: <H> is read out exactly.
     """
     check_params(spec, start_params)
     if rng is None:
@@ -340,8 +324,12 @@ def local_train(spec: CircuitSpec, start_params: ModelParams,
     if config.mode == MODE_VQE:
         if observable is None:
             raise ConfigError("vqe mode needs an observable")
+        if not shots.is_exact:
+            raise ConfigError(
+                f"vqe mode reads <H> out exactly; got {shots.shots} shots"
+            )
         return _train_vqe_loop(
-            spec, start_params, observable, config, global_params, shots, noise, rng
+            spec, start_params, observable, config, global_params, noise, rng
         )
     if dataset_shard is None:
         raise DataError("classify training needs a non-empty shard")

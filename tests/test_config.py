@@ -176,7 +176,7 @@ class TestNoise:
         config = config_from_mapping(minimal(n_clients=3, noise=0.25))
         specs = config.noise_specs()
         assert len(specs) == 3
-        assert all(s.epsilon == 0.25 and s.enabled for s in specs)
+        assert all(s.epsilon == 0.25 and s.active for s in specs)
 
     def test_zero_noise_is_disabled(self):
         specs = config_from_mapping(minimal(n_clients=2)).noise_specs()

@@ -1,73 +1,78 @@
-"""Feature normalization and amplitude encoding."""
+"""Amplitude encoding of feature rows: normalization, padding, batches."""
 
 import numpy as np
 import pytest
 
-from qfedsim.core import probabilities
-from qfedsim.encoding import amplitude_encode, encode_batch, l2_normalize
+from qfedsim.core import ShotSpec
+from qfedsim.encoding import encode_batch
 from qfedsim.exceptions import CapacityError, DegenerateInputError, ShapeError
+from qfedsim.model import readout_batch
+
+
+def encode_one(x, n_qubits):
+    return encode_batch(np.asarray(x, dtype=np.float64)[None, :], n_qubits)[0]
+
+
+def reference_encoding(x, n_qubits):
+    """Pad with zeros, then divide by the Euclidean norm, entry by entry."""
+    padded = list(x) + [0.0] * ((1 << n_qubits) - len(x))
+    norm = sum(v * v for v in padded) ** 0.5
+    return np.array([v / norm for v in padded])
 
 
 class TestL2Normalize:
     def test_three_four_five(self):
-        assert np.allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
+        assert np.allclose(encode_one([3.0, 4.0], 1), [0.6, 0.8], atol=1e-15)
 
     def test_unit_vector_unchanged(self):
-        x = np.array([0.0, 1.0, 0.0])
-        assert np.allclose(l2_normalize(x), x, atol=1e-15)
+        assert np.allclose(encode_one([0.0, 1.0, 0.0, 0.0], 2), [0, 1, 0, 0], atol=1e-15)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateInputError):
-            l2_normalize(np.zeros(4))
+            encode_one(np.zeros(4), 2)
 
     def test_direction_preserved(self):
-        x = np.array([-1.0, 2.0, -2.0])
-        out = l2_normalize(x)
+        out = encode_one([-1.0, 2.0, -2.0], 2)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(np.cross([-1, 2, -2], out), 0, atol=1e-12)
+        assert out[3] == 0.0
+        assert np.allclose(np.cross([-1, 2, -2], out[:3]), 0, atol=1e-12)
 
 
 class TestAmplitudeEncode:
     def test_basis_vector(self):
-        state = amplitude_encode(np.array([1.0, 0.0, 0.0, 0.0]), 2)
-        assert np.allclose(state.amplitudes, [1, 0, 0, 0], atol=1e-15)
+        assert np.allclose(encode_one([1.0, 0.0, 0.0, 0.0], 2), [1, 0, 0, 0], atol=1e-15)
 
     def test_uniform_vector(self):
-        state = amplitude_encode(np.array([1.0, 1.0, 1.0, 1.0]), 2)
-        assert np.allclose(state.amplitudes, [0.5, 0.5, 0.5, 0.5], atol=1e-15)
+        assert np.allclose(encode_one([1.0, 1.0, 1.0, 1.0], 2), [0.5] * 4, atol=1e-15)
 
     def test_padding_then_normalization(self):
         # norm of [1, 2, 2] is 3; tail-padded to length 4
-        state = amplitude_encode(np.array([1.0, 2.0, 2.0]), 2)
-        assert np.allclose(state.amplitudes, [1 / 3, 2 / 3, 2 / 3, 0.0], atol=1e-15)
+        out = encode_one([1.0, 2.0, 2.0], 2)
+        assert np.allclose(out, [1 / 3, 2 / 3, 2 / 3, 0.0], atol=1e-15)
 
     def test_too_long_vector(self):
         with pytest.raises(CapacityError):
-            amplitude_encode(np.ones(5), 2)
+            encode_one(np.ones(5), 2)
 
     def test_zero_vector(self):
         with pytest.raises(DegenerateInputError):
-            amplitude_encode(np.zeros(3), 2)
+            encode_one(np.zeros(3), 2)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=6)
-        a = amplitude_encode(x, 3).amplitudes
+        a = encode_one(x, 3)
         for c in (0.001, 7.0, 123456.0):
-            b = amplitude_encode(c * x, 3).amplitudes
-            assert np.allclose(a, b, atol=1e-12)
+            assert np.allclose(a, encode_one(c * x, 3), atol=1e-12)
 
     def test_negative_features_allowed(self):
-        state = amplitude_encode(np.array([-3.0, 4.0]), 1)
-        assert np.allclose(state.amplitudes, [-0.6, 0.8], atol=1e-15)
+        assert np.allclose(encode_one([-3.0, 4.0], 1), [-0.6, 0.8], atol=1e-15)
 
     def test_probability_round_trip(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=5)
-        state = amplitude_encode(x, 3)
-        padded = np.concatenate([x, np.zeros(3)])
-        expected = l2_normalize(padded) ** 2
-        assert np.allclose(probabilities(state), expected, atol=1e-12)
+        probs = readout_batch(encode_batch(x[None, :], 3), ShotSpec.exact(), None)[0]
+        assert np.allclose(probs, reference_encoding(x, 3) ** 2, atol=1e-12)
 
 
 class TestEncodeBatch:
@@ -76,8 +81,9 @@ class TestEncodeBatch:
         batch = rng.normal(size=(4, 6))
         encoded = encode_batch(batch, 3)
         assert encoded.shape == (4, 8)
+        assert encoded.dtype == np.float64
         for row, x in zip(encoded, batch):
-            assert np.allclose(row, amplitude_encode(x, 3).amplitudes, atol=1e-12)
+            assert np.allclose(row, reference_encoding(x, 3), atol=1e-12)
 
     def test_zero_row_rejected(self):
         batch = np.array([[1.0, 2.0], [0.0, 0.0]])
@@ -87,4 +93,3 @@ class TestEncodeBatch:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             encode_batch(np.ones(4), 2)
-

@@ -10,6 +10,7 @@ from qfedsim.exceptions import (
     ContractError,
     DataError,
     LabelError,
+    NumericError,
     ShapeError,
 )
 from qfedsim.federation import (
@@ -209,6 +210,22 @@ class TestValidationContext:
             evaluate_global(
                 CircuitSpec(2, 1), random_params(0), ctx, SCORE_CENTROID, 0.5
             )
+
+    def test_non_finite_validation_loss_raises(self):
+        # Finite head weights at the float limit: the score gap between the
+        # classes overflows, so a class-1 row has log-probability -inf.
+        from qfedsim.data import LabeledDataset
+
+        spec = CircuitSpec(2, 1)
+        rng = np.random.default_rng(4)
+        val = LabeledDataset(rng.uniform(0.1, 1.0, size=(8, 4)), [0, 0, 0, 1, 1, 1, 2, 2],
+                             frozenset({0, 1}), frozenset({2}))
+        ctx = build_validation_context(val, spec, frozenset({0, 1}))
+        params = ModelParams(np.zeros((1, 2)), np.array([[1e308] * 4, [-1e308] * 4]),
+                             np.zeros(2))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="non-finite validation loss"):
+                evaluate_global(spec, params, ctx, SCORE_MAX_PROB, THRESHOLD_YOUDEN)
 
     def test_fixed_zero_threshold_flags_everything(self):
         _, val = split_synth(0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from qfedsim.core import NoiseSpec, QuantumState, ShotSpec, zero_state
-from qfedsim.encoding import amplitude_encode
+from qfedsim.core import NoiseSpec, QuantumState, ShotSpec
+from qfedsim.encoding import encode_batch
 from qfedsim.exceptions import (
     CapacityError,
     ConfigError,
@@ -20,17 +20,32 @@ from qfedsim.model import (
     CircuitSpec,
     ModelParams,
     class_probabilities,
-    forward,
+    head_scores,
     init_params,
     load_params,
-    params_from_vector,
+    probability_batch,
     run_circuit,
     save_params,
 )
 
+EXACT = ShotSpec.exact()
+CLEAN = NoiseSpec.off()
+
 
 def make_params(spec, n_classes, seed=0):
     return init_params(spec, n_classes, np.random.default_rng(seed))
+
+
+def zero_state(n):
+    amps = np.zeros(1 << n)
+    amps[0] = 1.0
+    return QuantumState(n, amps)
+
+
+def scores(spec, params, rows, shots=EXACT, rng=None):
+    """Class scores of raw feature rows: encode, run, read out, head."""
+    encoded = encode_batch(np.atleast_2d(rows), spec.n_qubits)
+    return head_scores(params, probability_batch(spec, params.angles, encoded, shots, CLEAN, rng))
 
 
 class TestCircuitSpec:
@@ -65,16 +80,20 @@ class TestModelParams:
             ModelParams(np.array([[np.nan]]), np.zeros((2, 2)), np.zeros(2))
 
     def test_vector_round_trip(self):
+        # to_vector lays out [angles layer-major, W row-major, b]
         spec = CircuitSpec(3, 2)
         params = make_params(spec, 4, seed=5)
-        rebuilt = params_from_vector(spec, 4, params.to_vector())
-        assert np.array_equal(rebuilt.angles, params.angles)
-        assert np.array_equal(rebuilt.head_weights, params.head_weights)
-        assert np.array_equal(rebuilt.head_bias, params.head_bias)
+        vec = params.to_vector()
+        assert vec.shape == (6 + 4 * 8 + 4,)
+        assert np.array_equal(vec[:6].reshape(2, 3), params.angles)
+        assert np.array_equal(vec[6:38].reshape(4, 8), params.head_weights)
+        assert np.array_equal(vec[38:], params.head_bias)
 
     def test_vector_length_checked(self):
         with pytest.raises(ShapeError):
-            params_from_vector(CircuitSpec(2, 1), 2, np.zeros(5))
+            ModelParams(np.zeros((1, 2)), np.zeros((2, 4)), np.zeros(3))
+        with pytest.raises(ShapeError):
+            ModelParams(np.zeros(2), np.zeros((2, 4)), np.zeros(2))
 
     def test_init_ranges(self):
         spec = CircuitSpec(4, 3)
@@ -126,7 +145,7 @@ class TestRunCircuit:
             angles = rng.uniform(-np.pi, np.pi, size=(layers, n))
             params = ModelParams(angles, np.zeros((2, 1 << n)), np.zeros(2))
             x = rng.normal(size=1 << n)
-            state = amplitude_encode(x, n)
+            state = QuantumState(n, encode_batch(x[None, :], n)[0])
             out = run_circuit(spec, params, state)
             dense = oracles.ansatz_matrix(n, angles, spec.entangler_pairs()) @ state.amplitudes
             assert np.allclose(out.amplitudes, dense, atol=1e-10)
@@ -141,41 +160,41 @@ class TestRunCircuit:
         spec = CircuitSpec(2, 1)
         params = make_params(spec, 2)
         with pytest.raises(ConfigError):
-            run_circuit(spec, params, zero_state(2), NoiseSpec(0.1, True), None)
+            run_circuit(spec, params, zero_state(2), NoiseSpec(0.1), None)
 
 
 class TestForward:
+    """Class scores of encoded rows: head_scores over probability_batch."""
+
     def test_identity_head_returns_probabilities(self):
         spec = CircuitSpec(1, 1)
         theta = 1.1
         params = ModelParams(np.array([[theta]]), np.eye(2), np.zeros(2))
-        y = forward(spec, params, np.array([1.0, 0.0]))
-        state = run_circuit(spec, params, zero_state(1))
-        assert np.allclose(y, np.abs(state.amplitudes) ** 2, atol=1e-12)
+        y = scores(spec, params, [1.0, 0.0])
+        column = oracles.ansatz_matrix(1, params.angles, spec.entangler_pairs())[:, 0]
+        assert np.allclose(y, [np.abs(column) ** 2], atol=1e-12)
 
     def test_zero_weights_return_bias(self):
         spec = CircuitSpec(2, 1)
         params = ModelParams(
             np.array([[0.4, 1.2]]), np.zeros((2, 4)), np.array([0.3, 0.7])
         )
-        rng = np.random.default_rng(1)
-        for _ in range(3):
-            y = forward(spec, params, rng.normal(size=4))
-            assert np.allclose(y, [0.3, 0.7], atol=1e-15)
+        y = scores(spec, params, np.random.default_rng(1).normal(size=(3, 4)))
+        assert np.allclose(y, [[0.3, 0.7]] * 3, atol=1e-15)
 
     def test_finite_shots_reproducible(self):
         spec = CircuitSpec(2, 2)
         params = make_params(spec, 3, seed=4)
         x = np.array([0.2, -0.4, 0.9, 0.1])
-        a = forward(spec, params, x, ShotSpec(1000), NoiseSpec.off(), np.random.default_rng(6))
-        b = forward(spec, params, x, ShotSpec(1000), NoiseSpec.off(), np.random.default_rng(6))
+        a = scores(spec, params, x, ShotSpec(1000), np.random.default_rng(6))
+        b = scores(spec, params, x, ShotSpec(1000), np.random.default_rng(6))
         assert np.array_equal(a, b)
 
     def test_exact_mode_is_pure(self):
         spec = CircuitSpec(2, 1)
         params = make_params(spec, 2, seed=8)
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(forward(spec, params, x), forward(spec, params, x))
+        assert np.array_equal(scores(spec, params, x), scores(spec, params, x))
 
 
 class TestClassProbabilities:
@@ -217,8 +236,6 @@ class TestCheckpoints:
         n_layers, n_qubits, n_classes, vec = load_params(path)
         assert (n_layers, n_qubits, n_classes) == (2, 3, 4)
         assert np.array_equal(vec, params.to_vector())
-        rebuilt = params_from_vector(spec, n_classes, vec)
-        assert np.array_equal(rebuilt.angles, params.angles)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

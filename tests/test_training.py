@@ -26,7 +26,6 @@ from qfedsim.training import (
     cross_entropy,
     grad_parameter_shift,
     local_train,
-    loss_classify,
     loss_vqe,
     personalized_step,
     sgd_step,
@@ -50,6 +49,13 @@ def make_batch(rng, n_samples, n_features, n_classes):
     rows = [(rng.normal(size=n_features), int(rng.integers(n_classes)))
             for _ in range(n_samples)]
     return labeled([x for x, _ in rows], [c for _, c in rows], n_classes)
+
+
+def batch_loss(spec, params, batch):
+    """Exact mean cross-entropy of a batch against its logit indices."""
+    encoded = encode_batch(batch.features, spec.n_qubits)
+    readout = probability_batch(spec, params.angles, encoded, EXACT, CLEAN, None)
+    return cross_entropy(params, readout, batch.logit_indices())
 
 
 class TestLossVqe:
@@ -89,6 +95,8 @@ class TestLossVqe:
 
 
 class TestLossClassify:
+    """cross_entropy over an exact probability_batch readout."""
+
     def test_uniform_probabilities_give_log_c(self):
         # zero head makes every class score 0, hence uniform softmax
         spec = CircuitSpec(2, 1)
@@ -97,7 +105,7 @@ class TestLossClassify:
                 np.array([[0.5, 1.0]]), np.zeros((n_classes, 4)), np.zeros(n_classes)
             )
             batch = make_batch(np.random.default_rng(1), 5, 4, n_classes)
-            assert loss_classify(spec, params, batch) == pytest.approx(
+            assert batch_loss(spec, params, batch) == pytest.approx(
                 np.log(n_classes), abs=1e-12
             )
 
@@ -107,35 +115,34 @@ class TestLossClassify:
             np.array([[0.0]]), np.zeros((2, 2)), np.array([1000.0, 0.0])
         )
         batch = labeled([[1.0, 0.0]], [0], 2)
-        assert loss_classify(spec, params, batch) == pytest.approx(0.0, abs=1e-12)
+        assert batch_loss(spec, params, batch) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_hand_computation(self):
+        # readout from the dense ansatz unitary, softmax written out
         spec = CircuitSpec(2, 1)
         params = make_params(spec, 3, seed=7)
-        rng = np.random.default_rng(8)
-        batch = make_batch(rng, 3, 4, 3)
-        from qfedsim.model import class_probabilities, head_scores, probability_batch
-
-        encoded = encode_batch(batch.features, 2)
-        probs = class_probabilities(
-            head_scores(params, probability_batch(spec, params.angles, encoded, EXACT, CLEAN, None))
-        )
-        expected = -np.mean(
-            [np.log(probs[i, label]) for i, label in enumerate(batch.labels)]
-        )
-        assert loss_classify(spec, params, batch) == pytest.approx(expected, abs=1e-12)
+        batch = make_batch(np.random.default_rng(8), 3, 4, 3)
+        unitary = oracles.ansatz_matrix(2, params.angles, spec.entangler_pairs())
+        expected = 0.0
+        for x, label in zip(batch.features, batch.labels):
+            probs = np.abs(unitary @ (x / np.linalg.norm(x))) ** 2
+            y = params.head_weights @ probs + params.head_bias
+            expected -= np.log(np.exp(y[label]) / np.exp(y).sum()) / len(batch)
+        assert batch_loss(spec, params, batch) == pytest.approx(expected, abs=1e-12)
 
     def test_label_out_of_range(self):
         spec = CircuitSpec(1, 1)
         params = make_params(spec, 2)
         with pytest.raises(LabelError):
-            loss_classify(spec, params, labeled([[1.0]], [5], 6))
+            train_on_encoded(spec, params, encode_batch([[1.0]], 1), np.array([5]),
+                             TrainConfig(), None, EXACT, CLEAN, np.random.default_rng(0))
 
     def test_empty_batch(self):
         spec = CircuitSpec(1, 1)
         params = make_params(spec, 2)
         with pytest.raises(DataError):
-            loss_classify(spec, params, labeled(np.empty((0, 2)), [], 2))
+            train_on_encoded(spec, params, np.empty((0, 2)), np.empty(0, dtype=np.int64),
+                             TrainConfig(), None, EXACT, CLEAN, np.random.default_rng(0))
 
 
 class TestGradParameterShift:
@@ -187,24 +194,24 @@ class TestGradParameterShift:
             loss, est = classify_loss_and_grad(
                 spec, params, encoded, batch.labels, EXACT, CLEAN, None
             )
-            assert loss == pytest.approx(loss_classify(spec, params, batch), abs=1e-12)
+            assert loss == pytest.approx(batch_loss(spec, params, batch), abs=1e-12)
 
             fd_angles = oracles.finite_difference(
-                lambda a: loss_classify(spec, params.with_angles(a), batch),
+                lambda a: batch_loss(spec, params.with_angles(a), batch),
                 params.angles,
             )
             assert np.allclose(est.angle_grads, fd_angles, atol=1e-6)
 
             def head_loss(w):
                 shifted = ModelParams(params.angles, w, params.head_bias)
-                return loss_classify(spec, shifted, batch)
+                return batch_loss(spec, shifted, batch)
 
             fd_w = oracles.finite_difference(head_loss, params.head_weights)
             assert np.allclose(est.head_weight_grads, fd_w, atol=1e-6)
 
             def bias_loss(b):
                 shifted = ModelParams(params.angles, params.head_weights, b)
-                return loss_classify(spec, shifted, batch)
+                return batch_loss(spec, shifted, batch)
 
             fd_b = oracles.finite_difference(bias_loss, params.head_bias)
             assert np.allclose(est.head_bias_grads, fd_b, atol=1e-6)
@@ -220,10 +227,9 @@ class TestGradParameterShift:
 
 
 def per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng):
-    """The unstacked reference: one complex-amplitude ansatz pass for the base
-    readout, then grad_parameter_shift over the cotangent functional, one pass
-    per shifted angle matrix."""
-    encoded = encoded.astype(np.complex128)
+    """The per-shift reference: one ansatz pass for the base readout, then
+    grad_parameter_shift over the cotangent functional, one pass per shifted
+    angle matrix."""
     rows = encoded.shape[0]
     readout = probability_batch(spec, params.angles, encoded, shots, noise, rng)
     loss = cross_entropy(params, readout, labels)
@@ -292,10 +298,10 @@ class TestStackedShiftGradient:
         encoded = encode_batch(rng.normal(size=(7, 8)), 3)
         labels = rng.integers(0, 3, size=7)
         assert_same_gradient(spec, params, encoded, labels, ShotSpec(200),
-                             NoiseSpec(0.4, True), seed=12)
+                             NoiseSpec(0.4), seed=12)
 
     @pytest.mark.parametrize("shots, noise", [(ShotSpec(200), CLEAN),
-                                              (EXACT, NoiseSpec(0.4, True))])
+                                              (EXACT, NoiseSpec(0.4))])
     def test_noise_or_shots_alone_keep_the_draw_order(self, shots, noise):
         spec = CircuitSpec(3, 2, RING)
         params = make_params(spec, 2, seed=4)
@@ -454,6 +460,13 @@ class TestLocalTrain:
         )
         assert result.evals_used == 2 * spec.quantum_param_count * 17
 
+    def test_vqe_rejects_finite_shots(self):
+        spec = CircuitSpec(1, 1)
+        config = TrainConfig(mode=MODE_VQE)
+        with pytest.raises(ConfigError, match="64 shots"):
+            local_train(spec, make_params(spec, 2), None, config, shots=ShotSpec(64),
+                        rng=np.random.default_rng(0), observable=Observable(((1.0, "Z"),)))
+
     def test_vqe_requires_observable(self):
         spec = CircuitSpec(1, 1)
         config = TrainConfig(mode=MODE_VQE)
@@ -474,7 +487,7 @@ class TestLocalTrain:
         config = TrainConfig(eta=0.05, lam=0.1, local_epochs=2, batch_size=4)
         runs = [
             local_train(spec, params, batch, config, global_params=params,
-                        shots=ShotSpec(64), noise=NoiseSpec(0.1, True),
+                        shots=ShotSpec(64), noise=NoiseSpec(0.1),
                         rng=np.random.default_rng(99))
             for _ in range(2)
         ]
