@@ -15,11 +15,12 @@ Conventions, fixed project-wide:
 
 The kernel functions are dtype-generic and operate in place on arrays of
 shape (..., 2**n), acting on the last axis. Their callers use them directly:
-batched evaluation (model module) on (rows, 2**n) batches, the adjoint
-gradient sweep (training module) on (2, rows, 2**n) state/adjoint pairs, and
-`expectation` on one complex vector per Pauli term, so there is exactly one
-implementation of each gate. Expectations are exact; shot sampling exists
-only for the probability readout of a batch (model.readout_batch).
+batched evaluation (model module) on (rows, 2**n) batches, with a matrix
+per block of rows for a stack of angle matrices; the adjoint gradient sweep
+(training module) on (2, rows, 2**n) state/adjoint pairs; and `expectation`
+on one complex vector per Pauli term. So there is exactly one implementation
+of each gate. Noise applies Paulis drawn beforehand. Expectations are exact;
+shot sampling exists only for the probability readout of a batch.
 """
 
 from __future__ import annotations
@@ -143,9 +144,9 @@ class ShotSpec:
 def ry_matrices(angles) -> np.ndarray:
     """Real Ry(a) = [[cos a/2, -sin a/2], [sin a/2, cos a/2]] for every angle:
     shape angles.shape + (2, 2)."""
-    half = 0.5 * np.asarray(angles, dtype=np.float64)
+    half = 0.5 * np.asarray(angles, dtype=np.float64)[..., None]
     c, s = np.cos(half), np.sin(half)
-    return np.stack([c, -s, s, c], axis=-1).reshape(half.shape + (2, 2))
+    return np.concatenate([c, -s, s, c], axis=-1).reshape(half.shape[:-1] + (2, 2))
 
 
 @lru_cache(maxsize=None)
@@ -170,8 +171,11 @@ def ry_pi_tables(n_qubits: int) -> tuple:
 
 
 def apply_one_qubit_kernel(amps: np.ndarray, qubit: int, mat: np.ndarray) -> None:
-    """Apply one 2x2 matrix to one qubit of every state in `amps`, in place.
+    """Apply a 2x2 matrix to one qubit of every state in `amps`, in place.
 
+    `mat` is one (2, 2) matrix for every state, or a (..., 2, 2) stack whose
+    leading axes broadcast against those of `amps`: an (S, 1, 2, 2) stack on
+    an (S, B, 2**n) array gives each block of B states its own matrix.
     Amplitude j becomes mat[b, b] * amps[j] + mat[b, 1 - b] * amps[j ^ 2**qubit],
     b the qubit's bit of j. The halves b = 0 and b = 1 are updated through a
     strided view; at strides 2 and 4 that view's inner loops are so short
@@ -183,15 +187,15 @@ def apply_one_qubit_kernel(amps: np.ndarray, qubit: int, mat: np.ndarray) -> Non
     if stride in (2, 4):
         bit, flipped_bit, partner = _qubit_pairing(dim, qubit)
         swapped = amps[..., partner]
-        swapped *= mat[bit, flipped_bit]
-        amps *= mat[bit, bit]
+        swapped *= mat[..., bit, flipped_bit]
+        amps *= mat[..., bit, bit]
         amps += swapped
         return
     view = amps.reshape(amps.shape[:-1] + (dim >> (qubit + 1), 2, stride))
     lo = view[..., 0, :].copy()
     hi = view[..., 1, :]
-    view[..., 0, :] = mat[0, 0] * lo + mat[0, 1] * hi
-    view[..., 1, :] = mat[1, 0] * lo + mat[1, 1] * hi
+    view[..., 0, :] = mat[..., 0, 0, None, None] * lo + mat[..., 0, 1, None, None] * hi
+    view[..., 1, :] = mat[..., 1, 0, None, None] * lo + mat[..., 1, 1, None, None] * hi
 
 
 @lru_cache(maxsize=None)
@@ -207,25 +211,19 @@ def apply_cx_kernel(amps: np.ndarray, n_qubits: int, control: int, target: int) 
     amps[...] = amps[..., perm]
 
 
-def depolarize_kernel(amps: np.ndarray, qubit: int, epsilon: float,
-                      rng: np.random.Generator) -> None:
-    """One trajectory sample of the depolarizing channel on every row, in place.
+def depolarize_kernel(amps: np.ndarray, qubit: int, hit: np.ndarray,
+                      which: np.ndarray) -> None:
+    """One pre-drawn trajectory step of the depolarizing channel, in place.
 
-    A row is one state: every index but the last. Draws one uniform and then
-    one Pauli choice (0 = X, 1 = Y, 2 = Z) per row; the choice is drawn even
-    for rows that take no error, keeping the draw count data-independent.
-    The Paulis act as a bit-flip permutation plus a sign: Z negates the
+    A row is one state: every index but the last. Row r takes the Pauli
+    which[r] (0 = X, 1 = Y, 2 = Z) where hit[r] is set and is left alone
+    elsewhere; the caller draws both (see model.run_ansatz_kernel). The
+    Paulis act as a bit-flip permutation plus a sign: Z negates the
     amplitudes whose `qubit` bit is 1, X swaps the two halves, and Y applies
     XZ, which is Y up to the global phase i of the row.
     """
     dim = amps.shape[-1]
-    rows = amps.size // dim
-    u = rng.random(rows)
-    which = rng.integers(0, 3, size=rows)
-    hit = u < epsilon
-    if not hit.any():
-        return
-    view = amps.reshape(rows, dim >> (qubit + 1), 2, 1 << qubit)
+    view = amps.reshape(amps.size // dim, dim >> (qubit + 1), 2, 1 << qubit)
     lo, hi = view[:, :, 0, :], view[:, :, 1, :]
     np.negative(hi, out=hi, where=(hit & (which != 0))[:, None, None])
     flip = (hit & (which != 2))[:, None, None]

@@ -320,9 +320,12 @@ def run_round(round_index: int, config: FederationConfig, global_params: ModelPa
         for client, shard in enumerate(client_shards)
     ]
     new_global = aggregate_weighted([r.params for r in results], config.client_weights)
-    scores = evaluate_global(
-        config.spec, new_global, validation, config.score_method, config.threshold
-    )
+    try:
+        scores = evaluate_global(
+            config.spec, new_global, validation, config.score_method, config.threshold
+        )
+    except Exception as err:
+        raise type(err)(f"round {round_index}: {err}") from err
     record = RoundRecord(
         round_index=round_index,
         params_checksum=params_checksum(new_global),

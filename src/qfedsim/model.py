@@ -7,11 +7,11 @@ affine map y = W p + b, squashed by a stable softmax when probabilities are
 needed.
 
 All evaluation funnels through `run_ansatz_kernel`, which acts in place on a
-(rows, 2**n) amplitude array run at one (layers, qubits) angle matrix. Class
-scores for a batch of encoded rows are head_scores(params,
-probability_batch(...)); `run_circuit` runs the same kernel on one
-QuantumState. Training's adjoint sweep walks the same gates backwards (see
-the training module).
+(rows, 2**n) amplitude array run at one (layers, qubits) angle matrix, or at
+one per block of rows (training's stochastic shift pass). Class scores for
+a batch of encoded rows are head_scores(params, probability_batch(...));
+`run_circuit` runs the same kernel on one QuantumState. Training's adjoint
+sweep walks the same gates backwards (see the training module).
 """
 
 from __future__ import annotations
@@ -142,26 +142,41 @@ def init_params(spec: CircuitSpec, n_classes: int, rng: np.random.Generator) -> 
 
 def run_ansatz_kernel(amps: np.ndarray, spec: CircuitSpec, angles: np.ndarray,
                       noise: NoiseSpec, rng: np.random.Generator | None) -> None:
-    """Run the full ansatz in place on a (rows, 2**n) amplitude array at a
-    (layers, qubits) angle matrix.
+    """Run the full ansatz in place on a C-contiguous (rows, 2**n) array at
+    one (layers, qubits) angle matrix, or at an (S, layers, qubits) stack
+    that splits the rows into S equal blocks, block s run at angles[s].
 
     With noise active, one depolarizing trajectory sample follows every gate
-    on every qubit the gate touched (CX: control first, then target); draws
-    are vectorized across all rows.
+    on every qubit the gate touched (CX: control first, then target). The
+    pass draws its whole trajectory first: one uniform per (site, row), then
+    one Pauli choice per (site, row). Sites that hit no row are skipped.
     """
-    noisy = noise.active
+    angles = np.asarray(angles, dtype=np.float64)
+    mats, blocks = core.ry_matrices(angles), amps
+    if angles.ndim == 3:
+        mats = np.moveaxis(mats, 0, 2)[:, :, :, None]  # (layers, qubits, S, 1, 2, 2)
+        blocks = amps.reshape(len(angles), -1, amps.shape[-1])
     pairs = spec.entangler_pairs()
-    mats = core.ry_matrices(angles)
+    noisy = noise.active
+    if noisy:
+        shape = (spec.n_layers * (spec.n_qubits + 2 * len(pairs)), amps.shape[0])
+        hit = rng.random(shape) < noise.epsilon
+        draws = zip(hit.any(axis=1), hit, rng.integers(0, 3, shape))
+
+    def depolarize(*qubits):
+        for qubit, (fired, hit_row, which_row) in zip(qubits, draws):
+            if fired:
+                core.depolarize_kernel(amps, qubit, hit_row, which_row)
+
     for layer in range(spec.n_layers):
         for q in range(spec.n_qubits):
-            core.apply_one_qubit_kernel(amps, q, mats[layer, q])
+            core.apply_one_qubit_kernel(blocks, q, mats[layer, q])
             if noisy:
-                core.depolarize_kernel(amps, q, noise.epsilon, rng)
+                depolarize(q)
         for control, target in pairs:
             core.apply_cx_kernel(amps, spec.n_qubits, control, target)
             if noisy:
-                core.depolarize_kernel(amps, control, noise.epsilon, rng)
-                core.depolarize_kernel(amps, target, noise.epsilon, rng)
+                depolarize(control, target)
 
 
 def run_circuit(spec: CircuitSpec, params: ModelParams, input_state: QuantumState,

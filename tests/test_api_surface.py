@@ -1,10 +1,15 @@
 """The package exports nothing that only its own unit tests use.
 
 Every public top-level function or class in src/qfedsim must be referred to
-by name (a bare name or an attribute) somewhere in the package outside
-`__init__.py`, or be imported by the acceptance gate. Anything else is API
-kept alive by its own unit test; it is deleted, or listed in ALLOWED with
-the reason it stays.
+somewhere in the package outside `__init__.py`, or be imported by the
+acceptance gate. Anything else is API kept alive by its own unit test; it is
+deleted, or listed in ALLOWED with the reason it stays.
+
+A reference to `name`, defined in module `mod`, counts only as `mod.name`
+where `from . import mod` binds `mod`, as a loaded bare name imported by
+`from .mod import name`, or as a loaded bare name inside `mod` itself. So a
+local variable or attribute of another module that happens to share the
+name does not count.
 """
 
 import ast
@@ -33,22 +38,39 @@ def public_definitions():
     return found
 
 
+def references(tree, module):
+    """(defining module, name) pairs one package module refers to."""
+    modules, imported = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    modules[local] = alias.name
+                else:
+                    imported[local] = (node.module, alias.name)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            found.add((modules[node.value.id], node.attr))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(imported.get(node.id, (module, node.id)))
+    return found
+
+
 def referenced_names():
-    """Names used inside the package (outside __init__) or imported by the
-    acceptance gate."""
-    names = set()
+    """(module, name) pairs referred to inside the package (outside
+    __init__) or imported by the acceptance gate."""
+    found = set()
     for path in PACKAGE.glob("*.py"):
-        if path.stem == "__init__":
-            continue
-        for node in ast.walk(parse(path)):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+        if path.stem != "__init__":
+            found |= references(parse(path), path.stem)
     for node in ast.walk(parse(ACCEPTANCE)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qfedsim"):
-            names.update(alias.name for alias in node.names)
-    return names
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qfedsim."):
+            module = node.module.split(".", 1)[1]
+            found.update((module, alias.name) for alias in node.names)
+    return found
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -56,7 +78,7 @@ def test_every_public_name_has_a_caller_or_a_reason():
     unused = sorted(
         f"{module}.{name}"
         for name, module in public_definitions().items()
-        if name not in used and name not in ALLOWED
+        if (module, name) not in used and name not in ALLOWED
     )
     assert unused == [], f"public API used only by unit tests: {unused}"
 
@@ -66,3 +88,18 @@ def test_allowlist_entries_exist_and_carry_reasons():
     for name, reason in ALLOWED.items():
         assert name in defined
         assert reason.strip()
+
+
+def test_a_shadowing_name_in_another_module_does_not_count():
+    source = (
+        "from . import model\n"
+        "from .core import expectation as expect\n"
+        "def divergence(p, forward):\n"
+        "    forward = forward + model.head_scores(p)\n"
+        "    return expect(forward) + kl(p)\n"
+    )
+    found = references(ast.parse(source), "data")
+    assert ("model", "forward") not in found
+    assert ("model", "head_scores") in found
+    assert ("core", "expectation") in found
+    assert ("data", "forward") in found and ("data", "kl") in found

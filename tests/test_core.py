@@ -59,6 +59,16 @@ def cx(amps, n, control, target):
     return out
 
 
+def draw_paulis(rows, epsilon, rng):
+    """One noise site's (hit, which) for every row: uniforms, then Pauli choices."""
+    return rng.random(rows) < epsilon, rng.integers(0, 3, rows)
+
+
+def depolarize(amps, qubit, epsilon, rng):
+    """One trajectory sample of the channel on every row, in place."""
+    depolarize_kernel(amps, qubit, *draw_paulis(amps.shape[0], epsilon, rng))
+
+
 def random_observable(n, rng, max_terms=4):
     n_terms = int(rng.integers(1, max_terms + 1))
     terms = []
@@ -149,6 +159,19 @@ class TestApplyRy:
                     out = ry(amps, qubit, angle)
                     assert out.dtype == amps.dtype
                     assert np.allclose(out, amps @ dense.T, atol=1e-12)
+
+    def test_matrix_stack_gives_each_block_its_matrix(self):
+        # An (S, 1, 2, 2) stack on (S, B, 2**n) rows equals the shared-matrix
+        # kernel run block by block, bit for bit, in both kernel branches.
+        rng = np.random.default_rng(8)
+        for n in WIDTHS:
+            blocks = real_states(n, 12, rng).reshape(3, 4, 1 << n)
+            angles = rng.uniform(-np.pi, np.pi, size=3)
+            for qubit in range(n):
+                out = blocks.copy()
+                apply_one_qubit_kernel(out, qubit, ry_matrices(angles)[:, None])
+                for s in range(3):
+                    assert np.array_equal(out[s], ry(blocks[s], qubit, angles[s]))
 
     def test_inverse_rotation_restores(self):
         rng = np.random.default_rng(3)
@@ -294,7 +317,7 @@ class TestDepolarizing:
         rng = np.random.default_rng(0)
         amps = np.stack([random_state(2, np.random.default_rng(1)).amplitudes] * 8)
         out = amps.copy()
-        depolarize_kernel(out, 0, 0.0, rng)
+        depolarize(out, 0, 0.0, rng)
         assert np.array_equal(out, amps)
 
     def test_trajectory_mean_matches_channel(self):
@@ -303,7 +326,7 @@ class TestDepolarizing:
         channel_value = np.trace(oracles.Z @ oracles.depolarize_density(rho, 1.0)).real
         trials = 10000
         amps = basis_batch(1, rows=trials)
-        depolarize_kernel(amps, 0, 1.0, np.random.default_rng(31))
+        depolarize(amps, 0, 1.0, np.random.default_rng(31))
         assert abs(z_expectations(amps).mean() - channel_value) < 0.05
 
     def test_partial_epsilon_matches_channel(self):
@@ -313,7 +336,7 @@ class TestDepolarizing:
         channel_value = np.trace(oracles.Z @ oracles.depolarize_density(rho, epsilon)).real
         trials = 20000
         amps = np.tile(state, (trials, 1))
-        depolarize_kernel(amps, 0, epsilon, np.random.default_rng(37))
+        depolarize(amps, 0, epsilon, np.random.default_rng(37))
         sigma = 1.0 / np.sqrt(trials)  # |<Z>| <= 1 bounds the spread
         assert abs(z_expectations(amps).mean() - channel_value) < 3 * sigma + 0.01
 
@@ -321,8 +344,8 @@ class TestDepolarizing:
         amps = np.stack([random_state(2, np.random.default_rng(s)).amplitudes
                          for s in range(3, 11)])
         a, b = amps.copy(), amps.copy()
-        depolarize_kernel(a, 1, 0.8, np.random.default_rng(77))
-        depolarize_kernel(b, 1, 0.8, np.random.default_rng(77))
+        depolarize(a, 1, 0.8, np.random.default_rng(77))
+        depolarize(b, 1, 0.8, np.random.default_rng(77))
         assert np.array_equal(a, b)
 
     def test_epsilon_range_validated(self):
@@ -354,14 +377,10 @@ class TestDepolarizeKernelAgainstOracle:
         else:
             before = real_states(n, rows, np.random.default_rng(qubit))
         after = before.copy()
-        rng = np.random.default_rng(seed)
-        depolarize_kernel(after, qubit, epsilon, rng)
+        hit, which = draw_paulis(rows, epsilon, np.random.default_rng(seed))
+        depolarize_kernel(after, qubit, hit, which)
 
-        expected_rng = np.random.default_rng(seed)
-        hit = expected_rng.random(rows) < epsilon
-        which = expected_rng.integers(0, 3, rows)
-        assert rng.bit_generator.state == expected_rng.bit_generator.state
-        assert set(which[hit]) == {0, 1, 2}
+        assert set(which[hit]) == {0, 1, 2} and not hit.all()
         assert after.dtype == before.dtype
         for row in range(rows):
             if not hit[row]:
@@ -383,7 +402,7 @@ class TestNormPreservation:
                 if kind == 0:
                     amps = ry(amps, q, float(rng.normal()))
                 elif kind == 1 or n == 1:
-                    depolarize_kernel(amps, q, 0.5, rng)
+                    depolarize(amps, q, 0.5, rng)
                 else:
                     t = (q + 1 + int(rng.integers(n - 1))) % n
                     amps = cx(amps, n, q, t)

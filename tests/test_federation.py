@@ -269,6 +269,25 @@ class TestRunRound:
         with pytest.raises(LabelError, match="client 0, round 3"):
             run_round(3, config, start, poisoned, ctx)
 
+    def test_validation_failures_name_the_round(self):
+        # Class-0 rows train to a finite loss under head weights at the float
+        # limit, but the validation set's class-1 rows overflow (see
+        # test_non_finite_validation_loss_raises).
+        from qfedsim.data import LabeledDataset
+
+        config, _, _ = make_setup(n_clients=1, eta=0.0, seed=17)
+        spec = config.spec
+        rng = np.random.default_rng(4)
+        val = LabeledDataset(rng.uniform(0.1, 1.0, size=(8, 4)), [0, 0, 0, 1, 1, 1, 2, 2],
+                             frozenset({0, 1}), frozenset({2}))
+        ctx = build_validation_context(val, spec, frozenset({0, 1}))
+        shard = ClientShard(ctx.encoded[:3], np.zeros(3, dtype=np.int64))
+        params = ModelParams(np.zeros((1, 2)), np.array([[1e308] * 4, [-1e308] * 4]),
+                             np.zeros(2))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="round 0: non-finite validation loss"):
+                run_round(0, config, params, [shard], ctx)
+
     def test_shard_count_mismatch_rejected(self):
         config, part, val = make_setup(seed=15)
         shards = build_client_shards(part, config.spec)

@@ -24,6 +24,7 @@ from qfedsim.model import (
     init_params,
     load_params,
     probability_batch,
+    run_ansatz_kernel,
     run_circuit,
     save_params,
 )
@@ -161,6 +162,38 @@ class TestRunCircuit:
         params = make_params(spec, 2)
         with pytest.raises(ConfigError):
             run_circuit(spec, params, zero_state(2), NoiseSpec(0.1), None)
+
+
+class TestRunAnsatzKernel:
+    """One pass over an (S, layers, qubits) angle stack."""
+
+    @pytest.mark.parametrize("entangler", [LINEAR_CHAIN, RING])
+    def test_stack_equals_block_by_block_passes(self, entangler):
+        spec = CircuitSpec(3, 2, entangler)
+        rng = np.random.default_rng(5)
+        stack = rng.uniform(-np.pi, np.pi, size=(4, 2, 3))
+        encoded = encode_batch(rng.normal(size=(5, 8)), 3)
+        amps = np.tile(encoded, (4, 1))
+        run_ansatz_kernel(amps, spec, stack, NoiseSpec.off(), None)
+        for s in range(4):
+            block = encoded.copy()
+            run_ansatz_kernel(block, spec, stack[s], NoiseSpec.off(), None)
+            assert np.array_equal(amps[5 * s : 5 * s + 5], block)
+
+    @pytest.mark.parametrize("epsilon, draws", [(0.0, False), (1e-9, True), (0.3, True)])
+    def test_noise_draws_the_whole_trajectory_up_front(self, epsilon, draws):
+        # 2 layers of 3 Ry sites and 3 ring CX gates of 2 sites each: 18
+        # sites, one uniform and then one Pauli choice per (site, row).
+        spec = CircuitSpec(3, 2, RING)
+        rng = np.random.default_rng(3)
+        amps = encode_batch(rng.normal(size=(7, 8)), 3)
+        run_ansatz_kernel(amps, spec, np.ones((2, 3)), NoiseSpec(epsilon), rng)
+        twin = np.random.default_rng(3)
+        twin.normal(size=(7, 8))
+        if draws:
+            twin.random((18, 7))
+            twin.integers(0, 3, (18, 7))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestForward:

@@ -1,10 +1,21 @@
 """Losses, parameter-shift gradients, SGD and proximal updates, local loops."""
 
+import re
+
 import numpy as np
 import pytest
 
 import oracles
-from qfedsim.core import NoiseSpec, Observable, ShotSpec
+from qfedsim import model
+from qfedsim.core import (
+    NoiseSpec,
+    Observable,
+    ShotSpec,
+    apply_cx_kernel,
+    apply_one_qubit_kernel,
+    depolarize_kernel,
+    ry_matrices,
+)
 from qfedsim.data import LabeledDataset
 from qfedsim.encoding import encode_batch
 from qfedsim.exceptions import ConfigError, DataError, LabelError, NumericError
@@ -17,6 +28,7 @@ from qfedsim.model import (
     head_scores,
     init_params,
     probability_batch,
+    readout_batch,
 )
 from qfedsim.training import (
     MODE_CLASSIFY,
@@ -226,12 +238,47 @@ class TestGradParameterShift:
         assert est.evals_used == 2 * spec.quantum_param_count * 7
 
 
+def ansatz_on_trajectory(spec, angles, amps, hit, which):
+    """The ansatz gate by gate on one block of rows; noise site s (in gate
+    order, CX control before target) applies the pre-drawn (hit[s], which[s])."""
+    mats = ry_matrices(angles)
+    sites = iter(zip(hit, which))
+    for layer in range(spec.n_layers):
+        for q in range(spec.n_qubits):
+            apply_one_qubit_kernel(amps, q, mats[layer, q])
+            depolarize_kernel(amps, q, *next(sites))
+        for control, target in spec.entangler_pairs():
+            apply_cx_kernel(amps, spec.n_qubits, control, target)
+            depolarize_kernel(amps, control, *next(sites))
+            depolarize_kernel(amps, target, *next(sites))
+
+
 def per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng):
     """The per-shift reference: one ansatz pass for the base readout, then
     grad_parameter_shift over the cotangent functional, one pass per shifted
-    angle matrix."""
+    angle matrix, each read out on its own.
+
+    Under noise the trajectory of all S = 2D + 1 passes is drawn first, as
+    one uniform and then one Pauli choice per (site, row) over S * B rows,
+    and pass s runs on its columns s * B .. (s + 1) * B - 1."""
     rows = encoded.shape[0]
-    readout = probability_batch(spec, params.angles, encoded, shots, noise, rng)
+    passes = 2 * params.angles.size + 1
+    if noise.active:
+        sites = spec.n_layers * (spec.n_qubits + 2 * len(spec.entangler_pairs()))
+        hit = rng.random((sites, passes * rows)) < noise.epsilon
+        which = rng.integers(0, 3, (sites, passes * rows))
+    blocks = iter(range(passes))
+
+    def probabilities(angles):
+        if not noise.active:
+            return probability_batch(spec, angles, encoded, shots, noise, rng)
+        block = next(blocks)
+        cols = slice(block * rows, (block + 1) * rows)
+        amps = encoded.copy()
+        ansatz_on_trajectory(spec, angles, amps, hit[:, cols], which[:, cols])
+        return readout_batch(amps, shots, rng)
+
+    readout = probabilities(params.angles)
     loss = cross_entropy(params, readout, labels)
     delta = class_probabilities(head_scores(params, readout))
     delta[np.arange(rows), labels] -= 1.0
@@ -239,11 +286,10 @@ def per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng):
     cotangent = delta @ params.head_weights
 
     def functional(angles):
-        shifted = probability_batch(spec, angles, encoded, shots, noise, rng)
-        return float((cotangent * shifted).sum())
+        return float((cotangent * probabilities(angles)).sum())
 
-    est = grad_parameter_shift(spec, params, functional, evals_per_call=rows)
-    return loss, est.angle_grads, delta.T @ readout, delta.sum(axis=0), est.evals_used
+    est = grad_parameter_shift(spec, params, functional)
+    return loss, est.angle_grads, delta.T @ readout, delta.sum(axis=0), rows * est.evals_used
 
 
 def assert_same_gradient(spec, params, encoded, labels, shots, noise, seed):
@@ -263,8 +309,8 @@ def assert_same_gradient(spec, params, encoded, labels, shots, noise, seed):
 
 class TestStackedShiftGradient:
     """classify_loss_and_grad against the per-shift reference: the exact-mode
-    adjoint sweep within 1e-10 and against finite differences; the stochastic
-    shift path bit for bit."""
+    adjoint sweep within 1e-10 and against finite differences; the stacked
+    stochastic pass bit for bit, generator state included."""
 
     @pytest.mark.parametrize("n, layers", [(1, 1), (2, 1), (3, 2), (4, 3), (10, 3)])
     @pytest.mark.parametrize("entangler", [LINEAR_CHAIN, RING])
@@ -324,6 +370,96 @@ class TestStackedShiftGradient:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
                 classify_loss_and_grad(spec, huge, encoded, labels, EXACT, CLEAN, None)
+
+    @pytest.mark.parametrize("block, angle, sign", [(1, (0, 0), "+"), (4, (0, 1), "-"),
+                                                    (11, (1, 2), "+"), (12, (1, 2), "-")])
+    def test_non_finite_shifted_value_names_angle_and_sign(self, monkeypatch, block,
+                                                           angle, sign):
+        # Block 2k + 1 (2k + 2) of the stacked readout is angle k's +shift
+        # (-shift) pass; poisoning one of its rows must name that angle.
+        spec = CircuitSpec(3, 2)
+        params = make_params(spec, 3, seed=2)
+        rng = np.random.default_rng(3)
+        encoded = encode_batch(rng.normal(size=(4, 8)), 3)
+        labels = rng.integers(0, 3, size=4)
+        original = model.readout_batch
+
+        def poisoned(amps, shots, gen):
+            out = original(amps, shots, gen)
+            out[4 * block + 2, 5] = np.nan
+            return out
+
+        monkeypatch.setattr(model, "readout_batch", poisoned)
+        with pytest.raises(NumericError, match=re.escape(f"angle {angle}, shift {sign}pi/2")):
+            classify_loss_and_grad(spec, params, encoded, labels, ShotSpec(64), CLEAN, rng)
+
+
+def depolarized_probabilities(spec, angles, state, epsilon):
+    """Diagonal of the density matrix after the noisy ansatz: each gate, then
+    the depolarizing channel on every qubit it touched. The one-qubit channel
+    of oracles.depolarize_density acts on the 2x2 blocks of that qubit's row
+    and column indices (qubit q is tensor axis n - 1 - q)."""
+    n = spec.n_qubits
+    rho = np.outer(state, state).astype(complex)
+
+    def channel(rho, q):
+        axes = (n - 1 - q, 2 * n - 1 - q)
+        t = np.moveaxis(rho.reshape((2,) * (2 * n)), axes, (-2, -1))
+        t = oracles.depolarize_density(t, epsilon)
+        return np.moveaxis(t, (-2, -1), axes).reshape(rho.shape)
+
+    for layer in range(spec.n_layers):
+        for q in range(n):
+            u = oracles.lift_one(n, q, oracles.ry_matrix(angles[layer, q]))
+            rho = channel(u @ rho @ u.conj().T, q)
+        for control, target in spec.entangler_pairs():
+            u = oracles.cx_matrix(n, control, target)
+            rho = channel(channel(u @ rho @ u.conj().T, control), target)
+    return rho.diagonal().real
+
+
+class TestNoisyGradientInDistribution:
+    """The stacked noisy gradient is unbiased: at a fixed cotangent its mean
+    over independent trajectories is the gradient of the same functional of
+    the density-matrix readout."""
+
+    def test_mean_matches_density_matrix_gradient(self, monkeypatch):
+        spec = CircuitSpec(3, 2)
+        epsilon, rows, runs = 0.1, 16, 3000
+        params = make_params(spec, 3, seed=21)
+        rng = np.random.default_rng(22)
+        encoded = encode_batch(rng.normal(size=(rows, 8)), 3)
+        labels = rng.integers(0, 3, size=rows)
+        # The cotangent is (softmax - onehot) / rows @ W; a constant softmax fixes it.
+        softmax = class_probabilities(rng.normal(size=(rows, 3)))
+        monkeypatch.setattr("qfedsim.training.class_probabilities", lambda y: softmax.copy())
+        delta = softmax.copy()
+        delta[np.arange(rows), labels] -= 1.0
+        cotangent = delta / rows @ params.head_weights
+
+        def density_functional(angles):
+            return sum(float(cotangent[r] @ depolarized_probabilities(spec, angles, encoded[r],
+                                                                      epsilon))
+                       for r in range(rows))
+
+        def noiseless_functional(angles):
+            return float((cotangent * probability_batch(spec, angles, encoded, EXACT,
+                                                        CLEAN, None)).sum())
+
+        expected = oracles.finite_difference(density_functional, params.angles)
+        noiseless = oracles.finite_difference(noiseless_functional, params.angles)
+        gen = np.random.default_rng(23)
+        samples = np.stack([
+            classify_loss_and_grad(spec, params, encoded, labels, EXACT, NoiseSpec(epsilon),
+                                   gen)[1].angle_grads
+            for _ in range(runs)
+        ])
+        stderr = samples.std(axis=0, ddof=1) / np.sqrt(runs)
+        # Five standard errors per angle. Dropping the noise after CX targets,
+        # or applying X where Y was drawn, moves the mean about nine; the
+        # noiseless gradient lies far outside.
+        assert np.all(np.abs(samples.mean(axis=0) - expected) < 5 * stderr)
+        assert np.any(np.abs(samples.mean(axis=0) - noiseless) > 20 * stderr)
 
 
 class TestSgdStep:
