@@ -82,7 +82,6 @@ from .training import (
     local_train,
     loss_vqe,
     personalized_step,
-    sgd_step,
 )
 
 __version__ = "0.1.0"

@@ -147,11 +147,12 @@ class RoundHistory:
 
 
 def params_checksum(params: ModelParams) -> str:
-    return hashlib.sha256(params.to_vector().tobytes()).hexdigest()[:16]
+    return hashlib.sha256(params.vector.tobytes()).hexdigest()[:16]
 
 
 def payload_bits(param_count: int, bits_per_value: int) -> int:
-    """Per-round communication: the quantum parameter vector, up plus down."""
+    """Per-round communication of one client: its whole parameter vector
+    (L*n + K*2**n + K values) up and the new global one down."""
     if param_count < 1:
         raise ContractError(f"parameter count must be >= 1, got {param_count}")
     return 2 * param_count * bits_per_value
@@ -160,22 +161,14 @@ def payload_bits(param_count: int, bits_per_value: int) -> int:
 # ---------------------------------------------------------------------------
 # Aggregation.
 
-def _check_homogeneous(param_sets) -> None:
+def aggregate_weighted(param_sets, alphas) -> ModelParams:
+    """Element-wise convex combination sum(alpha_n * params_n), one
+    tensordot over the stacked parameter vectors."""
     if not param_sets:
         raise DataError("nothing to aggregate")
     first = param_sets[0]
-    for p in param_sets[1:]:
-        if (
-            p.angles.shape != first.angles.shape
-            or p.head_weights.shape != first.head_weights.shape
-            or p.head_bias.shape != first.head_bias.shape
-        ):
-            raise ShapeError("parameter shapes differ across clients")
-
-
-def aggregate_weighted(param_sets, alphas) -> ModelParams:
-    """Element-wise convex combination sum(alpha_n * params_n)."""
-    _check_homogeneous(param_sets)
+    if any(p.shapes != first.shapes for p in param_sets[1:]):
+        raise ShapeError("parameter shapes differ across clients")
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.shape != (len(param_sets),):
         raise ShapeError(
@@ -185,10 +178,8 @@ def aggregate_weighted(param_sets, alphas) -> ModelParams:
         raise ConfigError(f"weights sum to {alphas.sum()!r}, not 1")
     if np.any(alphas < 0):
         raise ConfigError("weights must be non-negative")
-    return ModelParams(
-        np.tensordot(alphas, np.stack([p.angles for p in param_sets]), axes=1),
-        np.tensordot(alphas, np.stack([p.head_weights for p in param_sets]), axes=1),
-        np.tensordot(alphas, np.stack([p.head_bias for p in param_sets]), axes=1),
+    return first.with_vector(
+        np.tensordot(alphas, np.stack([p.vector for p in param_sets]), axes=1)
     )
 
 
@@ -335,7 +326,7 @@ def run_round(round_index: int, config: FederationConfig, global_params: ModelPa
         auroc=scores["auroc"],
         aupr=scores["aupr"],
         client_losses=tuple(float(r.loss_trace[-1]) for r in results),
-        payload_bits=payload_bits(config.spec.quantum_param_count, config.bits_per_value),
+        payload_bits=payload_bits(new_global.vector.size, config.bits_per_value),
         circuit_evals=sum(r.evals_used for r in results),
     )
     return new_global, record

@@ -10,7 +10,7 @@ All evaluation funnels through `run_ansatz_kernel`, which acts in place on a
 (rows, 2**n) amplitude array run at one (layers, qubits) angle matrix, or at
 one per block of rows (training's stochastic shift pass). Class scores for
 a batch of encoded rows are head_scores(params, probability_batch(...));
-`run_circuit` runs the same kernel on one QuantumState. Training's adjoint
+`run_circuit` runs it noiselessly on one QuantumState. Training's adjoint
 sweep walks the same gates backwards (see the training module).
 """
 
@@ -63,10 +63,6 @@ class CircuitSpec:
     def dim(self) -> int:
         return 1 << self.n_qubits
 
-    @property
-    def quantum_param_count(self) -> int:
-        return self.n_layers * self.n_qubits
-
     def entangler_pairs(self) -> tuple:
         """CX (control, target) pairs per layer: the chain CX(i, i+1), with a
         ring closure CX(n-1, 0) only for n >= 3 (at n=2 the closure would just
@@ -77,43 +73,68 @@ class CircuitSpec:
         return tuple(pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ModelParams:
-    """Trainable parameters: rotation angles plus the linear head."""
+    """Trainable parameters, kept as one read-only float64 `vector` copied
+    from the constructor's arrays: [angles layer-major, W row-major, b], the
+    params.bin payload. `angles` (n_layers, n_qubits), `head_weights`
+    (n_classes, 2**n_qubits) and `head_bias` (n_classes,) are views of it.
+    Steps, averaging, checksums and payload counts use the vector alone."""
 
-    angles: np.ndarray        # (n_layers, n_qubits), radians
-    head_weights: np.ndarray  # (n_classes, 2**n_qubits)
-    head_bias: np.ndarray     # (n_classes,)
+    vector: np.ndarray
+    angles: np.ndarray
+    head_weights: np.ndarray
+    head_bias: np.ndarray
 
-    def __post_init__(self):
-        angles = np.asarray(self.angles, dtype=np.float64)
-        weights = np.asarray(self.head_weights, dtype=np.float64)
-        bias = np.asarray(self.head_bias, dtype=np.float64)
+    def __init__(self, angles, head_weights, head_bias):
+        angles = np.asarray(angles, dtype=np.float64)
+        weights = np.asarray(head_weights, dtype=np.float64)
+        bias = np.asarray(head_bias, dtype=np.float64)
         if angles.ndim != 2:
             raise ShapeError(f"angles must be (layers, qubits), got shape {angles.shape}")
         if weights.ndim != 2 or bias.ndim != 1 or weights.shape[0] != bias.shape[0]:
             raise ShapeError(
                 f"head shapes inconsistent: W {weights.shape}, b {bias.shape}"
             )
-        for name, arr in (("angles", angles), ("head_weights", weights), ("head_bias", bias)):
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "head_weights", weights)
-        object.__setattr__(self, "head_bias", bias)
+        self._adopt(np.concatenate([angles.ravel(), weights.ravel(), bias]),
+                    angles.shape, weights.shape)
+
+    def _adopt(self, vector: np.ndarray, angle_shape: tuple, weight_shape: tuple) -> None:
+        """Take ownership of a fresh float64 vector and view its parts."""
+        n_angles = angle_shape[0] * angle_shape[1]
+        n_head = n_angles + weight_shape[0] * weight_shape[1]
+        finite = np.isfinite(vector)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            name = "angles" if first < n_angles else (
+                "head_weights" if first < n_head else "head_bias")
+            raise NumericError(f"{name} contains non-finite entries")
+        vector.flags.writeable = False
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "angles", vector[:n_angles].reshape(angle_shape))
+        object.__setattr__(self, "head_weights", vector[n_angles:n_head].reshape(weight_shape))
+        object.__setattr__(self, "head_bias", vector[n_head:])
 
     @property
     def n_classes(self) -> int:
         return self.head_bias.shape[0]
 
+    @property
+    def shapes(self) -> tuple:
+        """(angles, head_weights, head_bias) shapes: the whole geometry."""
+        return self.angles.shape, self.head_weights.shape, self.head_bias.shape
+
     def with_angles(self, angles: np.ndarray) -> "ModelParams":
         return ModelParams(angles, self.head_weights, self.head_bias)
 
-    def to_vector(self) -> np.ndarray:
-        """Flatten as [angles layer-major, W row-major, b]."""
-        return np.concatenate(
-            [self.angles.ravel(), self.head_weights.ravel(), self.head_bias]
-        )
+    def with_vector(self, vector: np.ndarray) -> "ModelParams":
+        """Parameters of this geometry holding a copy of `vector`."""
+        vector = np.array(vector, dtype=np.float64)
+        if vector.shape != self.vector.shape:
+            raise ShapeError(f"{vector.shape} vector for {self.vector.size} parameters")
+        params = object.__new__(ModelParams)
+        params._adopt(vector, self.angles.shape, self.head_weights.shape)
+        return params
 
 
 def check_params(spec: CircuitSpec, params: ModelParams) -> None:
@@ -179,20 +200,17 @@ def run_ansatz_kernel(amps: np.ndarray, spec: CircuitSpec, angles: np.ndarray,
                 depolarize(control, target)
 
 
-def run_circuit(spec: CircuitSpec, params: ModelParams, input_state: QuantumState,
-                noise: NoiseSpec = NoiseSpec.off(),
-                rng: np.random.Generator | None = None) -> QuantumState:
-    """Apply the ansatz to one input state."""
+def run_circuit(spec: CircuitSpec, params: ModelParams,
+                input_state: QuantumState) -> QuantumState:
+    """Apply the noiseless ansatz to one input state."""
     check_params(spec, params)
     if input_state.n_qubits != spec.n_qubits:
         raise ShapeError(
             f"input on {input_state.n_qubits} qubits does not match "
             f"spec on {spec.n_qubits}"
         )
-    if noise.active and rng is None:
-        raise ConfigError("noisy circuit evaluation needs a generator")
     amps = input_state.amplitudes.copy().reshape(1, spec.dim)
-    run_ansatz_kernel(amps, spec, params.angles, noise, rng)
+    run_ansatz_kernel(amps, spec, params.angles, NoiseSpec.off(), None)
     return QuantumState(spec.n_qubits, amps[0])
 
 
@@ -235,7 +253,7 @@ def class_probabilities(y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic, version, geometry, then the flat float64 vector
+# Checkpoint format: magic, version, geometry, then ModelParams.vector
 # [angles layer-major, W row-major, b], all little-endian.
 
 def save_params(path, spec: CircuitSpec, params: ModelParams) -> None:
@@ -243,7 +261,7 @@ def save_params(path, spec: CircuitSpec, params: ModelParams) -> None:
     header = _CHECKPOINT_MAGIC + struct.pack(
         "<IIII", _CHECKPOINT_VERSION, spec.n_layers, spec.n_qubits, params.n_classes
     )
-    payload = params.to_vector().astype("<f8").tobytes()
+    payload = params.vector.astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)

@@ -158,6 +158,8 @@ def _build_summary(config: ExperimentConfig, history: RoundHistory, stats,
         "target_loss": config.target_loss,
         "rounds_to_target": _rounds_to_target(history, config.target_loss),
         "total_payload_bits": sum(r.payload_bits for r in history.records),
+        "payload_counts": ("per round, one client's upload and download of all L*n angles, "
+                           "K*2**n head weights and K head biases, bits_per_value bits each"),
         "total_circuit_evals": sum(r.circuit_evals for r in history.records),
         "params_checksum": last.params_checksum,
     }

@@ -1,9 +1,9 @@
-"""Local optimization: losses, parameter-shift gradients, SGD, proximal steps.
+"""Local optimization: losses, parameter-shift gradients, proximal steps.
 
 Two training modes share the machinery:
 
   - vqe: minimize the exact expectation <H> of an observable over the
-    circuit run from |0...0> (optionally under trajectory noise; there is no
+    noiseless circuit run from |0...0> (no trajectory noise and no
     shot-sampled readout of <H>). The loss is linear in the expectation, so
     the two-point shift rule differentiates it exactly.
   - classify: softmax cross-entropy on top of the linear head. The loss is
@@ -16,6 +16,9 @@ Two training modes share the machinery:
     finite shots the two-point shift rule differentiates the functional, all
     shifted angle matrices stacked into one stochastic ansatz pass (see
     classify_loss_and_grad).
+
+A GradientEstimate holds its gradient as a ModelParams, so a step is one
+expression on the flat parameter vector (see personalized_step).
 
 `evals_used` counts gradient-rule circuit executions only (2 per angle per
 probability readout): in exact VQE mode a T-step training consumes exactly
@@ -81,19 +84,15 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class GradientEstimate:
-    """Gradient of a loss w.r.t. every model parameter, plus work accounting."""
+    """Gradient of a loss w.r.t. every model parameter, laid out as the
+    parameters themselves (so finite by construction), plus work accounting."""
 
-    angle_grads: np.ndarray
-    head_weight_grads: np.ndarray
-    head_bias_grads: np.ndarray
+    gradient: ModelParams
     evals_used: int
 
-    def __post_init__(self):
-        for name in ("angle_grads", "head_weight_grads", "head_bias_grads"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, arr)
+    @property
+    def angle_grads(self) -> np.ndarray:
+        return self.gradient.angles
 
 
 @dataclass(frozen=True)
@@ -103,10 +102,8 @@ class LocalTrainResult:
     evals_used: int
 
 
-def loss_vqe(spec: CircuitSpec, params: ModelParams, observable: Observable,
-             noise: NoiseSpec = NoiseSpec.off(),
-             rng: np.random.Generator | None = None) -> float:
-    """Exact <H> on the ansatz output from |0...0>."""
+def loss_vqe(spec: CircuitSpec, params: ModelParams, observable: Observable) -> float:
+    """Exact <H> on the noiseless ansatz output from |0...0>."""
     check_params(spec, params)
     if observable.n_qubits != spec.n_qubits:
         raise ShapeError(
@@ -114,7 +111,7 @@ def loss_vqe(spec: CircuitSpec, params: ModelParams, observable: Observable,
             f"circuit on {spec.n_qubits}"
         )
     amps = np.eye(1, spec.dim)  # |0...0> as a one-row batch
-    run_ansatz_kernel(amps, spec, params.angles, noise, rng)
+    run_ansatz_kernel(amps, spec, params.angles, NoiseSpec.off(), None)
     return core.expectation(QuantumState(spec.n_qubits, amps[0]), observable)
 
 
@@ -154,12 +151,9 @@ def grad_parameter_shift(spec: CircuitSpec, params: ModelParams,
         if not (np.isfinite(up) and np.isfinite(down)):
             raise NumericError(f"non-finite loss at shifted angle {idx}")
         grads[idx] = 0.5 * (up - down)
-    return GradientEstimate(
-        grads,
-        np.zeros_like(params.head_weights),
-        np.zeros_like(params.head_bias),
-        2 * base.size,
-    )
+    gradient = ModelParams(grads, np.zeros_like(params.head_weights),
+                           np.zeros_like(params.head_bias))
+    return GradientEstimate(gradient, 2 * base.size)
 
 
 def _adjoint_angle_grads(spec: CircuitSpec, angles: np.ndarray, state: np.ndarray,
@@ -246,55 +240,41 @@ def classify_loss_and_grad(spec: CircuitSpec, params: ModelParams, encoded: np.n
             raise NumericError(f"non-finite shifted value at angle "
                                f"{divmod(bad // 2, spec.n_qubits)}, shift {'+-'[bad % 2]}pi/2")
         angle_grads = (0.5 * (values[0::2] - values[1::2])).reshape(params.angles.shape)
-    return loss, GradientEstimate(
-        angle_grads,
-        delta.T @ base,
-        delta.sum(axis=0),
-        2 * params.angles.size * rows,
-    )
-
-
-def sgd_step(params: ModelParams, grad: GradientEstimate, eta: float) -> ModelParams:
-    """Plain gradient descent: every parameter decremented by eta * gradient."""
-    return ModelParams(
-        params.angles - eta * grad.angle_grads,
-        params.head_weights - eta * grad.head_weight_grads,
-        params.head_bias - eta * grad.head_bias_grads,
-    )
+    try:
+        gradient = ModelParams(angle_grads, delta.T @ base, delta.sum(axis=0))
+    except NumericError as err:
+        raise NumericError(f"gradient {err}") from None
+    return loss, GradientEstimate(gradient, 2 * params.angles.size * rows)
 
 
 def personalized_step(params: ModelParams, grad: GradientEstimate, eta: float,
                       lam: float, global_params: ModelParams | None) -> ModelParams:
-    """Proximal update w <- w - eta * (g + lam * (w - w_global)).
+    """Proximal update w <- w - eta * (g + lam * (w - w_global)) on the whole
+    parameter vector, angles and head alike.
 
-    The pull applies to the whole parameter vector, angles and head alike.
-    lam = 0 takes the plain SGD path, so zero-weight trajectories are
-    bit-identical to sgd_step trajectories.
+    lam = 0 is plain gradient descent, w - eta * g, and needs no anchor; its
+    trajectories do not depend on whether one is passed.
     """
+    w = params.vector
     if lam == 0.0:
-        return sgd_step(params, grad, eta)
+        return params.with_vector(w - eta * grad.gradient.vector)
     if global_params is None:
         raise ConfigError("personalized step with lam > 0 needs anchor parameters")
-    if params.angles.shape != global_params.angles.shape or \
-            params.head_weights.shape != global_params.head_weights.shape:
+    if global_params.shapes != params.shapes:
         raise ShapeError("local and global parameter shapes differ")
-    return ModelParams(
-        params.angles - eta * (grad.angle_grads + lam * (params.angles - global_params.angles)),
-        params.head_weights
-        - eta * (grad.head_weight_grads + lam * (params.head_weights - global_params.head_weights)),
-        params.head_bias
-        - eta * (grad.head_bias_grads + lam * (params.head_bias - global_params.head_bias)),
+    return params.with_vector(
+        w - eta * (grad.gradient.vector + lam * (w - global_params.vector))
     )
 
 
-def _train_vqe_loop(spec, params, observable, config, global_params, noise, rng):
+def _train_vqe_loop(spec, params, observable, config, global_params):
     trace = np.zeros(config.local_epochs)
     evals = 0
     for epoch in range(config.local_epochs):
-        trace[epoch] = loss_vqe(spec, params, observable, noise, rng)
+        trace[epoch] = loss_vqe(spec, params, observable)
 
         def shifted_loss(angles):
-            return loss_vqe(spec, params.with_angles(angles), observable, noise, rng)
+            return loss_vqe(spec, params.with_angles(angles), observable)
 
         grad = grad_parameter_shift(spec, params, shifted_loss)
         params = personalized_step(params, grad, config.eta, config.lam, global_params)
@@ -312,16 +292,16 @@ def local_train(spec: CircuitSpec, start_params: ModelParams,
 
     classify mode: `dataset_shard` is a non-empty LabeledDataset whose rows
     train against their logit indices; it is encoded once and handed to
-    train_on_encoded.
+    train_on_encoded. `rng` drives the shuffles and every stochastic draw
+    and is required, so that every run can be replayed.
 
     vqe mode: Algorithm-style observable minimization; `dataset_shard` is
     ignored (the loss consumes no data), one gradient step per epoch, and the
-    trace holds the loss at the start of each step. `observable` is required,
-    and `shots` must be exact: <H> is read out exactly.
+    trace holds the loss at the start of each step. `observable` is required;
+    `shots` must be exact and `noise` off: <H> is read out exactly, on the
+    noiseless circuit, so vqe mode draws nothing.
     """
     check_params(spec, start_params)
-    if rng is None:
-        rng = np.random.default_rng()
     if config.mode == MODE_VQE:
         if observable is None:
             raise ConfigError("vqe mode needs an observable")
@@ -329,9 +309,13 @@ def local_train(spec: CircuitSpec, start_params: ModelParams,
             raise ConfigError(
                 f"vqe mode reads <H> out exactly; got {shots.shots} shots"
             )
-        return _train_vqe_loop(
-            spec, start_params, observable, config, global_params, noise, rng
-        )
+        if noise.active:
+            raise ConfigError(
+                f"vqe mode runs the noiseless circuit; got noise {noise.epsilon}"
+            )
+        return _train_vqe_loop(spec, start_params, observable, config, global_params)
+    if rng is None:
+        raise ConfigError("classify training needs a seeded generator; got rng=None")
     if dataset_shard is None:
         raise DataError("classify training needs a non-empty shard")
     return train_on_encoded(

@@ -13,6 +13,8 @@ name does not count.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -103,3 +105,19 @@ def test_a_shadowing_name_in_another_module_does_not_count():
     assert ("model", "head_scores") in found
     assert ("core", "expectation") in found
     assert ("data", "forward") in found and ("data", "kl") in found
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench wraps these by (module, attribute) and its worker calls the
+    # last two; renaming or deleting one would break `run.py --trace 1` alone.
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    hooks = [(module, attr) for module, attr, _, _ in spans.TRACE_POINTS]
+    hooks += [("federation", "run_round"), ("model", "load_params")]
+    missing = [
+        f"{module}.{attr}" for module, attr in hooks
+        if not callable(getattr(importlib.import_module(f"qfedsim.{module}"), attr, None))
+    ]
+    assert missing == []

@@ -144,6 +144,77 @@ class TestLoadFeatures:
         assert ds.labels.tolist() == labels.tolist()
 
 
+def random_csv(rng):
+    """A seeded random feature file: (lines, features, labels, line number of
+    each data row). Random width, an optional header, blank and
+    whitespace-only lines, negative zeros, exponents from 1e-12 to 1e12
+    written in several exact float formats, and labels as integers or as
+    integral floats."""
+    rows, width = int(rng.integers(1, 25)), int(rng.integers(1, 7))
+    features = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-12, 13, size=(rows, width))
+    features[rng.random(features.shape) < 0.05] = -0.0
+    labels = rng.integers(-3, 10, size=rows)
+    formats = (repr, "{:.17e}".format, "{:.17E}".format, lambda v: f" {v!r} ")
+    lines = []
+    if rng.random() < 0.5:
+        lines.append(",".join([f"f{i}" for i in range(width)] + ["label"]))
+    numbers = []
+    for row, label in zip(features.tolist(), labels.tolist()):
+        while rng.random() < 0.3:
+            lines.append(" " * int(rng.integers(3)))
+        fields = [formats[int(rng.integers(len(formats)))](v) for v in row]
+        fields.append(str(label) if rng.random() < 0.7 else f"{label}.0")
+        lines.append(",".join(fields))
+        numbers.append(len(lines))
+    return lines, features, labels, numbers
+
+
+class TestLoadFeaturesProperties:
+    def write(self, tmp_path, lines, trailing=1):
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n" * trailing)
+        return path
+
+    def test_random_files_load_bit_for_bit(self, tmp_path):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            lines, features, labels, _ = random_csv(rng)
+            ds = load_features(self.write(tmp_path, lines, int(rng.integers(1, 3))))
+            assert ds.features.tobytes() == features.tobytes(), seed
+            assert ds.labels.tolist() == labels.tolist(), seed
+
+    @pytest.mark.parametrize("fault, error", [("ragged", SchemaError),
+                                              ("non_numeric", ParseError),
+                                              ("fractional_label", ParseError)])
+    def test_bad_row_names_its_line(self, tmp_path, fault, error):
+        checked = 0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            lines, _, labels, numbers = random_csv(rng)
+            # The first data row fixes the width, and a non-numeric line 1 is a
+            # header, so neither can carry those faults.
+            if fault == "ragged":
+                candidates = numbers[1:]
+            else:
+                candidates = [n for n in numbers if n != 1]
+            if not candidates:
+                continue
+            lineno = candidates[int(rng.integers(len(candidates)))]
+            fields = lines[lineno - 1].split(",")
+            if fault == "ragged":
+                fields = fields[:-1] if rng.random() < 0.5 else fields + ["1.0"]
+            elif fault == "non_numeric":
+                bad = ("abc", "1.0.0", "", "--2", "1e")[int(rng.integers(5))]
+                fields[int(rng.integers(len(fields)))] = bad
+            else:
+                fields[-1] = f"{labels[numbers.index(lineno)]}.5"
+            lines[lineno - 1] = ",".join(fields)
+            with pytest.raises(error, match=rf"^line {lineno}:"):
+                load_features(self.write(tmp_path, lines))
+            checked += 1
+        assert checked >= 80
+
+
 class TestWithAnomalyClasses:
     def test_resplit(self, tmp_path):
         ds = tiny_dataset([0, 1, 2])

@@ -93,18 +93,18 @@ class TestAggregate:
         out = aggregate_weighted(
             [const_params(0.0), const_params(4.0)], np.array([0.25, 0.75])
         )
-        assert np.allclose(out.to_vector(), 3.0, atol=1e-15)
+        assert np.allclose(out.vector, 3.0, atol=1e-15)
 
     def test_one_hot_weights_select_a_client(self):
         a, b = random_params(1), random_params(2)
         out = aggregate_weighted([a, b], np.array([1.0, 0.0]))
-        assert np.array_equal(out.to_vector(), a.to_vector())
+        assert np.array_equal(out.vector, a.vector)
 
     def test_uniform_matches_stacked_mean(self):
         sets = [random_params(s) for s in range(5)]
         out = aggregate_weighted(sets, np.full(5, 0.2))
-        expected = np.mean([p.to_vector() for p in sets], axis=0)
-        assert np.allclose(out.to_vector(), expected, atol=1e-12)
+        expected = np.mean([p.vector for p in sets], axis=0)
+        assert np.allclose(out.vector, expected, atol=1e-12)
 
     def test_weighted_matches_manual_sum(self):
         rng = np.random.default_rng(3)
@@ -112,15 +112,26 @@ class TestAggregate:
         raw = rng.random(4)
         alphas = raw / raw.sum()
         out = aggregate_weighted(sets, alphas)
-        expected = sum(a * p.to_vector() for a, p in zip(alphas, sets))
-        assert np.allclose(out.to_vector(), expected, atol=1e-12)
+        expected = sum(a * p.vector for a, p in zip(alphas, sets))
+        assert np.allclose(out.vector, expected, atol=1e-12)
 
     def test_result_stays_in_convex_hull(self):
         sets = [random_params(s) for s in range(3)]
-        stacked = np.stack([p.to_vector() for p in sets])
-        out = aggregate_weighted(sets, np.full(3, 1.0 / 3)).to_vector()
+        stacked = np.stack([p.vector for p in sets])
+        out = aggregate_weighted(sets, np.full(3, 1.0 / 3)).vector
         assert np.all(out >= stacked.min(axis=0) - 1e-12)
         assert np.all(out <= stacked.max(axis=0) + 1e-12)
+
+    @pytest.mark.parametrize("n_sets", [1, 3, 10])
+    def test_matches_per_part_tensordot(self, n_sets):
+        spec = CircuitSpec(3, 2)
+        sets = [random_params(s, spec, 3) for s in range(n_sets)]
+        raw = np.random.default_rng(n_sets).random(n_sets)
+        alphas = raw / raw.sum()
+        out = aggregate_weighted(sets, alphas)
+        for part in ("angles", "head_weights", "head_bias"):
+            ref = np.tensordot(alphas, np.stack([getattr(p, part) for p in sets]), axes=1)
+            assert np.allclose(getattr(out, part), ref, rtol=0.0, atol=1e-15)
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
@@ -248,7 +259,7 @@ class TestRunRound:
             config.spec, start, shards[0].encoded, shards[0].labels, config.train,
             start, config.shots, config.noise[0], client_rng(config.master_seed, 0, 0),
         )
-        assert np.array_equal(new_global.to_vector(), direct.params.to_vector())
+        assert np.array_equal(new_global.vector, direct.params.vector)
         assert record.client_losses == (float(direct.loss_trace[-1]),)
 
     def test_zero_eta_round_returns_same_params(self):
@@ -257,7 +268,7 @@ class TestRunRound:
         ctx = build_validation_context(val, config.spec, part.dataset.normal_classes)
         start = init_params(config.spec, 2, derive_rng(config.master_seed, STAGE_INIT))
         new_global, record = run_round(0, config, start, shards, ctx)
-        assert np.array_equal(new_global.to_vector(), start.to_vector())
+        assert np.array_equal(new_global.vector, start.vector)
         assert record.params_checksum == params_checksum(start)
 
     def test_client_failures_name_client_and_round(self):
@@ -302,7 +313,7 @@ class TestRunFederation:
         config, part, val = make_setup(seed=21)
         a = run_federation(config, part, val)
         b = run_federation(config, part, val)
-        assert np.array_equal(a.final_params.to_vector(), b.final_params.to_vector())
+        assert np.array_equal(a.final_params.vector, b.final_params.vector)
         assert [r.params_checksum for r in a.records] == [
             r.params_checksum for r in b.records
         ]
@@ -318,12 +329,13 @@ class TestRunFederation:
             assert 0.0 <= r.fe_pct <= 100.0
             assert 0.0 <= r.me_pct <= 100.0
             assert len(r.client_losses) == config.n_clients
-            assert r.payload_bits == payload_bits(config.spec.quantum_param_count, 32)
+            # the whole model goes up and down: 2 angles, 2 x 4 head weights, 2 biases
+            assert r.payload_bits == payload_bits(2 + 2 * 4 + 2, 32)
 
     def test_eval_accounting_sums_client_gradient_work(self):
         config, part, val = make_setup(rounds=2, epochs=2, seed=27)
         history = run_federation(config, part, val)
-        d = config.spec.quantum_param_count
+        d = config.spec.n_layers * config.spec.n_qubits
         n_train = sum(part.shard_sizes())
         for r in history.records:
             assert r.circuit_evals == 2 * d * config.train.local_epochs * n_train

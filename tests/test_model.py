@@ -50,10 +50,6 @@ def scores(spec, params, rows, shots=EXACT, rng=None):
 
 
 class TestCircuitSpec:
-    def test_quantum_param_count(self):
-        assert CircuitSpec(4, 3).quantum_param_count == 12
-        assert CircuitSpec(2, 5).quantum_param_count == 10
-
     def test_chain_pairs(self):
         assert CircuitSpec(4, 1).entangler_pairs() == ((0, 1), (1, 2), (2, 3))
         assert CircuitSpec(1, 1).entangler_pairs() == ()
@@ -77,18 +73,54 @@ class TestCircuitSpec:
 
 class TestModelParams:
     def test_finite_required(self):
-        with pytest.raises(NumericError):
-            ModelParams(np.array([[np.nan]]), np.zeros((2, 2)), np.zeros(2))
+        # one check over the whole vector; the message names the part
+        parts = {"angles": np.zeros((1, 2)), "head_weights": np.zeros((2, 4)),
+                 "head_bias": np.zeros(2)}
+        for name in parts:
+            for bad in (np.nan, np.inf):
+                args = {k: v.copy() for k, v in parts.items()}
+                args[name].flat[-1] = bad
+                with pytest.raises(NumericError, match=f"^{name} "):
+                    ModelParams(**args)
 
     def test_vector_round_trip(self):
-        # to_vector lays out [angles layer-major, W row-major, b]
+        # vector lays out [angles layer-major, W row-major, b]
         spec = CircuitSpec(3, 2)
         params = make_params(spec, 4, seed=5)
-        vec = params.to_vector()
-        assert vec.shape == (6 + 4 * 8 + 4,)
+        vec = params.vector
+        assert vec.shape == (6 + 4 * 8 + 4,) and vec.dtype == np.float64
         assert np.array_equal(vec[:6].reshape(2, 3), params.angles)
         assert np.array_equal(vec[6:38].reshape(4, 8), params.head_weights)
         assert np.array_equal(vec[38:], params.head_bias)
+
+    def test_parts_are_read_only_views_of_the_vector(self):
+        params = make_params(CircuitSpec(2, 2), 3, seed=2)
+        for part in (params.vector, params.angles, params.head_weights, params.head_bias):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[...] = 0.0
+        for part in (params.angles, params.head_weights, params.head_bias):
+            assert np.shares_memory(part, params.vector)
+
+    def test_caller_arrays_do_not_alias(self):
+        angles, weights, bias = np.ones((1, 2)), np.ones((2, 4)), np.ones(2)
+        params = ModelParams(angles, weights, bias)
+        angles[0, 0] = weights[0, 0] = bias[0] = 7.0
+        for part in (params.angles, params.head_weights, params.head_bias):
+            assert np.all(part == 1.0)
+
+    def test_with_vector_keeps_geometry_and_copies(self):
+        params = make_params(CircuitSpec(3, 2), 2, seed=4)
+        raw = np.arange(params.vector.size, dtype=np.float64)
+        out = params.with_vector(raw)
+        assert out.shapes == params.shapes
+        assert np.array_equal(out.vector, raw)
+        raw[0] = 99.0
+        assert out.vector[0] == 0.0
+        with pytest.raises(ShapeError):
+            params.with_vector(raw[:-1])
+        with pytest.raises(NumericError, match="head_bias"):
+            params.with_vector(np.where(np.arange(raw.size) == raw.size - 1, np.nan, raw))
 
     def test_vector_length_checked(self):
         with pytest.raises(ShapeError):
@@ -156,12 +188,6 @@ class TestRunCircuit:
         params = make_params(spec, 2)
         with pytest.raises(ShapeError):
             run_circuit(spec, params, zero_state(3))
-
-    def test_noise_needs_generator(self):
-        spec = CircuitSpec(2, 1)
-        params = make_params(spec, 2)
-        with pytest.raises(ConfigError):
-            run_circuit(spec, params, zero_state(2), NoiseSpec(0.1), None)
 
 
 class TestRunAnsatzKernel:
@@ -268,7 +294,7 @@ class TestCheckpoints:
         save_params(path, spec, params)
         n_layers, n_qubits, n_classes, vec = load_params(path)
         assert (n_layers, n_qubits, n_classes) == (2, 3, 4)
-        assert np.array_equal(vec, params.to_vector())
+        assert np.array_equal(vec, params.vector)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -186,15 +186,17 @@ class TestRun:
         assert summary["global_rounds"] == 2
         assert set(summary["final"]) == {"val_loss", "fe_pct", "me_pct", "auroc", "aupr"}
         assert summary["rounds_to_target"] == 1  # target_loss = 100 is instant
-        # 2 rounds of the 2-value vector at 32 bits, up and down
-        assert summary["total_payload_bits"] == 2 * (2 * 2 * 32)
+        # 2 rounds of the whole 12-value model (2 angles, 2 x 4 head
+        # weights, 2 biases) at 32 bits, up and down
+        assert summary["total_payload_bits"] == 2 * (2 * 12 * 32)
+        assert "head weights" in summary["payload_counts"]
 
     def test_checkpoint_round_trips(self, base_run):
         layers, qubits, classes, vec = load_params(
             os.path.join(base_run.output_dir, PARAMS_NAME)
         )
         assert (layers, qubits, classes) == (1, 2, 2)
-        assert np.array_equal(vec, base_run.history.final_params.to_vector())
+        assert np.array_equal(vec, base_run.history.final_params.vector)
 
     def test_partition_manifest_indexes_training_set(self, base_run):
         manifest = json.loads(read_bytes(base_run.output_dir, PARTITION_NAME))
@@ -326,8 +328,9 @@ class TestSweep:
 
 class TestCompare:
     def test_reference_payload_total(self, long_run):
-        # 12 quantum parameters at 32 bits, both directions, over 50 rounds
-        assert long_run.summary["total_payload_bits"] == 38400
+        # 12 angles, 2 x 16 head weights and 2 biases at 32 bits, both
+        # directions, over 50 rounds
+        assert long_run.summary["total_payload_bits"] == 50 * 2 * 46 * 32
 
     def test_self_comparison_has_zero_deltas(self, base_run):
         text = compare([base_run.output_dir, base_run.output_dir])
@@ -342,7 +345,7 @@ class TestCompare:
         text = compare([base_run.output_dir, long_run.output_dir])
         assert "unequal horizons" in text
         assert "2, 50" in text
-        assert "38400" in text
+        assert str(long_run.summary["total_payload_bits"]) in text
 
     def test_never_reaching_target_displays_and_skips_delta(self, base_run, tmp_path):
         never = run(make_config(output_dir=tmp_path / "never", target_loss=1e-12))

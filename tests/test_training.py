@@ -18,7 +18,7 @@ from qfedsim.core import (
 )
 from qfedsim.data import LabeledDataset
 from qfedsim.encoding import encode_batch
-from qfedsim.exceptions import ConfigError, DataError, LabelError, NumericError
+from qfedsim.exceptions import ConfigError, DataError, LabelError, NumericError, ShapeError
 from qfedsim.model import (
     LINEAR_CHAIN,
     RING,
@@ -33,6 +33,7 @@ from qfedsim.model import (
 from qfedsim.training import (
     MODE_CLASSIFY,
     MODE_VQE,
+    GradientEstimate,
     TrainConfig,
     classify_loss_and_grad,
     cross_entropy,
@@ -40,7 +41,6 @@ from qfedsim.training import (
     local_train,
     loss_vqe,
     personalized_step,
-    sgd_step,
     train_on_encoded,
 )
 
@@ -219,14 +219,14 @@ class TestGradParameterShift:
                 return batch_loss(spec, shifted, batch)
 
             fd_w = oracles.finite_difference(head_loss, params.head_weights)
-            assert np.allclose(est.head_weight_grads, fd_w, atol=1e-6)
+            assert np.allclose(est.gradient.head_weights, fd_w, atol=1e-6)
 
             def bias_loss(b):
                 shifted = ModelParams(params.angles, params.head_weights, b)
                 return batch_loss(spec, shifted, batch)
 
             fd_b = oracles.finite_difference(bias_loss, params.head_bias)
-            assert np.allclose(est.head_bias_grads, fd_b, atol=1e-6)
+            assert np.allclose(est.gradient.head_bias, fd_b, atol=1e-6)
 
     def test_eval_accounting_scales_with_batch(self):
         spec = CircuitSpec(2, 2)
@@ -235,7 +235,7 @@ class TestGradParameterShift:
         encoded = encode_batch(rng.normal(size=(7, 4)), 2)
         labels = rng.integers(0, 2, size=7)
         _, est = classify_loss_and_grad(spec, params, encoded, labels, EXACT, CLEAN, None)
-        assert est.evals_used == 2 * spec.quantum_param_count * 7
+        assert est.evals_used == 2 * params.angles.size * 7
 
 
 def ansatz_on_trajectory(spec, angles, amps, hit, which):
@@ -301,8 +301,8 @@ def assert_same_gradient(spec, params, encoded, labels, shots, noise, seed):
     ref = per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng_ref)
     assert loss == ref[0]
     assert np.array_equal(est.angle_grads, ref[1])
-    assert np.array_equal(est.head_weight_grads, ref[2])
-    assert np.array_equal(est.head_bias_grads, ref[3])
+    assert np.array_equal(est.gradient.head_weights, ref[2])
+    assert np.array_equal(est.gradient.head_bias, ref[3])
     assert est.evals_used == ref[4]
     assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
 
@@ -326,8 +326,8 @@ class TestStackedShiftGradient:
         ref = per_shift_loss_and_grad(spec, params, encoded, labels, EXACT, CLEAN, None)
         assert loss == ref[0]
         assert np.allclose(est.angle_grads, ref[1], rtol=0.0, atol=1e-10)
-        assert np.array_equal(est.head_weight_grads, ref[2])
-        assert np.array_equal(est.head_bias_grads, ref[3])
+        assert np.array_equal(est.gradient.head_weights, ref[2])
+        assert np.array_equal(est.gradient.head_bias, ref[3])
         assert est.evals_used == ref[4]
 
         def functional_loss(angles):
@@ -367,8 +367,9 @@ class TestStackedShiftGradient:
         labels = rng.integers(0, 3, size=rows)
         huge = ModelParams(params.angles, 1e308 * np.sign(params.head_weights),
                            params.head_bias)
+        message = "^gradient angles " if rows == 1 else "batch loss"
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError):
+            with pytest.raises(NumericError, match=message):
                 classify_loss_and_grad(spec, huge, encoded, labels, EXACT, CLEAN, None)
 
     @pytest.mark.parametrize("block, angle, sign", [(1, (0, 0), "+"), (4, (0, 1), "-"),
@@ -462,77 +463,79 @@ class TestNoisyGradientInDistribution:
         assert np.any(np.abs(samples.mean(axis=0) - noiseless) > 20 * stderr)
 
 
+def gradient_like(params, vector, evals=0):
+    return GradientEstimate(params.with_vector(vector), evals)
+
+
+def per_part_step(params, grad, eta, lam, anchor):
+    """The update written out part by part, as a reference for the vector form."""
+    g = grad.gradient
+    if lam == 0.0:
+        return ModelParams(params.angles - eta * g.angles,
+                           params.head_weights - eta * g.head_weights,
+                           params.head_bias - eta * g.head_bias)
+    return ModelParams(
+        params.angles - eta * (g.angles + lam * (params.angles - anchor.angles)),
+        params.head_weights
+        - eta * (g.head_weights + lam * (params.head_weights - anchor.head_weights)),
+        params.head_bias - eta * (g.head_bias + lam * (params.head_bias - anchor.head_bias)),
+    )
+
+
 class TestSgdStep:
+    """lam = 0: plain gradient descent through personalized_step."""
+
     def test_zero_gradient_is_identity(self):
         spec = CircuitSpec(2, 1)
         params = make_params(spec, 2, seed=1)
-        from qfedsim.training import GradientEstimate
-
-        zero = GradientEstimate(
-            np.zeros_like(params.angles),
-            np.zeros_like(params.head_weights),
-            np.zeros_like(params.head_bias),
-            0,
-        )
-        out = sgd_step(params, zero, 0.5)
-        assert np.array_equal(out.angles, params.angles)
-        out2 = sgd_step(out, zero, 0.5)
-        assert np.array_equal(out2.angles, params.angles)
+        zero = gradient_like(params, np.zeros_like(params.vector))
+        out = personalized_step(params, zero, 0.5, 0.0, None)
+        assert np.array_equal(out.vector, params.vector)
+        out2 = personalized_step(out, zero, 0.5, 0.0, None)
+        assert np.array_equal(out2.vector, params.vector)
 
     def test_scalar_update_rule(self):
-        from qfedsim.training import GradientEstimate
-
         params = ModelParams(np.array([[1.0]]), np.zeros((1, 2)), np.zeros(1))
-        grad = GradientEstimate(np.array([[2.0]]), np.zeros((1, 2)), np.zeros(1), 0)
-        out = sgd_step(params, grad, 0.1)
+        grad = GradientEstimate(ModelParams(np.array([[2.0]]), np.zeros((1, 2)), np.zeros(1)), 0)
+        out = personalized_step(params, grad, 0.1, 0.0, None)
         assert out.angles[0, 0] == pytest.approx(0.8, abs=1e-15)
 
 
 class TestPersonalizedStep:
     def make_zero_grad(self, params):
-        from qfedsim.training import GradientEstimate
+        return gradient_like(params, np.zeros_like(params.vector))
 
-        return GradientEstimate(
-            np.zeros_like(params.angles),
-            np.zeros_like(params.head_weights),
-            np.zeros_like(params.head_bias),
-            0,
-        )
+    def random_grad(self, params, seed):
+        return gradient_like(params, np.random.default_rng(seed).normal(size=params.vector.size))
 
     def test_zero_lambda_reduces_to_sgd(self):
+        # lam = 0 is w - eta * g whether or not an anchor is passed
         spec = CircuitSpec(2, 2)
         params = make_params(spec, 2, seed=2)
-        rng = np.random.default_rng(3)
-        from qfedsim.training import GradientEstimate
-
-        grad = GradientEstimate(
-            rng.normal(size=params.angles.shape),
-            rng.normal(size=params.head_weights.shape),
-            rng.normal(size=params.head_bias.shape),
-            0,
-        )
+        grad = self.random_grad(params, 3)
         a = personalized_step(params, grad, 0.05, 0.0, None)
-        b = sgd_step(params, grad, 0.05)
-        assert np.array_equal(a.angles, b.angles)
-        assert np.array_equal(a.head_weights, b.head_weights)
-        assert np.array_equal(a.head_bias, b.head_bias)
+        b = personalized_step(params, grad, 0.05, 0.0, make_params(spec, 2, seed=9))
+        assert np.array_equal(a.vector, params.vector - 0.05 * grad.gradient.vector)
+        assert np.array_equal(a.vector, b.vector)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.5])
+    @pytest.mark.parametrize("n, layers, n_classes", [(1, 1, 2), (3, 2, 3), (4, 1, 5)])
+    def test_matches_per_part_reference(self, lam, n, layers, n_classes):
+        spec = CircuitSpec(n, layers)
+        params = make_params(spec, n_classes, seed=n)
+        anchor = make_params(spec, n_classes, seed=n + 50)
+        grad = self.random_grad(params, layers)
+        out = personalized_step(params, grad, 0.07, lam, anchor)
+        ref = per_part_step(params, grad, 0.07, lam, anchor)
+        assert out.vector.tobytes() == ref.vector.tobytes()
 
     def test_at_anchor_proximal_vanishes(self):
         spec = CircuitSpec(2, 1)
         params = make_params(spec, 2, seed=4)
-        rng = np.random.default_rng(5)
-        from qfedsim.training import GradientEstimate
-
-        grad = GradientEstimate(
-            rng.normal(size=params.angles.shape),
-            rng.normal(size=params.head_weights.shape),
-            rng.normal(size=params.head_bias.shape),
-            0,
-        )
+        grad = self.random_grad(params, 5)
         a = personalized_step(params, grad, 0.1, 0.7, params)
-        b = sgd_step(params, grad, 0.1)
-        assert np.allclose(a.angles, b.angles, atol=1e-15)
-        assert np.allclose(a.head_weights, b.head_weights, atol=1e-15)
+        b = personalized_step(params, grad, 0.1, 0.0, None)
+        assert np.allclose(a.vector, b.vector, atol=1e-15)
 
     def test_scalar_hand_evaluation(self):
         # w=1, g=0, lam=0.1, eta=0.01, w_global=0 -> 1 - 0.01*0.1*1 = 0.999
@@ -550,8 +553,8 @@ class TestPersonalizedStep:
             if eta * lam >= 1:
                 continue
             out = personalized_step(params, zero, eta, lam, anchor)
-            before = np.linalg.norm(params.to_vector() - anchor.to_vector())
-            after = np.linalg.norm(out.to_vector() - anchor.to_vector())
+            before = np.linalg.norm(params.vector - anchor.vector)
+            after = np.linalg.norm(out.vector - anchor.vector)
             assert after < before
 
     def test_missing_anchor_rejected(self):
@@ -559,6 +562,12 @@ class TestPersonalizedStep:
         params = make_params(spec, 2)
         with pytest.raises(ConfigError):
             personalized_step(params, self.make_zero_grad(params), 0.1, 0.5, None)
+
+    def test_anchor_geometry_checked(self):
+        params = make_params(CircuitSpec(2, 1), 2)
+        for anchor in (make_params(CircuitSpec(2, 2), 2), make_params(CircuitSpec(2, 1), 3)):
+            with pytest.raises(ShapeError):
+                personalized_step(params, self.make_zero_grad(params), 0.1, 0.5, anchor)
 
 
 class TestLocalTrain:
@@ -594,7 +603,7 @@ class TestLocalTrain:
             spec, start, None, config,
             rng=np.random.default_rng(1), observable=Observable(((1.0, "ZZZ"),)),
         )
-        assert result.evals_used == 2 * spec.quantum_param_count * 17
+        assert result.evals_used == 2 * start.angles.size * 17
 
     def test_vqe_rejects_finite_shots(self):
         spec = CircuitSpec(1, 1)
@@ -602,6 +611,20 @@ class TestLocalTrain:
         with pytest.raises(ConfigError, match="64 shots"):
             local_train(spec, make_params(spec, 2), None, config, shots=ShotSpec(64),
                         rng=np.random.default_rng(0), observable=Observable(((1.0, "Z"),)))
+
+    def test_vqe_rejects_noise(self):
+        spec = CircuitSpec(1, 1)
+        config = TrainConfig(mode=MODE_VQE)
+        with pytest.raises(ConfigError, match="noise"):
+            local_train(spec, make_params(spec, 2), None, config, noise=NoiseSpec(0.1),
+                        rng=np.random.default_rng(0), observable=Observable(((1.0, "Z"),)))
+
+    def test_classify_requires_generator(self):
+        # without a generator the run could not be replayed
+        spec = CircuitSpec(2, 1)
+        batch = make_batch(np.random.default_rng(2), 4, 4, 2)
+        with pytest.raises(ConfigError, match="generator"):
+            local_train(spec, make_params(spec, 2), batch, TrainConfig(local_epochs=1))
 
     def test_vqe_requires_observable(self):
         spec = CircuitSpec(1, 1)
@@ -627,7 +650,7 @@ class TestLocalTrain:
                         rng=np.random.default_rng(99))
             for _ in range(2)
         ]
-        assert np.array_equal(runs[0].params.to_vector(), runs[1].params.to_vector())
+        assert np.array_equal(runs[0].params.vector, runs[1].params.vector)
         assert np.array_equal(runs[0].loss_trace, runs[1].loss_trace)
         assert runs[0].evals_used == runs[1].evals_used
 
@@ -641,7 +664,7 @@ class TestLocalTrain:
         without_anchor = local_train(spec, params, batch, anchored, global_params=None,
                                      rng=np.random.default_rng(7))
         assert np.array_equal(
-            with_anchor.params.to_vector(), without_anchor.params.to_vector()
+            with_anchor.params.vector, without_anchor.params.vector
         )
 
     def test_training_decreases_loss(self):
@@ -668,7 +691,7 @@ class TestLocalTrain:
                         rng=np.random.default_rng(21))
         b = train_on_encoded(spec, params, encode_batch(batch.features, 2), batch.labels, config,
                              params, EXACT, CLEAN, np.random.default_rng(21))
-        assert np.array_equal(a.params.to_vector(), b.params.to_vector())
+        assert np.array_equal(a.params.vector, b.params.vector)
         assert np.array_equal(a.loss_trace, b.loss_trace)
 
 
