@@ -1,8 +1,11 @@
 """Datasets: CSV ingestion, random projection, synthetic benchmark, partitioning.
 
 The file format is comma-separated text, one sample per row: F real features
-followed by one integer class label; an optional header row is skipped when
-its first field is not numeric.
+followed by one integer class label; blank lines are skipped. Line 1 is a
+header when its first field is not a number to Python's `float`. A number is
+what numpy's text reader accepts: no digit-group underscores, no non-ASCII
+digits. Non-finite values, and labels that are not integers of magnitude
+below 2**63, are rejected with the line they are on.
 
 Anomalies never enter training shards — the model trains on normal classes
 only and anomaly labels exist to build scored validation sets.
@@ -11,8 +14,8 @@ only and anomaly labels exist to build scored validation sets.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -143,48 +146,66 @@ class PartitionStats:
 def load_features(path) -> LabeledDataset:
     """Parse a feature CSV into a dataset; all classes start as normal.
 
-    The file is read line by line into flat float64 and int64 buffers, so no
-    per-row objects outlive the line that produced them.
+    The data lines stream through numpy's C text reader in one pass; only a
+    file that fails is read again, line by line, to name its first bad line.
     """
-    features = array("d")
-    labels = array("q")
-    width = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            fields = text.split(",")
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ParseError(f"line {lineno}: non-numeric field in {text!r}") from None
-            if len(values) < 2:
-                raise SchemaError(f"line {lineno}: need at least one feature and a label")
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise SchemaError(
-                    f"line {lineno}: row has {len(values)} fields, expected {width}"
-                )
-            label = values.pop()
-            if label != int(label):
-                raise ParseError(
-                    f"line {lineno}: label {fields[-1].strip()!r} is not an integer"
-                )
-            features.extend(values)
-            labels.append(int(label))
-    if not labels:
-        raise DataError(f"{path} holds no samples")
-    label_array = np.frombuffer(labels, dtype=np.int64)
+        rows = (line for line in _lines_after_header(fh)[1] if line.strip())
+        head = next(rows, None)
+        if head is None:
+            raise DataError(f"{path} holds no samples")
+        try:
+            table = _parse_rows(chain([head], rows))
+        except (ParseError, SchemaError):
+            _raise_at_first_bad_line(fh)
+    labels = table[:, -1].astype(np.int64)
     return LabeledDataset(
-        np.frombuffer(features, dtype=np.float64).reshape(len(labels), width - 1),
-        label_array,
-        frozenset(np.unique(label_array).tolist()),
-        frozenset(),
+        table[:, :-1], labels, frozenset(np.unique(labels).tolist()), frozenset()
     )
+
+
+def _lines_after_header(fh) -> tuple:
+    """(number of the first line, the lines): line 1 is left out as a header
+    when its first field is not a number."""
+    first = fh.readline()
+    try:
+        float(first.split(",", 1)[0])
+    except ValueError:
+        return 2, fh
+    return 1, chain([first], fh)
+
+
+def _parse_rows(lines, width=None) -> np.ndarray:
+    """The checked (rows, fields) table of CSV lines; errors name no line."""
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        # Ragged rows land here too; only single lines reach the caller.
+        raise ParseError("non-numeric field") from None
+    if table.shape[1] < 2:
+        raise SchemaError("need at least one feature and a label")
+    if width not in (None, table.shape[1]):
+        raise SchemaError(f"row has {table.shape[1]} fields, expected {width}")
+    if not np.isfinite(table).all():
+        raise ParseError("non-finite value")
+    label = table[:, -1]
+    if np.any((label != np.trunc(label)) | (np.abs(label) >= 2.0 ** 63)):
+        raise ParseError("label is not an integer of magnitude below 2**63")
+    return table
+
+
+def _raise_at_first_bad_line(fh):
+    fh.seek(0)
+    start, lines = _lines_after_header(fh)
+    width = None
+    for lineno, line in enumerate(lines, start=start):
+        if not line.strip():
+            continue
+        try:
+            width = _parse_rows([line], width).shape[1]
+        except (ParseError, SchemaError) as err:
+            raise type(err)(f"line {lineno}: {err} in {line.strip()!r}") from None
+    raise DataError(f"{fh.name} changed while it was read")
 
 
 def with_anomaly_classes(dataset: LabeledDataset, anomaly_ids) -> LabeledDataset:

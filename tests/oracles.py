@@ -4,6 +4,8 @@ Everything here is deliberately naive — dense Kronecker products, explicit
 loops, brute-force pair enumeration — and shares no code with the package.
 """
 
+import math
+
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
@@ -122,3 +124,55 @@ def sweep_aupr(scores, labels) -> float:
         ap += precision * (recall - prev_recall)
         prev_recall = recall
     return ap
+
+
+class CSVFault(Exception):
+    """A bad feature file: `kind` names the loader exception it should raise
+    ("SchemaError" or "ParseError") and `lineno` the physical line."""
+
+    def __init__(self, kind: str, lineno: int):
+        super().__init__(f"{kind} at line {lineno}")
+        self.kind = kind
+        self.lineno = lineno
+
+
+def load_csv_rows(path):
+    """Line-by-line reference for the feature CSV format: (features, labels).
+
+    One `float` per field; blank lines are skipped; line 1 is a header when
+    its first field is not a number; every row has the first row's width of
+    at least two fields; values are finite; labels are integers of magnitude
+    below 2**63. An empty or header-only file raises CSVFault("DataError", 0).
+    """
+    features, labels, width = [], [], None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text:
+                continue
+            fields = text.split(",")
+            if lineno == 1:
+                try:
+                    float(fields[0])
+                except ValueError:
+                    continue
+            try:
+                values = [float(f) for f in fields]
+            except ValueError:
+                raise CSVFault("ParseError", lineno) from None
+            if len(values) < 2:
+                raise CSVFault("SchemaError", lineno)
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise CSVFault("SchemaError", lineno)
+            if not all(math.isfinite(v) for v in values):
+                raise CSVFault("ParseError", lineno)
+            label = values.pop()
+            if label != int(label) or abs(label) >= 2 ** 63:
+                raise CSVFault("ParseError", lineno)
+            features.append(values)
+            labels.append(int(label))
+    if not labels:
+        raise CSVFault("DataError", 0)
+    return np.array(features, dtype=np.float64), labels

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from qfedsim.data import (
@@ -113,6 +114,7 @@ class TestLoadFeatures:
         with pytest.raises(ParseError, match="label"):
             load_features(self.write(tmp_path, "1.0,2.0,0.5\n"))
 
+    @pytest.mark.filterwarnings("error")
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(DataError):
             load_features(self.write(tmp_path, "\n\n"))
@@ -121,9 +123,26 @@ class TestLoadFeatures:
         ds = load_features(self.write(tmp_path, "1.0,2.0,0\n\n3.0,4.0,1\n"))
         assert len(ds) == 2
 
+    @pytest.mark.filterwarnings("error")
     def test_header_only_file_rejected(self, tmp_path):
         with pytest.raises(DataError):
             load_features(self.write(tmp_path, "f1,f2,label\n"))
+
+    def test_line_one_with_numeric_first_field_is_data(self, tmp_path):
+        path = self.write(tmp_path, "1.0,abc,0\n2.0,3.0,1\n4.0,5.0,1\n")
+        with pytest.raises(ParseError, match="^line 1:"):
+            load_features(path)
+
+    @pytest.mark.parametrize("row", ["nan,2.0,1", "1.0,inf,1", "-inf,2.0,1",
+                                     "1.0,2.0,nan", "1.0,2.0,inf", "1.0,2.0,1e300",
+                                     "1.0,2.0,-9223372036854775808"])
+    def test_non_finite_value_or_huge_label_names_line(self, tmp_path, row):
+        with pytest.raises(ParseError, match="^line 3:"):
+            load_features(self.write(tmp_path, f"1.0,2.0,0\n\n{row}\n"))
+
+    def test_largest_int64_labels_load(self, tmp_path):
+        ds = load_features(self.write(tmp_path, "1.0,-9.2e18\n2.0,9.2e18\n"))
+        assert ds.labels.tolist() == [-9_200_000_000_000_000_000, 9_200_000_000_000_000_000]
 
     def test_single_class_file_loads(self, tmp_path):
         ds = load_features(self.write(tmp_path, "1.0,2.0,3\n4.0,5.0,3\n"))
@@ -169,50 +188,85 @@ def random_csv(rng):
     return lines, features, labels, numbers
 
 
+def faulty_csv(rng, fault):
+    """A seeded random feature file with one `fault` on a random data line:
+    (lines, that line's number), or None when no line can carry the fault."""
+    lines, _, labels, numbers = random_csv(rng)
+    # The first data row fixes the width, so it cannot be ragged.
+    candidates = numbers[1:] if fault == "ragged" else numbers
+    if not candidates:
+        return None
+    lineno = candidates[int(rng.integers(len(candidates)))]
+    fields = lines[lineno - 1].split(",")
+    if fault == "ragged":
+        fields = fields[:-1] if rng.random() < 0.5 else fields + ["1.0"]
+    elif fault in ("non_numeric", "non_finite"):
+        bad = {"non_numeric": ("abc", "1.0.0", "", "--2", "1e"),
+               "non_finite": ("nan", "inf", "-inf", " NaN", "-1e400")}[fault]
+        # A line 1 whose first field is not a number is a header.
+        first = 1 if fault == "non_numeric" and lineno == 1 else 0
+        fields[int(rng.integers(first, len(fields)))] = bad[int(rng.integers(len(bad)))]
+    elif fault == "fractional_label":
+        fields[-1] = f"{labels[numbers.index(lineno)]}.5"
+    else:
+        fields[-1] = ("1e300", "-1e19", "9223372036854775808")[int(rng.integers(3))]
+    lines[lineno - 1] = ",".join(fields)
+    return lines, lineno
+
+
+FAULTS = [("ragged", SchemaError),
+          ("non_numeric", ParseError),
+          ("fractional_label", ParseError),
+          ("non_finite", ParseError),
+          ("huge_label", ParseError)]
+
+
 class TestLoadFeaturesProperties:
+    """Seeded random files, checked against how they were made and against
+    the line-by-line reference loader in `oracles`."""
+
     def write(self, tmp_path, lines, trailing=1):
         path = tmp_path / "data.csv"
-        path.write_text("\n".join(lines) + "\n" * trailing)
+        path.write_text("\n".join(lines) + "\n" * trailing, encoding="utf-8")
         return path
 
     def test_random_files_load_bit_for_bit(self, tmp_path):
         for seed in range(200):
             rng = np.random.default_rng(seed)
             lines, features, labels, _ = random_csv(rng)
-            ds = load_features(self.write(tmp_path, lines, int(rng.integers(1, 3))))
+            path = self.write(tmp_path, lines, int(rng.integers(1, 3)))
+            ds = load_features(path)
+            reference_features, reference_labels = oracles.load_csv_rows(path)
             assert ds.features.tobytes() == features.tobytes(), seed
-            assert ds.labels.tolist() == labels.tolist(), seed
+            assert reference_features.tobytes() == features.tobytes(), seed
+            assert ds.labels.tolist() == labels.tolist() == reference_labels, seed
 
-    @pytest.mark.parametrize("fault, error", [("ragged", SchemaError),
-                                              ("non_numeric", ParseError),
-                                              ("fractional_label", ParseError)])
+    @pytest.mark.parametrize("fault, error", FAULTS)
     def test_bad_row_names_its_line(self, tmp_path, fault, error):
         checked = 0
         for seed in range(100):
-            rng = np.random.default_rng(seed)
-            lines, _, labels, numbers = random_csv(rng)
-            # The first data row fixes the width, and a non-numeric line 1 is a
-            # header, so neither can carry those faults.
-            if fault == "ragged":
-                candidates = numbers[1:]
-            else:
-                candidates = [n for n in numbers if n != 1]
-            if not candidates:
+            made = faulty_csv(np.random.default_rng(seed), fault)
+            if made is None:
                 continue
-            lineno = candidates[int(rng.integers(len(candidates)))]
-            fields = lines[lineno - 1].split(",")
-            if fault == "ragged":
-                fields = fields[:-1] if rng.random() < 0.5 else fields + ["1.0"]
-            elif fault == "non_numeric":
-                bad = ("abc", "1.0.0", "", "--2", "1e")[int(rng.integers(5))]
-                fields[int(rng.integers(len(fields)))] = bad
-            else:
-                fields[-1] = f"{labels[numbers.index(lineno)]}.5"
-            lines[lineno - 1] = ",".join(fields)
+            lines, lineno = made
+            path = self.write(tmp_path, lines)
             with pytest.raises(error, match=rf"^line {lineno}:"):
-                load_features(self.write(tmp_path, lines))
+                load_features(path)
+            with pytest.raises(oracles.CSVFault) as reference:
+                oracles.load_csv_rows(path)
+            assert (reference.value.kind, reference.value.lineno) == (error.__name__, lineno)
             checked += 1
         assert checked >= 80
+
+    def test_python_only_number_spellings_are_rejected(self, tmp_path):
+        # The one declared difference from the reference: Python's float
+        # reads digit-group underscores and non-ASCII digits, numpy's text
+        # reader does not.
+        for spelling in ("1_0", "\u0661", "\u0968.5"):
+            path = self.write(tmp_path, ["1.0,2.0,0", f"{spelling},2.0,1"])
+            assert oracles.load_csv_rows(path)[1] == [0, 1]
+            with pytest.raises(ParseError, match="^line 2:"):
+                load_features(path)
 
 
 class TestWithAnomalyClasses:
