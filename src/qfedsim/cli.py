@@ -1,7 +1,9 @@
 """Command-line entry point: run / sweep / compare.
 
-Override precedence for the seed and output directory:
-command-line flag > environment variable > config file > default.
+Override precedence for the mode, seed and output directory:
+command-line flag > environment variable (seed and output directory only) >
+config file > default. Overrides replace the file's values before the config
+is validated, so mode normalization sees the file's other values.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 
 from .config import MODES, load_config
 from .exceptions import SimulationError
-from .runner import apply_overrides, compare, run, sweep
+from .runner import compare, run, sweep
 
 ENV_SEED = "QFEDSIM_SEED"
 ENV_OUTPUT_DIR = "QFEDSIM_OUTPUT_DIR"
@@ -42,12 +44,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolved_config(args):
-    config = load_config(args.config)
     seed = args.seed
     if seed is None and os.environ.get(ENV_SEED):
         seed = int(os.environ[ENV_SEED])
-    output_dir = args.output_dir or os.environ.get(ENV_OUTPUT_DIR) or None
-    return apply_overrides(config, mode=args.mode, master_seed=seed, output_dir=output_dir)
+    overrides = {
+        "mode": args.mode,
+        "master_seed": seed,
+        "output_dir": args.output_dir or os.environ.get(ENV_OUTPUT_DIR) or None,
+    }
+    return load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -146,8 +146,10 @@ class PartitionStats:
 def load_features(path) -> LabeledDataset:
     """Parse a feature CSV into a dataset; all classes start as normal.
 
-    The data lines stream through numpy's C text reader in one pass; only a
-    file that fails is read again, line by line, to name its first bad line.
+    The data lines stream through numpy's C text reader in one pass. When a
+    value check fails on the parsed table, the bad row's physical line is
+    found by counting lines; only a file that numpy cannot parse is read
+    again, line by line, to name its first bad line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         rows = (line for line in _lines_after_header(fh)[1] if line.strip())
@@ -158,6 +160,11 @@ def load_features(path) -> LabeledDataset:
             table = _parse_rows(chain([head], rows))
         except (ParseError, SchemaError):
             _raise_at_first_bad_line(fh)
+        bad = _first_bad_value(table)
+        if bad is not None:
+            row, message = bad
+            lineno, line = next(islice(_numbered_data_lines(fh), row, None))
+            raise ParseError(f"line {lineno}: {message} in {line.strip()!r}")
     labels = table[:, -1].astype(np.int64)
     return LabeledDataset(
         table[:, :-1], labels, frozenset(np.unique(labels).tolist()), frozenset()
@@ -175,8 +182,16 @@ def _lines_after_header(fh) -> tuple:
     return 1, chain([first], fh)
 
 
+def _numbered_data_lines(fh):
+    """(line number, line) for each non-blank data line, from the file's start."""
+    fh.seek(0)
+    start, lines = _lines_after_header(fh)
+    return ((n, line) for n, line in enumerate(lines, start=start) if line.strip())
+
+
 def _parse_rows(lines, width=None) -> np.ndarray:
-    """The checked (rows, fields) table of CSV lines; errors name no line."""
+    """The (rows, fields) table of CSV lines, its width checked; errors name
+    no line."""
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     except ValueError:
@@ -186,25 +201,34 @@ def _parse_rows(lines, width=None) -> np.ndarray:
         raise SchemaError("need at least one feature and a label")
     if width not in (None, table.shape[1]):
         raise SchemaError(f"row has {table.shape[1]} fields, expected {width}")
-    if not np.isfinite(table).all():
-        raise ParseError("non-finite value")
-    label = table[:, -1]
-    if np.any((label != np.trunc(label)) | (np.abs(label) >= 2.0 ** 63)):
-        raise ParseError("label is not an integer of magnitude below 2**63")
     return table
 
 
+def _first_bad_value(table: np.ndarray):
+    """(row, message) for the first row holding a non-finite value or a label
+    that is not an integer of magnitude below 2**63; None if there is none."""
+    finite = np.isfinite(table)
+    label = table[:, -1]
+    bad_label = (label != np.trunc(label)) | (np.abs(label) >= 2.0 ** 63)
+    if finite.all() and not bad_label.any():
+        return None
+    row = int(np.argmax(~finite.all(axis=1) | bad_label))
+    if not finite[row].all():
+        return row, "non-finite value"
+    return row, "label is not an integer of magnitude below 2**63"
+
+
 def _raise_at_first_bad_line(fh):
-    fh.seek(0)
-    start, lines = _lines_after_header(fh)
     width = None
-    for lineno, line in enumerate(lines, start=start):
-        if not line.strip():
-            continue
+    for lineno, line in _numbered_data_lines(fh):
         try:
-            width = _parse_rows([line], width).shape[1]
+            table = _parse_rows([line], width)
+            bad = _first_bad_value(table)
+            if bad is not None:
+                raise ParseError(bad[1])
         except (ParseError, SchemaError) as err:
             raise type(err)(f"line {lineno}: {err} in {line.strip()!r}") from None
+        width = table.shape[1]
     raise DataError(f"{fh.name} changed while it was read")
 
 

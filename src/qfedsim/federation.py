@@ -76,23 +76,23 @@ class FederationConfig:
         weights = np.asarray(self.client_weights, dtype=np.float64)
         if weights.shape != (self.n_clients,):
             raise ConfigError(
-                f"client_weights has shape {weights.shape}, expected ({self.n_clients},)"
+                f"client_weights has {weights.size} entries for {self.n_clients} clients"
             )
         if abs(weights.sum() - 1.0) > 1e-9:
-            raise ConfigError(f"client_weights sum to {weights.sum()!r}, not 1")
+            raise ConfigError(f"client_weights sum to {float(weights.sum())!r}, not 1")
         if np.any(weights <= 0):
             raise ConfigError("client_weights must all be positive")
         noise = tuple(self.noise)
         if len(noise) != self.n_clients:
-            raise ConfigError(
-                f"{len(noise)} noise specs for {self.n_clients} clients"
-            )
+            raise ConfigError(f"noise has {len(noise)} entries for {self.n_clients} clients")
         if self.bits_per_value < 1:
             raise ConfigError(f"bits_per_value must be >= 1, got {self.bits_per_value}")
         if self.score_method not in (SCORE_MAX_PROB, SCORE_CENTROID):
             raise ConfigError(f"unknown score_method {self.score_method!r}")
         if self.threshold != THRESHOLD_YOUDEN and not isinstance(self.threshold, (int, float)):
-            raise ConfigError(f"threshold must be '{THRESHOLD_YOUDEN}' or a number")
+            raise ConfigError(
+                f"threshold must be '{THRESHOLD_YOUDEN}' or a number, got {self.threshold!r}"
+            )
         object.__setattr__(self, "client_weights", weights)
         object.__setattr__(self, "noise", noise)
 

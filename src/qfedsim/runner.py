@@ -19,7 +19,6 @@ anything else is refused, never deleted.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import shutil
@@ -28,13 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (
-    DATASET_CSV,
-    DATASET_SYNTHETIC,
-    SWEEP_AXES,
-    ExperimentConfig,
-    config_from_mapping,
-)
+from .config import DATASET_SYNTHETIC, ExperimentConfig, sweep_points
 from .data import (
     LabeledDataset,
     heterogeneity,
@@ -262,22 +255,8 @@ def _format_axis_value(value) -> str:
     return str(value)
 
 
-def _apply_axis(mapping: dict, axis: str, value) -> None:
-    if axis == "lambda":
-        mapping["lam"] = value
-    elif axis == "epsilon":
-        mapping["noise"] = value
-    else:
-        mapping[axis] = value
-
-
-def _sorted_axis(values) -> list:
-    # None (exact shots) sorts after every finite budget.
-    return sorted(values, key=lambda v: (v is None, 0 if v is None else v))
-
-
 def sweep(config: ExperimentConfig) -> list:
-    """Run the cartesian product of the config's sweep axes.
+    """Run every point of the config's sweep grid (see `config.sweep_points`).
 
     Each point runs in its own subdirectory of output_dir, named
     axis_value[__axis_value...], axes in canonical order and values
@@ -288,34 +267,26 @@ def sweep(config: ExperimentConfig) -> list:
         raise ConfigError("config has no sweep axes")
     if not config.output_dir:
         raise ConfigError("no output directory configured")
-    axes = [(axis, _sorted_axis(config.sweep[axis])) for axis in SWEEP_AXES
-            if axis in config.sweep]
-    base = config.to_mapping()
-    base.pop("sweep", None)
-
+    points = sweep_points(config)
     results = []
-    for combo in itertools.product(*(values for _, values in axes)):
-        mapping = json.loads(json.dumps(base))  # deep copy of plain data
-        parts = []
-        for (axis, _), value in zip(axes, combo):
-            _apply_axis(mapping, axis, value)
-            parts.append(f"{axis}_{_format_axis_value(value)}")
-        mapping["output_dir"] = os.path.join(config.output_dir, "__".join(parts))
-        results.append(run(config_from_mapping(mapping)))
+    for point, point_config in points:
+        name = "__".join(f"{axis}_{_format_axis_value(v)}" for axis, v in point.items())
+        results.append(run(replace(point_config,
+                                   output_dir=os.path.join(config.output_dir, name))))
 
     header = (
         ["run_dir"]
-        + [axis for axis, _ in axes]
+        + list(points[0][0])
         + ["val_loss", "fe_pct", "me_pct", "auroc", "aupr",
            "rounds_to_target", "total_payload_bits"]
     )
     lines = [",".join(header)]
-    for (combo, result) in zip(itertools.product(*(v for _, v in axes)), results):
+    for (point, _), result in zip(points, results):
         final = result.summary["final"]
         to_target = result.summary["rounds_to_target"]
         cells = (
             [os.path.basename(result.output_dir)]
-            + [_format_axis_value(v) for v in combo]
+            + [_format_axis_value(v) for v in point.values()]
             + [repr(final["val_loss"]), repr(final["fe_pct"]), repr(final["me_pct"]),
                repr(final["auroc"]), repr(final["aupr"]),
                "" if to_target is None else str(to_target),
@@ -413,20 +384,3 @@ def compare(run_dirs) -> str:
         lines.append("note: runs span unequal horizons (rounds differ: "
                      + ", ".join(str(h) for h in sorted(horizons)) + ")")
     return "\n".join(lines) + "\n"
-
-
-def apply_overrides(config: ExperimentConfig, mode: str | None = None,
-                    master_seed: int | None = None,
-                    output_dir: str | None = None) -> ExperimentConfig:
-    """Apply CLI/environment overrides; mode changes re-normalize lam and
-    n_clients through the validating constructor."""
-    if mode is not None or master_seed is not None:
-        mapping = config.to_mapping()
-        if mode is not None:
-            mapping["mode"] = mode
-        if master_seed is not None:
-            mapping["master_seed"] = master_seed
-        config = replace(config_from_mapping(mapping), output_dir=config.output_dir)
-    if output_dir is not None:
-        config = replace(config, output_dir=output_dir)
-    return config

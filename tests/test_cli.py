@@ -93,6 +93,26 @@ class TestRunCommand:
         assert written["mode"] == "qfl"
         assert written["lam"] == 0.0
 
+    def test_mode_flag_keeps_the_files_lambda(self, tmp_path):
+        config = write_config(tmp_path, mode="qfl", lam=0.3)
+        out = tmp_path / "personalized"
+        assert main(
+            ["run", "--config", config, "--output-dir", str(out), "--mode", "pqfl"]
+        ) == 0
+        written = json.loads((out / CONFIG_NAME).read_text())
+        assert written["mode"] == "pqfl"
+        assert written["lam"] == 0.3
+
+    def test_mode_flag_keeps_the_files_client_count(self, tmp_path):
+        config = write_config(tmp_path, mode="local", n_clients=5)
+        out = tmp_path / "federated"
+        assert main(
+            ["run", "--config", config, "--output-dir", str(out), "--mode", "pqfl"]
+        ) == 0
+        written = json.loads((out / CONFIG_NAME).read_text())
+        assert written["mode"] == "pqfl"
+        assert written["n_clients"] == 5
+
     def test_missing_output_dir_fails_cleanly(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["run", "--config", config]) == 1
@@ -121,6 +141,14 @@ class TestSweepCommand:
         assert (out / "lambda_0.0" / HISTORY_NAME).exists()
         assert (out / "lambda_0.1" / HISTORY_NAME).exists()
         assert (out / "sweep_summary.csv").exists()
+
+    def test_bad_point_fails_before_the_first_run(self, tmp_path, capsys):
+        config = write_config(tmp_path, client_weights=[0.5, 0.5],
+                              sweep={"n_clients": [2, 3]})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", config, "--output-dir", str(out)]) == 1
+        assert "n_clients': 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_without_axes_fails(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -13,9 +13,10 @@ from qfedsim.config import (
     WEIGHTS_UNIFORM,
     config_from_mapping,
     load_config,
+    sweep_points,
 )
 from qfedsim.data import SCHEME_DIRICHLET, SCHEME_STEP
-from qfedsim.exceptions import ConfigError, ParseError
+from qfedsim.exceptions import ConfigError, ParseError, SimulationError
 
 
 def minimal(mode=MODE_PQFL, **extra):
@@ -258,23 +259,103 @@ class TestMetricsAndSweep:
         assert config.sweep == {"shots": (100, None), "lambda": (0.0, 0.1)}
 
 
+class TestSweepPoints:
+    def test_points_in_canonical_order_with_parsed_values(self):
+        config = config_from_mapping(
+            minimal(n_clients=2, sweep={"epsilon": [0.5, 0], "lambda": [1, 0.1]})
+        )
+        points = sweep_points(config)
+        assert [point for point, _ in points] == [
+            {"lambda": 0.1, "epsilon": 0}, {"lambda": 0.1, "epsilon": 0.5},
+            {"lambda": 1, "epsilon": 0}, {"lambda": 1, "epsilon": 0.5},
+        ]
+        assert [(c.lam, c.noise) for _, c in points] == [
+            (0.1, 0.0), (0.1, 0.5), (1.0, 0.0), (1.0, 0.5)
+        ]
+        assert all(c.sweep == {} for _, c in points)
+
+    def test_every_point_is_checked_at_load(self, tmp_path):
+        out = tmp_path / "sweep"
+        data = minimal(n_clients=2, client_weights=[0.5, 0.5],
+                       sweep={"n_clients": [2, 3]}, output_dir=str(out))
+        with pytest.raises(ConfigError, match=r"sweep point \{'n_clients': 3\}"):
+            config_from_mapping(data)
+        assert not out.exists()
+
+
+# Per top-level key: a value of the wrong JSON type, then values out of
+# range, each with the name its error must carry. A nested key in the
+# metrics object is named by itself.
+BAD_VALUES = {
+    "mode": [3, "federated"],
+    "dataset": [[], {"kind": "synthetic", "dim": 1}],
+    "master_seed": ["0", -1],
+    "n_qubits": [4.0, 0, 99],
+    "n_layers": ["3", 0],
+    "entangler": [1, "star"],
+    "global_rounds": [True, 0],
+    "local_epochs": [2.5, 0],
+    "eta": ["fast", -0.1],
+    "lam": [None, -0.5],
+    "noise": ["low", 1.5, [0.1, -0.1]],
+    "shots": [100.0, 0],
+    "batch_size": [[16], 0],
+    "n_clients": ["3", 0, -2],
+    "client_weights": [0.5, "equal", [0.2] * 10, [0.5] * 2],
+    "partition": ["iid", {"scheme": "dirichlet", "alpha": -1.0},
+                  {"scheme": "step", "remainder": 1.0}],
+    "val_fraction": ["0.2", 1.0],
+    "data_fraction": [None, 1.5],
+    "target_loss": ["low"],
+    "bits_per_value": [32.0, 0],
+    "metrics": [[], {"score_method": 1}, {"threshold": True}],
+    "sweep": [[0.1], {"lambda": ["a"]}, {"lambda": [-1.0]}, {"epsilon": [2.0]}],
+    "output_dir": [5],
+}
+NESTED_OUT_OF_RANGE = {
+    "metrics": [({"score_method": "entropy"}, "score_method"),
+                ({"threshold": "median"}, "threshold")],
+}
+
+
+class TestErrorsNameTheKey:
+    def test_every_top_level_key_is_covered(self):
+        config = config_from_mapping(minimal(sweep={"lambda": [0.1]}))
+        assert set(BAD_VALUES) == set(config.to_mapping()) | {"output_dir"}
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [(key, value, key) for key, values in BAD_VALUES.items() for value in values]
+        + [(key, value, named) for key, cases in NESTED_OUT_OF_RANGE.items()
+           for value, named in cases],
+    )
+    def test_bad_value_names_its_key(self, key, value, named):
+        with pytest.raises(SimulationError, match=rf"\b{named}\b"):
+            config_from_mapping(minimal(**{key: value}))
+
+
 class TestSnapshot:
     def test_round_trip_preserves_resolved_config(self):
-        config = config_from_mapping(
-            minimal(
-                mode=MODE_PQFL,
-                lam=0.3,
-                n_clients=2,
-                client_weights=[0.25, 0.75],
-                noise=[0.1, 0.2],
-                partition={"scheme": "dirichlet", "alpha": 0.5},
-                sweep={"lambda": [0.0, 0.1]},
-                output_dir="/tmp/somewhere",
-            )
-        )
-        replayed = config_from_mapping(json.loads(config.to_json()))
-        assert replayed == type(replayed)(**{**replayed.__dict__})
-        assert replayed.to_json() == config.to_json()
+        partitions = ({"scheme": "dirichlet", "alpha": 0.5}, {"scheme": "iid"},
+                      {"scheme": "step", "remainder": 0.1})
+        for mode in (MODE_PQFL, MODE_QFL, MODE_LOCAL):
+            for partition in partitions:
+                config = config_from_mapping(
+                    minimal(
+                        mode=mode,
+                        lam=0.3,
+                        n_clients=2,
+                        client_weights=[0.25, 0.75],
+                        # local runs one client, so it takes one epsilon
+                        noise=[0.1] if mode == MODE_LOCAL else [0.1, 0.2],
+                        partition=partition,
+                        sweep={"lambda": [0.0, 0.1]},
+                        output_dir="/tmp/somewhere",
+                    )
+                )
+                replayed = config_from_mapping(json.loads(config.to_json()))
+                assert replayed == type(replayed)(**{**replayed.__dict__})
+                assert replayed.to_json() == config.to_json()
 
     def test_snapshot_excludes_output_dir(self):
         config = config_from_mapping(minimal(output_dir="/tmp/x"))
@@ -338,3 +419,29 @@ class TestLoadConfig:
         path.write_text(json.dumps(minimal(master_seed=7)))
         config = load_config(path)
         assert config.master_seed == 7
+
+    def write(self, tmp_path, **extra):
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(minimal(**extra)))
+        return path
+
+    def test_mode_override_renormalizes_lambda(self, tmp_path):
+        path = self.write(tmp_path, lam=0.3, output_dir="/tmp/keep-me")
+        config = load_config(path, {"mode": MODE_QFL})
+        assert config.mode == MODE_QFL
+        assert config.lam == 0.0
+        assert config.output_dir == "/tmp/keep-me"
+
+    def test_seed_override(self, tmp_path):
+        path = self.write(tmp_path, master_seed=3)
+        assert load_config(path, {"master_seed": 99}).master_seed == 99
+        with pytest.raises(ConfigError, match="master_seed"):
+            load_config(path, {"master_seed": -1})
+
+    def test_output_dir_override_wins(self, tmp_path):
+        path = self.write(tmp_path, output_dir="/tmp/original")
+        assert load_config(path, {"output_dir": "/tmp/flag"}).output_dir == "/tmp/flag"
+
+    def test_no_overrides_is_identity(self, tmp_path):
+        path = self.write(tmp_path, output_dir="/tmp/x")
+        assert load_config(path, {}) == load_config(path)

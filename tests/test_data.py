@@ -258,6 +258,24 @@ class TestLoadFeaturesProperties:
             checked += 1
         assert checked >= 80
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("last, error", [("1.0,nan,0", "non-finite"),
+                                             ("1.0,2.0,0.5", "label"),
+                                             ("1.0,2.0,1e300", "label")])
+    def test_bad_value_is_located_without_rereading_each_line(self, tmp_path, monkeypatch,
+                                                              last, error):
+        # Blank lines and a header between the rows shift physical lines
+        # away from row numbers.
+        lines = ["f1,f2,label"] + [f"{i}.0,1.0,{i % 3}" for i in range(200)]
+        lines[50:50] = ["", "   "]
+        path = self.write(tmp_path, lines + [last])
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        with pytest.raises(ParseError, match=rf"^line {len(lines) + 1}: {error}"):
+            load_features(path)
+        assert len(calls) == 1
+
     def test_python_only_number_spellings_are_rejected(self, tmp_path):
         # The one declared difference from the reference: Python's float
         # reads digit-group underscores and non-ASCII digits, numpy's text

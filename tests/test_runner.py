@@ -1,4 +1,4 @@
-"""End-to-end runs: artifacts, reruns, sweeps, comparisons, overrides."""
+"""End-to-end runs: artifacts, reruns, sweeps, comparisons."""
 
 import json
 import os
@@ -16,7 +16,6 @@ from qfedsim.runner import (
     PARAMS_NAME,
     PARTITION_NAME,
     SUMMARY_NAME,
-    apply_overrides,
     build_dataset,
     compare,
     run,
@@ -364,25 +363,3 @@ class TestCompare:
     def test_needs_two_directories(self, base_run):
         with pytest.raises(ConfigError):
             compare([base_run.output_dir])
-
-
-class TestApplyOverrides:
-    def test_mode_override_renormalizes_lambda(self):
-        config = make_config(output_dir="/tmp/keep-me")
-        out = apply_overrides(config, mode="qfl")
-        assert out.mode == "qfl"
-        assert out.lam == 0.0
-        assert out.output_dir == "/tmp/keep-me"
-
-    def test_seed_override(self):
-        out = apply_overrides(make_config(), master_seed=99)
-        assert out.master_seed == 99
-
-    def test_output_dir_override_wins(self):
-        config = make_config(output_dir="/tmp/original")
-        out = apply_overrides(config, output_dir="/tmp/flag")
-        assert out.output_dir == "/tmp/flag"
-
-    def test_no_overrides_is_identity(self):
-        config = make_config(output_dir="/tmp/x")
-        assert apply_overrides(config) == config
