@@ -85,10 +85,6 @@ class LabeledDataset:
         return tuple(sorted(self.normal_classes | self.anomaly_classes))
 
     @property
-    def n_classes(self) -> int:
-        return len(self.class_ids)
-
-    @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
@@ -129,9 +125,6 @@ class PartitionedDataset:
     @property
     def n_clients(self) -> int:
         return len(self.shards)
-
-    def shard_sizes(self) -> tuple:
-        return tuple(len(s) for s in self.shards)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ update; both modes run the same code path, step for step.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -47,6 +47,10 @@ from .training import MODE_CLASSIFY, TrainConfig, cross_entropy, train_on_encode
 SCORE_MAX_PROB = "max_prob"
 SCORE_CENTROID = "centroid_distance"
 THRESHOLD_YOUDEN = "youden"
+
+# The metrics each round reports, in history.csv column order; evaluate_global
+# returns them keyed by these names, which are RoundRecord fields.
+ROUND_METRICS = ("val_loss", "fe_pct", "me_pct", "auroc", "aupr")
 
 _EXACT = ShotSpec.exact()
 _NOISELESS = NoiseSpec.off()
@@ -118,32 +122,18 @@ class RoundHistory:
     records: list
     final_params: ModelParams | None = None
 
-    def csv_header(self) -> str:
-        n_clients = len(self.records[0].client_losses) if self.records else 0
-        loss_cols = ",".join(f"client_loss_{c}" for c in range(n_clients))
-        return (
-            "round,params_checksum,val_loss,fe_pct,me_pct,auroc,aupr,"
-            + (loss_cols + "," if loss_cols else "")
-            + "payload_bits,circuit_evals"
-        )
-
     def to_csv_text(self) -> str:
-        lines = [self.csv_header()]
-        for r in self.records:
-            cells = [
-                str(r.round_index),
-                r.params_checksum,
-                repr(r.val_loss),
-                repr(r.fe_pct),
-                repr(r.me_pct),
-                repr(r.auroc),
-                repr(r.aupr),
-                *(repr(x) for x in r.client_losses),
-                str(r.payload_bits),
-                str(r.circuit_evals),
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        """history.csv: one column per RoundRecord field, round_index named
+        `round` and client_losses spread over client_loss_0, client_loss_1, ..."""
+        n_clients = len(self.records[0].client_losses) if self.records else 0
+        names = ["round" if f.name == "round_index" else f.name for f in fields(RoundRecord)]
+        names[names.index("client_losses")] = tuple(f"client_loss_{c}" for c in range(n_clients))
+
+        def line(values) -> str:
+            cells = (x for v in values for x in (v if isinstance(v, tuple) else (v,)))
+            return ",".join(map(str, cells)) + "\n"
+
+        return line(names) + "".join(line(astuple(r)) for r in self.records)
 
 
 def params_checksum(params: ModelParams) -> str:
@@ -241,9 +231,9 @@ def evaluate_global(spec: CircuitSpec, params: ModelParams, ctx: ValidationConte
                     score_method: str, threshold) -> dict:
     """Exact-mode validation of one parameter set.
 
-    Returns val_loss (cross-entropy on normal samples), fe_pct, me_pct under
-    the configured threshold rule, and auroc/aupr over the scored set. A
-    non-finite validation loss raises NumericError.
+    Returns the ROUND_METRICS by name: val_loss (cross-entropy on normal
+    samples), fe_pct and me_pct under the configured threshold rule, auroc
+    and aupr. A non-finite validation loss raises NumericError.
     """
     readout = probability_batch(spec, params.angles, ctx.encoded, _EXACT, _NOISELESS, None)
     val_loss = cross_entropy(params, readout[ctx.normal_rows], ctx.normal_logits)
@@ -263,13 +253,8 @@ def evaluate_global(spec: CircuitSpec, params: ModelParams, ctx: ValidationConte
     scored = ScoredSet(scores, ctx.anomaly_labels)
     cut = youden_threshold(scored) if threshold == THRESHOLD_YOUDEN else float(threshold)
     counts = confusion(scored, cut)
-    return {
-        "val_loss": val_loss,
-        "fe_pct": fe(counts),
-        "me_pct": me(counts),
-        "auroc": auroc(scored),
-        "aupr": aupr(scored),
-    }
+    values = (val_loss, fe(counts), me(counts), auroc(scored), aupr(scored))
+    return dict(zip(ROUND_METRICS, values))
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +305,7 @@ def run_round(round_index: int, config: FederationConfig, global_params: ModelPa
     record = RoundRecord(
         round_index=round_index,
         params_checksum=params_checksum(new_global),
-        val_loss=scores["val_loss"],
-        fe_pct=scores["fe_pct"],
-        me_pct=scores["me_pct"],
-        auroc=scores["auroc"],
-        aupr=scores["aupr"],
+        **scores,
         client_losses=tuple(float(r.loss_trace[-1]) for r in results),
         payload_bits=payload_bits(new_global.vector.size, config.bits_per_value),
         circuit_evals=sum(r.evals_used for r in results),

@@ -4,11 +4,16 @@ Scores are "higher = more anomalous"; labels are binary with 1 = anomaly.
 FE(%) = FP/(TP+FP) * 100 and ME(%) = FN/(TP+FN) * 100. AUROC uses the
 rank-based estimator with half credit for ties; AUPR is the step-wise
 average-precision sum over distinct score thresholds.
+
+A ScoredSet is ranked once, when it is built: its distinct scores in
+ascending order with the number of samples and of anomalies at each. Every
+metric reads that one ranking. A NaN score is refused, because no threshold
+rule `score >= t` could ever select it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,10 +22,15 @@ from .exceptions import ContractError, DegenerateInputError, UndefinedMetricErro
 
 @dataclass(frozen=True)
 class ScoredSet:
-    """Anomaly scores with ground-truth binary labels (1 = anomaly)."""
+    """Anomaly scores with ground-truth binary labels (1 = anomaly), ranked:
+    `distinct` holds the distinct scores ascending, `counts` and `anomalies`
+    the samples and the anomalies at each of them."""
 
     scores: np.ndarray
     labels: np.ndarray
+    distinct: np.ndarray = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
+    anomalies: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
@@ -33,8 +43,16 @@ class ScoredSet:
             raise DegenerateInputError("empty scored set")
         if not np.all((labels == 0) | (labels == 1)):
             raise ContractError("labels must be binary (1 = anomaly)")
+        if np.isnan(scores).any():
+            raise ContractError("scores must not be NaN")
+        distinct, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "distinct", distinct)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(
+            self, "anomalies", np.bincount(inverse, weights=labels, minlength=distinct.size)
+        )
 
     @property
     def n_anomalies(self) -> int:
@@ -72,13 +90,11 @@ def centroid_distance_scores(class_probs: np.ndarray, centroid: np.ndarray) -> n
 
 def confusion(scored: ScoredSet, threshold: float) -> ConfusionCounts:
     """Counts under the rule: score >= threshold predicts anomaly."""
-    predicted = scored.scores >= threshold
-    actual = scored.labels == 1
-    tp = int(np.sum(predicted & actual))
-    fp = int(np.sum(predicted & ~actual))
-    fn = int(np.sum(~predicted & actual))
-    tn = int(np.sum(~predicted & ~actual))
-    return ConfusionCounts(tp, fp, fn, tn)
+    first = int(np.searchsorted(scored.distinct, threshold, side="left"))
+    predicted = int(scored.counts[first:].sum())
+    tp = int(scored.anomalies[first:].sum())
+    fn = scored.n_anomalies - tp
+    return ConfusionCounts(tp, predicted - tp, fn, scored.scores.size - predicted - fn)
 
 
 def fe(counts: ConfusionCounts) -> float:
@@ -102,20 +118,15 @@ def _require_both_classes(scored: ScoredSet, metric: str) -> None:
         raise UndefinedMetricError(f"{metric} needs at least one normal and one anomaly")
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing their group's mean rank."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    below = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return (below + (counts + 1) / 2.0)[inverse]
-
-
 def auroc(scored: ScoredSet) -> float:
     """Probability a random anomaly outscores a random normal (ties half)."""
     _require_both_classes(scored, "AUROC")
-    ranks = _average_ranks(scored.scores)
+    # 1-based ranks, each tie group sharing its mean rank; half-integers, so
+    # the anomalies' rank sum is exact
+    mean_rank = np.cumsum(scored.counts) - (scored.counts - 1) / 2.0
+    rank_sum = float(scored.anomalies @ mean_rank)
     n_pos = scored.n_anomalies
     n_neg = scored.n_normals
-    rank_sum = float(ranks[scored.labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -123,29 +134,18 @@ def aupr(scored: ScoredSet) -> float:
     """Average precision: sum of precision * recall-increment over the
     distinct-score thresholds, swept from the highest score down."""
     _require_both_classes(scored, "AUPR")
-    # group identical scores so a tie moves in as one threshold step
-    _, inverse, counts = np.unique(-scored.scores, return_inverse=True, return_counts=True)
-    tp_per_group = np.bincount(inverse, weights=scored.labels, minlength=counts.size)
-    tp_cum = np.cumsum(tp_per_group)
-    seen_cum = np.cumsum(counts)
-    precision = tp_cum / seen_cum
+    tp_cum = np.cumsum(scored.anomalies[::-1])
+    precision = tp_cum / np.cumsum(scored.counts[::-1])
     recall = tp_cum / scored.n_anomalies
-    recall_step = np.diff(np.concatenate([[0.0], recall]))
-    # accumulate in sweep order; the result is pinned to the sequential sum
-    total = 0.0
-    for term in precision * recall_step:
-        total += float(term)
-    return total
+    recall_step = np.diff(recall, prepend=0.0)
+    # cumsum adds in sweep order, so the result is pinned to the sequential sum
+    return float(np.cumsum(precision * recall_step)[-1])
 
 
 def youden_threshold(scored: ScoredSet) -> float:
     """The smallest distinct score maximizing TP - FP under score >= t."""
     _require_both_classes(scored, "threshold selection")
-    thresholds = np.unique(scored.scores)  # ascending
-    # samples at or above thresholds[i]: suffix sums over the sorted groups
-    _, inverse, counts = np.unique(scored.scores, return_inverse=True, return_counts=True)
-    pos_per_group = np.bincount(inverse, weights=scored.labels, minlength=counts.size)
-    tp_at = np.cumsum(pos_per_group[::-1])[::-1]
-    total_at = np.cumsum(counts[::-1])[::-1]
-    utility = tp_at - (total_at - tp_at)
-    return float(thresholds[int(np.argmax(utility))])
+    # samples at or above each distinct score: suffix sums over the ranking
+    tp_at = np.cumsum(scored.anomalies[::-1])[::-1]
+    utility = tp_at - (np.cumsum(scored.counts[::-1])[::-1] - tp_at)
+    return float(scored.distinct[int(np.argmax(utility))])

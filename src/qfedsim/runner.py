@@ -38,7 +38,7 @@ from .data import (
     with_anomaly_classes,
 )
 from .exceptions import ConfigError, DataError
-from .federation import RoundHistory, run_federation
+from .federation import ROUND_METRICS, RoundHistory, run_federation
 from .model import save_params
 from .seeding import STAGE_DATA, STAGE_SPLIT, STAGE_PARTITION, derive_rng
 
@@ -141,13 +141,7 @@ def _build_summary(config: ExperimentConfig, history: RoundHistory, stats,
         "n_train": n_train,
         "n_validation": n_validation,
         "heterogeneity": stats.avg_pairwise_kl,
-        "final": {
-            "val_loss": last.val_loss,
-            "fe_pct": last.fe_pct,
-            "me_pct": last.me_pct,
-            "auroc": last.auroc,
-            "aupr": last.aupr,
-        },
+        "final": {name: getattr(last, name) for name in ROUND_METRICS},
         "target_loss": config.target_loss,
         "rounds_to_target": _rounds_to_target(history, config.target_loss),
         "total_payload_bits": sum(r.payload_bits for r in history.records),
@@ -260,26 +254,28 @@ def sweep(config: ExperimentConfig) -> list:
 
     Each point runs in its own subdirectory of output_dir, named
     axis_value[__axis_value...], axes in canonical order and values
-    ascending. A sweep_summary.csv at the root collects final metrics in
-    expansion order.
+    ascending. Every point's directory is checked before the first run, so
+    one that cannot be replaced fails the sweep before anything is written.
+    A sweep_summary.csv at the root collects final metrics in expansion
+    order.
     """
     if not config.sweep:
         raise ConfigError("config has no sweep axes")
     if not config.output_dir:
         raise ConfigError("no output directory configured")
     points = sweep_points(config)
-    results = []
-    for point, point_config in points:
-        name = "__".join(f"{axis}_{_format_axis_value(v)}" for axis, v in point.items())
-        results.append(run(replace(point_config,
-                                   output_dir=os.path.join(config.output_dir, name))))
+    out_dirs = [
+        os.path.join(config.output_dir,
+                     "__".join(f"{axis}_{_format_axis_value(v)}" for axis, v in point.items()))
+        for point, _ in points
+    ]
+    for out in out_dirs:
+        _check_replaceable(os.path.abspath(out))
+    results = [run(replace(point_config, output_dir=out))
+               for (_, point_config), out in zip(points, out_dirs)]
 
-    header = (
-        ["run_dir"]
-        + list(points[0][0])
-        + ["val_loss", "fe_pct", "me_pct", "auroc", "aupr",
-           "rounds_to_target", "total_payload_bits"]
-    )
+    header = (["run_dir"] + list(points[0][0]) + list(ROUND_METRICS)
+              + ["rounds_to_target", "total_payload_bits"])
     lines = [",".join(header)]
     for (point, _), result in zip(points, results):
         final = result.summary["final"]
@@ -287,9 +283,8 @@ def sweep(config: ExperimentConfig) -> list:
         cells = (
             [os.path.basename(result.output_dir)]
             + [_format_axis_value(v) for v in point.values()]
-            + [repr(final["val_loss"]), repr(final["fe_pct"]), repr(final["me_pct"]),
-               repr(final["auroc"]), repr(final["aupr"]),
-               "" if to_target is None else str(to_target),
+            + [str(final[name]) for name in ROUND_METRICS]
+            + ["" if to_target is None else str(to_target),
                str(result.summary["total_payload_bits"])]
         )
         lines.append(",".join(cells))
@@ -313,15 +308,10 @@ def _load_run(run_dir: str) -> dict:
         rounds = sum(1 for line in fh if line.strip()) - 1
     with open(summary_path, "r", encoding="utf-8") as fh:
         summary = json.load(fh)
-    final = summary["final"]
     return {
         "name": os.path.basename(os.path.normpath(run_dir)),
         "rounds": rounds,
-        "val_loss": final["val_loss"],
-        "fe_pct": final["fe_pct"],
-        "me_pct": final["me_pct"],
-        "auroc": final["auroc"],
-        "aupr": final["aupr"],
+        **{name: summary["final"][name] for name in ROUND_METRICS},
         "rounds_to_target": summary.get("rounds_to_target"),
         "total_payload_bits": summary["total_payload_bits"],
     }
@@ -329,11 +319,7 @@ def _load_run(run_dir: str) -> dict:
 
 _COMPARE_COLUMNS = (
     ("rounds", "rounds"),
-    ("val_loss", "val_loss"),
-    ("fe_pct", "fe_pct"),
-    ("me_pct", "me_pct"),
-    ("auroc", "auroc"),
-    ("aupr", "aupr"),
+    *((name, name) for name in ROUND_METRICS),
     ("rounds_to_target", "to_target"),
     ("total_payload_bits", "payload_bits"),
 )

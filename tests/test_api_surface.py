@@ -10,12 +10,17 @@ where `from . import mod` binds `mod`, as a loaded bare name imported by
 `from .mod import name`, or as a loaded bare name inside `mod` itself. So a
 local variable or attribute of another module that happens to share the
 name does not count.
+
+Every public method and property of a package class must likewise be read,
+by attribute name, somewhere in the package outside its own definition or in
+the acceptance gate.
 """
 
 import ast
 import importlib
 import importlib.util
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qfedsim"
@@ -121,3 +126,31 @@ def test_benchmark_hooks_resolve():
         if not callable(getattr(importlib.import_module(f"qfedsim.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def public_members():
+    """(class, member, definition) for every public method and property of
+    a top-level package class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path).body:
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield node.name, member.name, member
+
+
+def attribute_names(tree):
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def test_every_public_member_is_accessed():
+    # Matched by attribute name alone, so a member counts as used when any
+    # object's attribute of that name is read; that errs toward keeping it.
+    accessed = Counter()
+    for path in [*PACKAGE.glob("*.py"), ACCEPTANCE]:
+        accessed += attribute_names(parse(path))
+    unused = [
+        f"{cls}.{name}" for cls, name, node in public_members()
+        if accessed[name] - attribute_names(node)[name] == 0
+    ]
+    assert unused == [], f"members read only by their own definition or unit tests: {unused}"

@@ -391,12 +391,12 @@ class TestPartition:
     def test_iid_even_split(self):
         ds = tiny_dataset([0, 1] * 50)
         out = partition(ds, SCHEME_IID, 2, np.random.default_rng(0))
-        assert sorted(out.shard_sizes()) == [50, 50]
+        assert sorted(len(s) for s in out.shards) == [50, 50]
 
     def test_iid_uneven_split(self):
         ds = tiny_dataset([0] * 101)
         out = partition(ds, SCHEME_IID, 2, np.random.default_rng(0))
-        assert sorted(out.shard_sizes()) == [50, 51]
+        assert sorted(len(s) for s in out.shards) == [50, 51]
 
     def test_shards_are_disjoint_and_complete(self):
         ds = tiny_dataset(list(range(5)) * 8)

@@ -336,7 +336,7 @@ class TestRunFederation:
         config, part, val = make_setup(rounds=2, epochs=2, seed=27)
         history = run_federation(config, part, val)
         d = config.spec.n_layers * config.spec.n_qubits
-        n_train = sum(part.shard_sizes())
+        n_train = sum(len(s) for s in part.shards)
         for r in history.records:
             assert r.circuit_evals == 2 * d * config.train.local_epochs * n_train
 
@@ -363,8 +363,10 @@ class TestRunFederation:
         history = run_federation(config, part, val)
         text = history.to_csv_text()
         lines = text.strip().split("\n")
-        assert lines[0].startswith("round,params_checksum,val_loss")
-        assert "client_loss_0" in lines[0] and "client_loss_1" in lines[0]
+        assert lines[0] == (
+            "round,params_checksum,val_loss,fe_pct,me_pct,auroc,aupr,"
+            "client_loss_0,client_loss_1,payload_bits,circuit_evals"
+        )
         assert len(lines) == 1 + 2
         assert len(lines[1].split(",")) == len(lines[0].split(","))
 

@@ -30,6 +30,38 @@ def random_scored_set(rng, n_max=200, quantize=False):
     return ScoredSet(scores, labels)
 
 
+def edge_scored_sets(rng):
+    """Signed zeros, a single distinct score and heavy ties, each set holding
+    both classes."""
+
+    def labels(n):
+        return np.concatenate([[0, 1], rng.integers(0, 2, size=n - 2)])
+
+    return [
+        ScoredSet(np.array([0.0, -0.0, -0.0, 0.0, 1.0, -1.0]), np.array([1, 0, 1, 0, 1, 0])),
+        ScoredSet(rng.choice([0.0, -0.0, 0.5, -0.5], size=40), labels(40)),
+        ScoredSet(np.full(9, 0.25), labels(9)),
+        ScoredSet(np.full(5, -0.0), labels(5)),
+        ScoredSet(rng.integers(0, 3, size=150).astype(np.float64), labels(150)),
+    ]
+
+
+def oracle_scored_sets(rng, trials, n_max=200):
+    """Random sets, every other one heavily tied, then the edge sets."""
+    random_sets = [
+        random_scored_set(rng, n_max=n_max, quantize=trial % 2 == 0) for trial in range(trials)
+    ]
+    return random_sets + edge_scored_sets(rng)
+
+
+def direct_counts(scored, threshold):
+    """(tp, fp, fn, tn) counted straight from `score >= threshold`."""
+    predicted = scored.scores >= threshold
+    actual = scored.labels == 1
+    return (int(np.sum(predicted & actual)), int(np.sum(predicted & ~actual)),
+            int(np.sum(~predicted & actual)), int(np.sum(~predicted & ~actual)))
+
+
 class TestScoredSet:
     def test_class_counts(self):
         s = ScoredSet(np.array([0.1, 0.2, 0.3]), np.array([0, 1, 1]))
@@ -51,6 +83,11 @@ class TestScoredSet:
     def test_non_binary_labels_rejected(self):
         with pytest.raises(ContractError):
             ScoredSet(np.array([0.1, 0.2]), np.array([0, 2]))
+
+    def test_nan_score_rejected(self):
+        # no threshold rule `score >= t` selects a NaN, so it has no rank
+        with pytest.raises(ContractError, match="NaN"):
+            ScoredSet(np.array([0.1, np.nan, 0.2]), np.array([0, 1, 1]))
 
 
 class TestAnomalyScore:
@@ -93,6 +130,16 @@ class TestConfusion:
         s = ScoredSet(np.array([0.9, 0.3, 0.7, 0.1]), np.array([1, 1, 0, 0]))
         c = confusion(s, 0.5)
         assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
+
+    def test_matches_direct_counts(self):
+        rng = np.random.default_rng(37)
+        for s in oracle_scored_sets(rng, 20):
+            distinct = np.unique(s.scores)
+            between = (distinct[:-1] + distinct[1:]) / 2.0
+            outside = [distinct[0] - 1.0, distinct[-1] + 1.0, -np.inf, np.inf]
+            for t in [*distinct, -0.0, *between, *outside]:
+                c = confusion(s, t)
+                assert (c.tp, c.fp, c.fn, c.tn) == direct_counts(s, t), t
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ContractError):
@@ -147,8 +194,7 @@ class TestAuroc:
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(17)
-        for trial in range(50):
-            s = random_scored_set(rng, quantize=trial % 2 == 0)
+        for s in oracle_scored_sets(rng, 50):
             expected = oracles.pairwise_auroc(s.scores, s.labels)
             assert auroc(s) == pytest.approx(expected, abs=1e-12)
 
@@ -195,8 +241,7 @@ class TestAupr:
 
     def test_matches_sweep_oracle(self):
         rng = np.random.default_rng(29)
-        for trial in range(50):
-            s = random_scored_set(rng, quantize=trial % 2 == 0)
+        for s in oracle_scored_sets(rng, 50):
             expected = oracles.sweep_aupr(s.scores, s.labels)
             assert aupr(s) == pytest.approx(expected, abs=1e-12)
 
@@ -209,8 +254,8 @@ class TestYoudenThreshold:
     def brute_force(self, scored):
         best_value, best_t = None, None
         for t in np.unique(scored.scores):  # ascending, so first max is smallest
-            c = confusion(scored, t)
-            value = c.tp - c.fp
+            tp, fp, _, _ = direct_counts(scored, t)
+            value = tp - fp
             if best_value is None or value > best_value:
                 best_value, best_t = value, t
         return best_t
@@ -221,8 +266,7 @@ class TestYoudenThreshold:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(31)
-        for trial in range(100):
-            s = random_scored_set(rng, n_max=60, quantize=trial % 2 == 0)
+        for s in oracle_scored_sets(rng, 100, n_max=60):
             assert youden_threshold(s) == pytest.approx(self.brute_force(s), abs=0)
 
     def test_prefers_smallest_maximizer(self):

@@ -320,6 +320,15 @@ class TestSweep:
         names = [os.path.basename(r.output_dir) for r in results]
         assert names == ["shots_16", "shots_exact"]
 
+    def test_unreplaceable_point_fails_before_the_first_run(self, tmp_path):
+        root = tmp_path / "sweep"
+        (root / "lambda_0.1").mkdir(parents=True)
+        (root / "lambda_0.1" / "notes.txt").write_text("mine")
+        with pytest.raises(ConfigError, match="notes.txt"):
+            sweep(make_config(output_dir=root, sweep={"lambda": [0.0, 0.1]}))
+        assert os.listdir(root) == ["lambda_0.1"]
+        assert os.listdir(root / "lambda_0.1") == ["notes.txt"]
+
     def test_sweep_requires_axes(self, tmp_path):
         with pytest.raises(ConfigError, match="sweep"):
             sweep(make_config(output_dir=tmp_path / "none"))
