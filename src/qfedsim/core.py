@@ -13,14 +13,19 @@ Conventions, fixed project-wide:
     realized as stochastic Pauli insertion (quantum trajectories), keeping the
     engine a pure statevector simulator.
 
-The kernel functions are dtype-generic and operate in place on arrays of
-shape (..., 2**n), acting on the last axis. Their callers use them directly:
-batched evaluation (model module) on (rows, 2**n) batches, with a matrix
-per block of rows for a stack of angle matrices; the adjoint gradient sweep
-(training module) on (2, rows, 2**n) state/adjoint pairs; and `expectation`
-on one complex vector per Pauli term. So there is exactly one implementation
-of each gate. Noise applies Paulis drawn beforehand. Expectations are exact;
-shot sampling exists only for the probability readout of a batch.
+The kernel functions operate in place on arrays of shape (..., 2**n),
+acting on the last axis; the Ry and CX kernels are dtype-generic. Their
+callers use them directly: batched evaluation (model module) on
+(rows, 2**n) batches, with a matrix per block of rows for a stack of angle
+matrices; the adjoint gradient sweep (training module) on (2, rows, 2**n)
+state/adjoint pairs; and `expectation` on one complex vector per Pauli
+term. So there is exactly one implementation of each gate. A layer's CX
+gates are one gather with their composed index (`entangler_tables`).
+Noise applies Paulis drawn beforehand: CX is Clifford, so each Pauli moves
+past the layer's later CX gates with no sign, and a row's Paulis in one
+layer fold into one Pauli frame (`pauli_frames`) that `depolarize_kernel`
+applies together with the layer's gather. Expectations are exact; shot
+sampling exists only for the probability readout of a batch.
 """
 
 from __future__ import annotations
@@ -198,38 +203,111 @@ def apply_one_qubit_kernel(amps: np.ndarray, qubit: int, mat: np.ndarray) -> Non
     view[..., 1, :] = mat[..., 1, 0, None, None] * lo + mat[..., 1, 1, None, None] * hi
 
 
+@dataclass(frozen=True, eq=False)
+class EntanglerTables:
+    """One entangler layer's CX gates as index tables over 2**n amplitudes.
+
+    `perm` is the layer's gather index, every CX composed in order: the
+    layer maps v to v[perm]; `inverse` undoes it. A noise site is one
+    qubit a gate touched: the n Ry gates in qubit order, then the control and
+    the target of each CX. `x_masks[i]` and `z_masks[i]` are the X and Z
+    strings that X and Z on site i's qubit become once moved past the CX
+    gates that follow the site in the layer (CX(c, t) takes X on c to X on c
+    and t, and Z on t to Z on c and t, with no sign). `signs[j]` is
+    (-1)**popcount(j), the parity table in sign form.
+    """
+
+    perm: np.ndarray
+    inverse: np.ndarray
+    x_masks: np.ndarray
+    z_masks: np.ndarray
+    signs: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _cx_permutation(n_qubits: int, control: int, target: int) -> np.ndarray:
+def entangler_tables(n_qubits: int, pairs: tuple) -> EntanglerTables:
+    """The cached tables of the CX layer `pairs`, (control, target) in order."""
     idx = np.arange(1 << n_qubits)
-    flipped = idx ^ (1 << target)
-    return np.where((idx >> control) & 1 == 1, flipped, idx)
+    perm = idx
+    for control, target in pairs:
+        perm = perm[np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)]
+    inverse = np.empty_like(perm)
+    inverse[perm] = idx
+    sites = [(q, 0) for q in range(n_qubits)]
+    for k, (control, target) in enumerate(pairs):
+        sites += [(control, k + 1), (target, k + 1)]
+    x_masks, z_masks = [], []
+    for qubit, first in sites:
+        x = z = 1 << qubit
+        for control, target in pairs[first:]:
+            x ^= ((x >> control) & 1) << target
+            z ^= ((z >> target) & 1) << control
+        x_masks.append(x)
+        z_masks.append(z)
+    signs = np.ones(1 << n_qubits)
+    for q in range(n_qubits):
+        signs[(idx >> q) & 1 == 1] *= -1.0
+    tables = EntanglerTables(perm, inverse, np.array(x_masks), np.array(z_masks), signs)
+    for table in (perm, inverse, tables.x_masks, tables.z_masks, signs):
+        table.flags.writeable = False
+    return tables
 
 
-def apply_cx_kernel(amps: np.ndarray, n_qubits: int, control: int, target: int) -> None:
-    """Apply CX in place; a pure index permutation (self-inverse)."""
-    perm = _cx_permutation(n_qubits, control, target)
-    amps[...] = amps[..., perm]
+def pauli_frames(tables: EntanglerTables, hit: np.ndarray, which: np.ndarray) -> list:
+    """Fold each layer's drawn Paulis into one Pauli frame per row.
+
+    `hit` and `which` are (layers, sites, rows): site i of a layer applies
+    Pauli which (0 = X, 1 = Y, 2 = Z) to row r where hit is set, Y as XZ
+    (Z first), which is Y up to the global phase i of the row. Moved to the
+    end of the layer, site i's Pauli is X^x_i Z^z_i, and the sites applied
+    in order compose into (-1)^s X^x Z^z: x and z are the XOR of the x_i and
+    the z_i, and s is the parity of sum_i popcount(z_i & (x_0 ^ ... ^ x_i-1)).
+    Returns, per layer, None if no row drew a Pauli in it, else (rows, x, z,
+    sign) over the rows that did, sign = (-1)^s, for depolarize_kernel.
+    """
+    if not hit.any():
+        return [None] * len(hit)
+    xs = np.where(hit & (which != 2), tables.x_masks[:, None], 0)
+    zs = np.where(hit & (which != 0), tables.z_masks[:, None], 0)
+    x_before = np.bitwise_xor.accumulate(xs, axis=1)
+    x = x_before[:, -1]
+    z = np.bitwise_xor.reduce(zs, axis=1)
+    sign = tables.signs[np.bitwise_xor.reduce(zs[:, 1:] & x_before[:, :-1], axis=1)]
+    frames = []
+    for layer, rows in enumerate(hit.any(axis=1)):
+        rows = np.flatnonzero(rows)
+        frames.append((rows, x[layer, rows], z[layer, rows], sign[layer, rows])
+                      if rows.size else None)
+    return frames
 
 
-def depolarize_kernel(amps: np.ndarray, qubit: int, hit: np.ndarray,
-                      which: np.ndarray) -> None:
-    """One pre-drawn trajectory step of the depolarizing channel, in place.
+def apply_cx_kernel(amps: np.ndarray, perm: np.ndarray) -> None:
+    """Apply a layer of CX gates in place: one gather with its composed
+    index (EntanglerTables.perm, or .inverse to undo the layer)."""
+    amps[...] = np.take(amps, perm, axis=-1)
 
-    A row is one state: every index but the last. Row r takes the Pauli
-    which[r] (0 = X, 1 = Y, 2 = Z) where hit[r] is set and is left alone
-    elsewhere; the caller draws both (see model.run_ansatz_kernel). The
-    Paulis act as a bit-flip permutation plus a sign: Z negates the
-    amplitudes whose `qubit` bit is 1, X swaps the two halves, and Y applies
-    XZ, which is Y up to the global phase i of the row.
+
+def depolarize_kernel(amps: np.ndarray, tables: EntanglerTables, rows: np.ndarray,
+                      x: np.ndarray, z: np.ndarray, sign: np.ndarray) -> None:
+    """A CX layer, then the pre-drawn Pauli frames of its noise, in place on
+    a C-contiguous (rows, 2**n) array.
+
+    Every row is permuted by tables.perm; row rows[k] then takes the frame
+    sign[k] * X^x[k] Z^z[k] (see pauli_frames), so its amplitude j becomes
+    sign[k] * (-1)**popcount((j ^ x[k]) & z[k]) * amps[rows[k], perm[j ^ x[k]]].
+    A permutation and products with +-1.0 are exact on real amplitudes, so
+    there this equals the gates and Paulis applied one after another, bit
+    for bit; on complex ones only the sign of a zero part may differ.
     """
     dim = amps.shape[-1]
-    view = amps.reshape(amps.size // dim, dim >> (qubit + 1), 2, 1 << qubit)
-    lo, hi = view[:, :, 0, :], view[:, :, 1, :]
-    np.negative(hi, out=hi, where=(hit & (which != 0))[:, None, None])
-    flip = (hit & (which != 2))[:, None, None]
-    old_lo = lo.copy()
-    np.copyto(lo, hi, where=flip)
-    np.copyto(hi, old_lo, where=flip)
+    amps[...] = np.take(amps, tables.perm, axis=-1)
+    moved = np.arange(dim) ^ x[:, None]
+    signs = tables.signs.take(moved & z[:, None])
+    signs *= sign[:, None]
+    moved += (rows * dim)[:, None]
+    framed = amps.reshape(-1).take(moved)
+    framed *= signs
+    amps[rows] = framed
 
 
 # ---------------------------------------------------------------------------

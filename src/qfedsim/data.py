@@ -182,6 +182,9 @@ def _numbered_data_lines(fh):
     return ((n, line) for n, line in enumerate(lines, start=start) if line.strip())
 
 
+_SCAN_CHUNK = 2048  # lines per np.loadtxt call while a bad line is looked for
+
+
 def _parse_rows(lines, width=None) -> np.ndarray:
     """The (rows, fields) table of CSV lines, its width checked; errors name
     no line."""
@@ -212,8 +215,19 @@ def _first_bad_value(table: np.ndarray):
 
 
 def _raise_at_first_bad_line(fh):
-    width = None
-    for lineno, line in _numbered_data_lines(fh):
+    """Name the first bad line of a file numpy could not parse whole: parse
+    its data lines in chunks of _SCAN_CHUNK, the width pinned to the first
+    line's, and re-read line by line only the first chunk that fails."""
+    lines, width = _numbered_data_lines(fh), None
+    while chunk := list(islice(lines, _SCAN_CHUNK)):
+        try:
+            table = _parse_rows([line for _, line in chunk], width)
+        except (ParseError, SchemaError):
+            break
+        if _first_bad_value(table) is not None:
+            break
+        width = table.shape[1]
+    for lineno, line in chunk:
         try:
             table = _parse_rows([line], width)
             bad = _first_bad_value(table)

@@ -167,37 +167,33 @@ def run_ansatz_kernel(amps: np.ndarray, spec: CircuitSpec, angles: np.ndarray,
     one (layers, qubits) angle matrix, or at an (S, layers, qubits) stack
     that splits the rows into S equal blocks, block s run at angles[s].
 
-    With noise active, one depolarizing trajectory sample follows every gate
-    on every qubit the gate touched (CX: control first, then target). The
-    pass draws its whole trajectory first: one uniform per (site, row), then
-    one Pauli choice per (site, row). Sites that hit no row are skipped.
+    Each layer's CX gates act as one gather (core.entangler_tables). With
+    noise active, one depolarizing trajectory sample follows every gate on
+    every qubit the gate touched (CX: control first, then target). The pass
+    draws its whole trajectory first: one uniform per (site, row), then one
+    Pauli choice per (site, row). Each layer's Paulis fold into one Pauli
+    frame per row (core.pauli_frames), applied with the layer's gather after
+    its Ry gates; a layer that leaves every row's frame the identity is the
+    gather alone.
     """
     angles = np.asarray(angles, dtype=np.float64)
     mats, blocks = core.ry_matrices(angles), amps
     if angles.ndim == 3:
         mats = np.moveaxis(mats, 0, 2)[:, :, :, None]  # (layers, qubits, S, 1, 2, 2)
         blocks = amps.reshape(len(angles), -1, amps.shape[-1])
-    pairs = spec.entangler_pairs()
-    noisy = noise.active
-    if noisy:
-        shape = (spec.n_layers * (spec.n_qubits + 2 * len(pairs)), amps.shape[0])
+    tables = core.entangler_tables(spec.n_qubits, spec.entangler_pairs())
+    frames = [None] * spec.n_layers
+    if noise.active:
+        shape = (spec.n_layers, len(tables.x_masks), amps.shape[0])
         hit = rng.random(shape) < noise.epsilon
-        draws = zip(hit.any(axis=1), hit, rng.integers(0, 3, shape))
-
-    def depolarize(*qubits):
-        for qubit, (fired, hit_row, which_row) in zip(qubits, draws):
-            if fired:
-                core.depolarize_kernel(amps, qubit, hit_row, which_row)
-
-    for layer in range(spec.n_layers):
+        frames = core.pauli_frames(tables, hit, rng.integers(0, 3, shape))
+    for layer, frame in enumerate(frames):
         for q in range(spec.n_qubits):
             core.apply_one_qubit_kernel(blocks, q, mats[layer, q])
-            if noisy:
-                depolarize(q)
-        for control, target in pairs:
-            core.apply_cx_kernel(amps, spec.n_qubits, control, target)
-            if noisy:
-                depolarize(control, target)
+        if frame is None:
+            core.apply_cx_kernel(amps, tables.perm)
+        else:
+            core.depolarize_kernel(amps, tables, *frame)
 
 
 def run_circuit(spec: CircuitSpec, params: ModelParams,

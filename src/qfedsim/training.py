@@ -161,21 +161,21 @@ def _adjoint_angle_grads(spec: CircuitSpec, angles: np.ndarray, state: np.ndarra
     """Angle gradient of sum(c * state**2) by one reverse sweep, given the
     real ansatz output `state` (B, 2**n) and `adjoint` = c * state.
 
-    Layer by layer from the top, the CX gates are undone on the
-    (state, adjoint) pair. The Ry gates of a layer commute and
-    dRy(a)/da = Ry(a + pi) / 2, so with d(state**2) = 2 * state * d(state)
-    angle (l, q) has derivative sum(adjoint * Ry_q(pi) state), read for all
-    q at once; then the layer's Ry gates are undone with Ry(-a).
+    Layer by layer from the top, the CX layer is undone on the
+    (state, adjoint) pair by one gather with its inverse index. The Ry
+    gates of a layer commute and dRy(a)/da = Ry(a + pi) / 2, so with
+    d(state**2) = 2 * state * d(state) angle (l, q) has derivative
+    sum(adjoint * Ry_q(pi) state), read for all q at once; then the layer's
+    Ry gates are undone with Ry(-a).
     """
     n = spec.n_qubits
-    pairs = spec.entangler_pairs()[::-1]
+    inverse = core.entangler_tables(n, spec.entangler_pairs()).inverse
     partners, signs = core.ry_pi_tables(n)
     undo = core.ry_matrices(-angles)
     pair = np.stack([state, adjoint])
     grads = np.empty_like(angles)
     for layer in reversed(range(spec.n_layers)):
-        for control, target in pairs:
-            core.apply_cx_kernel(pair, n, control, target)
+        core.apply_cx_kernel(pair, inverse)
         grads[layer] = np.einsum("bj,qj,bqj->q", pair[1], signs, pair[0][:, partners])
         if layer:
             for q in range(n):

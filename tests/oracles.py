@@ -2,6 +2,9 @@
 
 Everything here is deliberately naive — dense Kronecker products, explicit
 loops, brute-force pair enumeration — and shares no code with the package.
+The one exception is `per_gate_ansatz`, the bit-for-bit reference for the
+noisy pass: it takes the package's Ry kernel as an argument, because dense
+Ry products round differently, and does everything else itself.
 """
 
 import math
@@ -66,6 +69,48 @@ def ansatz_matrix(n: int, angles: np.ndarray, pairs) -> np.ndarray:
         for control, target in pairs:
             u = cx_matrix(n, control, target) @ u
     return u
+
+
+def cx_permutation(n: int, control: int, target: int) -> np.ndarray:
+    """Gather index of one CX: v -> v[perm] flips `target` where `control` is 1."""
+    idx = np.arange(1 << n)
+    return np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
+
+
+def depolarize_rows(amps: np.ndarray, qubit: int, hit: np.ndarray,
+                    which: np.ndarray) -> None:
+    """One noise site on a (rows, 2**n) array, in place: row r takes Pauli
+    which[r] (0 = X, 1 = Y, 2 = Z) on `qubit` where hit[r] is set. Z negates
+    the amplitudes whose `qubit` bit is 1, X swaps the two halves, and Y
+    applies XZ, which is Y up to the global phase i of the row."""
+    dim = amps.shape[-1]
+    view = amps.reshape(amps.shape[0], dim >> (qubit + 1), 2, 1 << qubit)
+    lo, hi = view[:, :, 0, :], view[:, :, 1, :]
+    np.negative(hi, out=hi, where=(hit & (which != 0))[:, None, None])
+    flip = (hit & (which != 2))[:, None, None]
+    old_lo = lo.copy()
+    np.copyto(lo, hi, where=flip)
+    np.copyto(hi, old_lo, where=flip)
+
+
+def per_gate_ansatz(amps: np.ndarray, n: int, n_layers: int, pairs, apply_ry,
+                    hit: np.ndarray, which: np.ndarray) -> None:
+    """The noisy ansatz gate by gate on a (rows, 2**n) array, in place.
+
+    Per layer, Ry on qubits 0..n-1 by `apply_ry(amps, layer, qubit)`, each
+    followed by its noise site, then each CX pair as its own gather followed
+    by the sites of its control and its target. Site s (in that order over
+    all layers) applies the pre-drawn (hit[s], which[s]), each (rows,).
+    """
+    sites = iter(zip(hit, which))
+    for layer in range(n_layers):
+        for q in range(n):
+            apply_ry(amps, layer, q)
+            depolarize_rows(amps, q, *next(sites))
+        for control, target in pairs:
+            amps[...] = amps[..., cx_permutation(n, control, target)]
+            depolarize_rows(amps, control, *next(sites))
+            depolarize_rows(amps, target, *next(sites))
 
 
 def expectation_dense(state_vec: np.ndarray, h: np.ndarray) -> float:

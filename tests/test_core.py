@@ -12,7 +12,9 @@ from qfedsim.core import (
     apply_cx_kernel,
     apply_one_qubit_kernel,
     depolarize_kernel,
+    entangler_tables,
     expectation,
+    pauli_frames,
     ry_matrices,
 )
 from qfedsim.exceptions import CapacityError, ConfigError, ContractError, ShapeError
@@ -55,7 +57,7 @@ def ry(amps, qubit, angle):
 
 def cx(amps, n, control, target):
     out = amps.copy()
-    apply_cx_kernel(out, n, control, target)
+    apply_cx_kernel(out, entangler_tables(n, ((control, target),)).perm)
     return out
 
 
@@ -64,9 +66,22 @@ def draw_paulis(rows, epsilon, rng):
     return rng.random(rows) < epsilon, rng.integers(0, 3, rows)
 
 
+def depolarize_site(amps, qubit, hit, which):
+    """One noise site on `qubit` of every row, in place: its Paulis folded
+    into frames and applied on a layer without CX gates."""
+    n = amps.shape[-1].bit_length() - 1
+    tables = entangler_tables(n, ())
+    hits = np.zeros((1, n, amps.shape[0]), dtype=bool)
+    whiches = np.zeros(hits.shape, dtype=np.int64)
+    hits[0, qubit], whiches[0, qubit] = hit, which
+    frame = pauli_frames(tables, hits, whiches)[0]
+    if frame is not None:
+        depolarize_kernel(amps, tables, *frame)
+
+
 def depolarize(amps, qubit, epsilon, rng):
     """One trajectory sample of the channel on every row, in place."""
-    depolarize_kernel(amps, qubit, *draw_paulis(amps.shape[0], epsilon, rng))
+    depolarize_site(amps, qubit, *draw_paulis(amps.shape[0], epsilon, rng))
 
 
 def random_observable(n, rng, max_terms=4):
@@ -207,6 +222,33 @@ class TestApplyCx:
         rng = np.random.default_rng(13)
         amps = real_states(3, 4, rng)
         assert np.array_equal(cx(cx(amps, 3, 0, 2), 3, 0, 2), amps)
+
+    @pytest.mark.parametrize("entangler", [LINEAR_CHAIN, RING])
+    def test_layer_is_one_gather_of_its_composed_gates(self, entangler):
+        # perm is the layer's CX gates in order; inverse undoes it.
+        rng = np.random.default_rng(12)
+        for n in WIDTHS:
+            pairs = CircuitSpec(n, 1, entangler).entangler_pairs()
+            tables = entangler_tables(n, pairs)
+            dense = np.eye(1 << n)
+            for control, target in pairs:
+                dense = oracles.cx_matrix(n, control, target).real @ dense
+            amps = real_states(n, 5, rng)
+            out = amps.copy()
+            apply_cx_kernel(out, tables.perm)
+            assert np.array_equal(out, amps @ dense.T)
+            apply_cx_kernel(out, tables.inverse)
+            assert np.array_equal(out, amps)
+            pair = np.stack([amps, amps[::-1]])
+            apply_cx_kernel(pair, tables.perm)
+            assert np.array_equal(pair[1], (amps @ dense.T)[::-1])
+
+    def test_tables_are_cached_and_read_only(self):
+        tables = entangler_tables(3, ((0, 1), (1, 2)))
+        assert entangler_tables(3, ((0, 1), (1, 2))) is tables
+        for table in (tables.perm, tables.inverse, tables.x_masks, tables.z_masks,
+                      tables.signs):
+            assert not table.flags.writeable
 
     def test_bad_indices(self):
         # CX indices come only from CircuitSpec.entangler_pairs: distinct
@@ -378,7 +420,7 @@ class TestDepolarizeKernelAgainstOracle:
             before = real_states(n, rows, np.random.default_rng(qubit))
         after = before.copy()
         hit, which = draw_paulis(rows, epsilon, np.random.default_rng(seed))
-        depolarize_kernel(after, qubit, hit, which)
+        depolarize_site(after, qubit, hit, which)
 
         assert set(which[hit]) == {0, 1, 2} and not hit.all()
         assert after.dtype == before.dtype
@@ -389,6 +431,72 @@ class TestDepolarizeKernelAgainstOracle:
             dense = oracles.lift_one(n, qubit, self.PAULIS[which[row]]) @ before[row]
             assert np.array_equal(dense, after[row]) or np.array_equal(dense, 1j * after[row])
             assert np.array_equal(squared_modulus(dense), squared_modulus(after[row]))
+
+
+class TestPauliFrames:
+    """One noisy CX layer through pauli_frames and depolarize_kernel against
+    the dense gates and Paulis applied site by site."""
+
+    PAULIS = (oracles.X, oracles.Y, oracles.Z)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("entangler", [LINEAR_CHAIN, RING])
+    def test_layer_matches_dense_gates(self, n, entangler):
+        pairs = CircuitSpec(n, 1, entangler).entangler_pairs()
+        tables = entangler_tables(n, pairs)
+        site_qubits = list(range(n)) + [q for pair in pairs for q in pair]
+        rows = 60
+        rng = np.random.default_rng(10 * n + len(pairs))
+        before = real_states(n, rows, rng)
+        # Each row is left alone with probability 1/2.
+        epsilon = 1.0 - 0.5 ** (1.0 / len(site_qubits))
+        hit = rng.random((1, len(site_qubits), rows)) < epsilon
+        which = rng.integers(0, 3, hit.shape)
+        frame = pauli_frames(tables, hit, which)[0]
+        after = before.copy()
+        depolarize_kernel(after, tables, *frame)
+        framed = np.zeros(rows, dtype=bool)
+        framed[frame[0]] = True
+        for row in range(rows):
+            sites = iter(enumerate(site_qubits))
+
+            def noise(op):
+                site, qubit = next(sites)
+                if hit[0, site, row]:
+                    op = oracles.lift_one(n, qubit, self.PAULIS[which[0, site, row]]) @ op
+                return op
+
+            op = np.eye(1 << n, dtype=complex)
+            for _ in range(n):
+                op = noise(op)
+            for control, target in pairs:
+                op = noise(noise(oracles.cx_matrix(n, control, target) @ op))
+            dense = op @ before[row]
+            # The kernel applies Y as XZ, which is -iY.
+            phase = 1j ** int((hit[0, :, row] & (which[0, :, row] == 1)).sum())
+            assert np.array_equal(dense, phase * after[row])
+            if not framed[row]:
+                assert np.array_equal(after[row], before[row, tables.perm])
+        assert 0 < frame[0].size < rows
+        if n >= 2:
+            assert (frame[3] < 0).any() and (frame[3] > 0).any()
+
+    def test_frames_skip_layers_and_rows_without_a_pauli(self):
+        tables = entangler_tables(3, ((0, 1), (1, 2)))
+        hit = np.zeros((3, 7, 5), dtype=bool)
+        which = np.zeros(hit.shape, dtype=np.int64)
+        hit[1, 2, 3] = True  # X on qubit 2 in layer 1, row 3
+        hit[2, 0, 1] = hit[2, 0, 4] = True
+        which[2, 0, 1], which[2, 0, 4] = 2, 0  # Z, then X, on qubit 0 in layer 2
+        frames = pauli_frames(tables, hit, which)
+        assert frames[0] is None
+        rows, x, z, sign = frames[1]
+        assert rows.tolist() == [3] and x.tolist() == [0b100] and z.tolist() == [0]
+        rows, x, z, sign = frames[2]
+        # Z on qubit 0 is untouched by CX(0, 1); X on qubit 0 spreads to 0, 1, 2.
+        assert rows.tolist() == [1, 4]
+        assert x.tolist() == [0, 0b111] and z.tolist() == [0b001, 0]
+        assert sign.tolist() == [1.0, 1.0]
 
 
 class TestNormPreservation:

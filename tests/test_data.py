@@ -6,6 +6,7 @@ import numpy as np
 import oracles
 import pytest
 
+from qfedsim import data
 from qfedsim.data import (
     SCHEME_DIRICHLET,
     SCHEME_IID,
@@ -275,6 +276,33 @@ class TestLoadFeaturesProperties:
         with pytest.raises(ParseError, match=rf"^line {len(lines) + 1}: {error}"):
             load_features(path)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("last, error, message", [
+        ("1.0,abc,0", ParseError, "non-numeric field"),
+        ("1.0,2.0,3.0,0", SchemaError, "row has 4 fields, expected 3"),
+    ])
+    def test_unparsable_last_line_of_a_multi_chunk_file(self, tmp_path, monkeypatch,
+                                                         last, error, message):
+        # A field numpy cannot parse sends the loader back over the file: in
+        # chunks of lines, then line by line through the failing chunk only.
+        rows = 2 * data._SCAN_CHUNK + 100
+        lines = ["f1,f2,label"] + [f"{i}.0,1.0,{i % 3}" for i in range(rows)]
+        lines[70:70] = ["", "   "]
+        path = self.write(tmp_path, lines + [last])
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        with pytest.raises(error, match=rf"^line {len(lines) + 1}: {message}"):
+            load_features(path)
+        assert len(calls) < 200
+
+    def test_first_bad_line_wins_across_chunks(self, tmp_path):
+        # A bad value in an early chunk comes before a later unparsable field.
+        lines = [f"{i}.0,1.0,{i % 3}" for i in range(3 * data._SCAN_CHUNK)]
+        lines[5] = "1.0,inf,0"
+        lines[-3] = "1.0,2.0,x"
+        with pytest.raises(ParseError, match=r"^line 6: non-finite value"):
+            load_features(self.write(tmp_path, lines))
 
     def test_python_only_number_spellings_are_rejected(self, tmp_path):
         # The one declared difference from the reference: Python's float

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from qfedsim.core import NoiseSpec, QuantumState, ShotSpec
+from qfedsim.core import (
+    NoiseSpec,
+    QuantumState,
+    ShotSpec,
+    apply_one_qubit_kernel,
+    ry_matrices,
+)
 from qfedsim.encoding import encode_batch
 from qfedsim.exceptions import (
     CapacityError,
@@ -220,6 +226,73 @@ class TestRunAnsatzKernel:
             twin.random((18, 7))
             twin.integers(0, 3, (18, 7))
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def frame_and_reference_passes(spec, angles, rows, epsilon, seed):
+    """The same noisy pass by run_ansatz_kernel and by the gate-by-gate
+    reference, oracles.per_gate_ansatz, from twin generators. The reference
+    draws its trajectory as the pass documents: one uniform, then one Pauli
+    choice, per (site, row). Returns both outputs and both generators."""
+    rng = np.random.default_rng(seed)
+    encoded = encode_batch(rng.normal(size=(rows, spec.dim)), spec.n_qubits)
+    amps = np.tile(encoded, (len(angles), 1)) if angles.ndim == 3 else encoded.copy()
+    ref = amps.copy()
+    fast_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    run_ansatz_kernel(amps, spec, angles, NoiseSpec(epsilon), fast_rng)
+
+    sites = (spec.n_layers * (spec.n_qubits + 2 * len(spec.entangler_pairs())), len(ref))
+    hit, which = np.zeros(sites, dtype=bool), np.zeros(sites, dtype=np.int64)
+    if epsilon > 0:
+        hit = ref_rng.random(sites) < epsilon
+        which = ref_rng.integers(0, 3, sites)
+    mats = ry_matrices(angles)
+    blocks = ref.reshape(len(angles), -1, spec.dim) if angles.ndim == 3 else ref
+
+    def apply_ry(_, layer, qubit):
+        mat = mats[:, layer, qubit, None] if angles.ndim == 3 else mats[layer, qubit]
+        apply_one_qubit_kernel(blocks, qubit, mat)
+
+    oracles.per_gate_ansatz(ref, spec.n_qubits, spec.n_layers, spec.entangler_pairs(),
+                            apply_ry, hit, which)
+    return amps, ref, fast_rng, ref_rng
+
+
+def assert_bit_identical(amps, ref, fast_rng, ref_rng):
+    assert np.array_equal(amps, ref)
+    assert np.array_equal(np.signbit(amps), np.signbit(ref))
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestFramePassAgainstPerGatePass:
+    """run_ansatz_kernel, which folds each layer's noise into Pauli frames
+    applied with one gather, against the per-gate reference: bit for bit,
+    signs included, with the same generator state afterwards."""
+
+    @pytest.mark.parametrize("n, layers", [(1, 1), (2, 1), (3, 2), (4, 1), (4, 3),
+                                           (5, 2), (6, 2)])
+    @pytest.mark.parametrize("entangler", [LINEAR_CHAIN, RING])
+    def test_grid(self, n, layers, entangler):
+        spec = CircuitSpec(n, layers, entangler)
+        rng = np.random.default_rng(100 * n + layers)
+        for epsilon in (0.0, 0.001, 0.3, 0.5, 0.9, 1.0):
+            for stack in (None, 3):
+                shape = (layers, n) if stack is None else (stack, layers, n)
+                angles = rng.uniform(-np.pi, np.pi, size=shape)
+                for seed in range(4):
+                    assert_bit_identical(*frame_and_reference_passes(
+                        spec, angles, 5, epsilon, seed))
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            n, layers = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+            spec = CircuitSpec(n, layers, (LINEAR_CHAIN, RING)[int(rng.integers(2))])
+            stack = int(rng.integers(1, 5))
+            shape = (layers, n) if stack == 1 else (stack, layers, n)
+            angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=shape)
+            epsilon = float(rng.choice([rng.uniform(0.0, 0.05), rng.uniform(0.0, 1.0)]))
+            assert_bit_identical(*frame_and_reference_passes(
+                spec, angles, int(rng.integers(1, 9)), epsilon, int(rng.integers(1 << 30))))
 
 
 class TestForward:

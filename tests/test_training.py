@@ -11,9 +11,7 @@ from qfedsim.core import (
     NoiseSpec,
     Observable,
     ShotSpec,
-    apply_cx_kernel,
     apply_one_qubit_kernel,
-    depolarize_kernel,
     ry_matrices,
 )
 from qfedsim.data import LabeledDataset
@@ -239,18 +237,16 @@ class TestGradParameterShift:
 
 
 def ansatz_on_trajectory(spec, angles, amps, hit, which):
-    """The ansatz gate by gate on one block of rows; noise site s (in gate
-    order, CX control before target) applies the pre-drawn (hit[s], which[s])."""
+    """The ansatz gate by gate on one block of rows (oracles.per_gate_ansatz);
+    noise site s (in gate order, CX control before target) applies the
+    pre-drawn (hit[s], which[s])."""
     mats = ry_matrices(angles)
-    sites = iter(zip(hit, which))
-    for layer in range(spec.n_layers):
-        for q in range(spec.n_qubits):
-            apply_one_qubit_kernel(amps, q, mats[layer, q])
-            depolarize_kernel(amps, q, *next(sites))
-        for control, target in spec.entangler_pairs():
-            apply_cx_kernel(amps, spec.n_qubits, control, target)
-            depolarize_kernel(amps, control, *next(sites))
-            depolarize_kernel(amps, target, *next(sites))
+
+    def apply_ry(rows, layer, qubit):
+        apply_one_qubit_kernel(rows, qubit, mats[layer, qubit])
+
+    oracles.per_gate_ansatz(amps, spec.n_qubits, spec.n_layers, spec.entangler_pairs(),
+                            apply_ry, hit, which)
 
 
 def per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng):
