@@ -413,13 +413,15 @@ def _symmetrized_kl(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * (forward + backward)
 
 
-def heterogeneity(partitioned: PartitionedDataset, dataset: LabeledDataset) -> PartitionStats:
-    """Class histograms per client and mean pairwise symmetrized KL.
+def heterogeneity(partitioned: PartitionedDataset) -> PartitionStats:
+    """Class histograms per client, over the partitioned dataset's classes,
+    and mean pairwise symmetrized KL.
 
     Distributions are smoothed additively (1e-6 per class before
     renormalizing) so disjoint supports stay finite. A single client has no
     pairs; its divergence is 0.
     """
+    dataset = partitioned.dataset
     class_ids = dataset.class_ids
     columns = np.searchsorted(class_ids, dataset.labels)
     hists = np.stack([

@@ -42,7 +42,14 @@ from .model import (
     probability_batch,
 )
 from .seeding import STAGE_INIT, client_rng, derive_rng
-from .training import MODE_CLASSIFY, TrainConfig, cross_entropy, train_on_encoded
+from .training import (
+    MODE_CLASSIFY,
+    ClientShard,
+    LocalTrainResult,
+    TrainConfig,
+    cross_entropy,
+    local_train,
+)
 
 SCORE_MAX_PROB = "max_prob"
 SCORE_CENTROID = "centroid_distance"
@@ -176,22 +183,16 @@ def aggregate_weighted(param_sets, alphas) -> ModelParams:
 # ---------------------------------------------------------------------------
 # Validation.
 
-@dataclass(frozen=True)
-class ClientShard:
-    """One client's training rows, encoded once and reused across rounds."""
-
-    encoded: np.ndarray
-    labels: np.ndarray  # logit indices, not raw class ids
-
-
-def build_client_shards(partitioned: PartitionedDataset, spec: CircuitSpec) -> list:
+def build_client_shards(partitioned: PartitionedDataset, encoded: np.ndarray) -> list:
+    """One ClientShard per client: its rows of `encoded`, the whole training
+    set amplitude-encoded, with their logit indices."""
     dataset = partitioned.dataset
     logits = dataset.logit_indices()
     if np.any(logits < 0):
         bad = np.unique(dataset.labels[logits < 0]).tolist()
         raise DataError(f"anomaly classes {bad} present in training shards")
     rows = [list(shard) for shard in partitioned.shards]
-    return [ClientShard(encode_batch(dataset.features[r], spec.n_qubits), logits[r]) for r in rows]
+    return [ClientShard(encoded[r], logits[r]) for r in rows]
 
 
 @dataclass(frozen=True)
@@ -260,19 +261,16 @@ def evaluate_global(spec: CircuitSpec, params: ModelParams, ctx: ValidationConte
 # ---------------------------------------------------------------------------
 # Rounds.
 
-def _train_one_client(config, round_index, client, global_params, shard):
+def train_on_encoded(config: FederationConfig, round_index: int, client: int,
+                     global_params: ModelParams, shard: ClientShard) -> LocalTrainResult:
+    """One client's local training in one round: local_train from the
+    round's global parameters, which are also its proximal anchor, on the
+    client's own generator."""
     rng = client_rng(config.master_seed, round_index, client)
     try:
-        return train_on_encoded(
-            config.spec,
-            global_params,
-            shard.encoded,
-            shard.labels,
-            config.train,
-            global_params,
-            config.shots,
-            config.noise[client],
-            rng,
+        return local_train(
+            config.spec, global_params, shard, config.train, global_params,
+            config.shots, config.noise[client], rng,
         )
     except Exception as err:
         raise type(err)(f"client {client}, round {round_index}: {err}") from err
@@ -292,7 +290,7 @@ def run_round(round_index: int, config: FederationConfig, global_params: ModelPa
             f"{len(client_shards)} shards for {config.n_clients} clients"
         )
     results = [
-        _train_one_client(config, round_index, client, global_params, shard)
+        train_on_encoded(config, round_index, client, global_params, shard)
         for client, shard in enumerate(client_shards)
     ]
     new_global = aggregate_weighted([r.params for r in results], config.client_weights)
@@ -324,10 +322,10 @@ def run_federation(config: FederationConfig, partitioned_data: PartitionedDatase
             f"config expects {config.n_clients}"
         )
     dataset = partitioned_data.dataset
-    shards = build_client_shards(partitioned_data, config.spec)
-    train_encoded = None
-    if config.score_method == SCORE_CENTROID:
-        train_encoded = encode_batch(dataset.features, config.spec.n_qubits)
+    train_encoded = encode_batch(dataset.features, config.spec.n_qubits)
+    shards = build_client_shards(partitioned_data, train_encoded)
+    if config.score_method != SCORE_CENTROID:
+        train_encoded = None  # the shards hold their own rows; drop the whole matrix
     ctx = build_validation_context(
         validation_set, config.spec, dataset.normal_classes, train_encoded
     )

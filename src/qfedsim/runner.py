@@ -215,7 +215,7 @@ def run(config: ExperimentConfig) -> RunResult:
         config.n_clients,
         derive_rng(config.master_seed, STAGE_PARTITION),
     )
-    stats = heterogeneity(partitioned, train_set)
+    stats = heterogeneity(partitioned)
     fed_config = config.federation_config([len(s) for s in partitioned.shards])
     history = run_federation(fed_config, partitioned, validation_set)
     summary = _build_summary(config, history, stats, len(train_set), len(validation_set))

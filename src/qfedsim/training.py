@@ -36,8 +36,6 @@ import numpy as np
 
 from . import core, model
 from .core import NoiseSpec, Observable, QuantumState, ShotSpec
-from .data import LabeledDataset
-from .encoding import encode_batch
 from .exceptions import ConfigError, DataError, LabelError, NumericError, ShapeError
 from .model import (
     CircuitSpec,
@@ -45,7 +43,7 @@ from .model import (
     check_params,
     class_probabilities,
     head_scores,
-    run_ansatz_kernel,
+    run_circuit,
 )
 
 MODE_VQE = "vqe"
@@ -96,6 +94,15 @@ class GradientEstimate:
 
 
 @dataclass(frozen=True)
+class ClientShard:
+    """One client's training rows: amplitude-encoded inputs and their logit
+    indices (not raw class ids), encoded once and reused across rounds."""
+
+    encoded: np.ndarray
+    labels: np.ndarray
+
+
+@dataclass(frozen=True)
 class LocalTrainResult:
     params: ModelParams
     loss_trace: np.ndarray  # per-epoch mean loss, length = local_epochs
@@ -104,15 +111,8 @@ class LocalTrainResult:
 
 def loss_vqe(spec: CircuitSpec, params: ModelParams, observable: Observable) -> float:
     """Exact <H> on the noiseless ansatz output from |0...0>."""
-    check_params(spec, params)
-    if observable.n_qubits != spec.n_qubits:
-        raise ShapeError(
-            f"observable on {observable.n_qubits} qubits does not match "
-            f"circuit on {spec.n_qubits}"
-        )
-    amps = np.eye(1, spec.dim)  # |0...0> as a one-row batch
-    run_ansatz_kernel(amps, spec, params.angles, NoiseSpec.off(), None)
-    return core.expectation(QuantumState(spec.n_qubits, amps[0]), observable)
+    zero = QuantumState(spec.n_qubits, np.eye(1, spec.dim)[0])
+    return core.expectation(run_circuit(spec, params, zero), observable)
 
 
 def _check_labels(labels: np.ndarray, n_classes: int) -> None:
@@ -282,22 +282,22 @@ def _train_vqe_loop(spec, params, observable, config, global_params):
     return LocalTrainResult(params, trace, evals)
 
 
-def local_train(spec: CircuitSpec, start_params: ModelParams,
-                dataset_shard: LabeledDataset | None, config: TrainConfig,
-                global_params: ModelParams | None = None,
+def local_train(spec: CircuitSpec, start_params: ModelParams, shard: ClientShard | None,
+                config: TrainConfig, global_params: ModelParams | None = None,
                 shots: ShotSpec = ShotSpec.exact(), noise: NoiseSpec = NoiseSpec.off(),
                 rng: np.random.Generator | None = None,
                 observable: Observable | None = None) -> LocalTrainResult:
     """T local epochs of proximal mini-batch training.
 
-    classify mode: `dataset_shard` is a non-empty LabeledDataset whose rows
-    train against their logit indices; it is encoded once and handed to
-    train_on_encoded. `rng` drives the shuffles and every stochastic draw
-    and is required, so that every run can be replayed.
+    classify mode: `shard` is a non-empty ClientShard. Each epoch shuffles
+    its rows and steps over mini-batches; the trace holds each epoch's
+    sample-weighted mean batch loss, evaluated at the parameters the batch
+    was seen with. `rng` drives the shuffles and every stochastic draw and
+    is required, so that every run can be replayed.
 
-    vqe mode: Algorithm-style observable minimization; `dataset_shard` is
-    ignored (the loss consumes no data), one gradient step per epoch, and the
-    trace holds the loss at the start of each step. `observable` is required;
+    vqe mode: Algorithm-style observable minimization; `shard` is ignored
+    (the loss consumes no data), one gradient step per epoch, and the trace
+    holds the loss at the start of each step. `observable` is required;
     `shots` must be exact and `noise` off: <H> is read out exactly, on the
     noiseless circuit, so vqe mode draws nothing.
     """
@@ -316,29 +316,11 @@ def local_train(spec: CircuitSpec, start_params: ModelParams,
         return _train_vqe_loop(spec, start_params, observable, config, global_params)
     if rng is None:
         raise ConfigError("classify training needs a seeded generator; got rng=None")
-    if dataset_shard is None:
+    if shard is None or shard.encoded.shape[0] == 0:
         raise DataError("classify training needs a non-empty shard")
-    return train_on_encoded(
-        spec, start_params, encode_batch(dataset_shard.features, spec.n_qubits),
-        dataset_shard.logit_indices(), config, global_params, shots, noise, rng,
-    )
-
-
-def train_on_encoded(spec: CircuitSpec, start_params: ModelParams, encoded: np.ndarray,
-                     labels: np.ndarray, config: TrainConfig,
-                     global_params: ModelParams | None, shots: ShotSpec,
-                     noise: NoiseSpec, rng: np.random.Generator) -> LocalTrainResult:
-    """classify-mode local training over pre-encoded inputs and logit labels.
-
-    Each epoch shuffles the rows (from `rng`) and steps over mini-batches.
-    The trace holds each epoch's sample-weighted mean batch loss, evaluated at
-    the parameters the batch was seen with.
-    """
-    check_params(spec, start_params)
-    count = encoded.shape[0]
-    if count == 0:
-        raise DataError("classify training needs a non-empty shard")
+    encoded, labels = shard.encoded, shard.labels
     _check_labels(labels, start_params.n_classes)
+    count = encoded.shape[0]
     params = start_params
     trace = np.zeros(config.local_epochs)
     evals = 0

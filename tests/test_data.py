@@ -515,7 +515,7 @@ class TestHeterogeneity:
         ds = tiny_dataset([0, 1] * 10)
         shards = (tuple(range(0, 10)), tuple(range(10, 20)))
         part = PartitionedDataset(ds, shards, "manual")
-        stats = heterogeneity(part, ds)
+        stats = heterogeneity(part)
         assert stats.avg_pairwise_kl == pytest.approx(0.0, abs=1e-9)
         assert stats.class_histograms.tolist() == [[5, 5], [5, 5]]
 
@@ -527,14 +527,14 @@ class TestHeterogeneity:
         p0 = (3 + eps) / (3 + 2 * eps)
         p1 = eps / (3 + 2 * eps)
         expected = (p0 - p1) * math.log(p0 / p1)
-        assert heterogeneity(part, ds).avg_pairwise_kl == pytest.approx(
+        assert heterogeneity(part).avg_pairwise_kl == pytest.approx(
             expected, rel=1e-12
         )
 
     def test_single_client_is_zero(self):
         ds = tiny_dataset([0, 1, 0, 1])
         part = PartitionedDataset(ds, ((0, 1, 2, 3),), "manual")
-        assert heterogeneity(part, ds).avg_pairwise_kl == 0.0
+        assert heterogeneity(part).avg_pairwise_kl == 0.0
 
     def test_smaller_alpha_is_more_heterogeneous(self):
         ds = tiny_dataset([c for c in range(10) for _ in range(30)])
@@ -548,7 +548,7 @@ class TestHeterogeneity:
                     5,
                     np.random.default_rng(seed),
                 )
-                values.append(heterogeneity(part, ds).avg_pairwise_kl)
+                values.append(heterogeneity(part).avg_pairwise_kl)
             return float(np.median(values))
 
         assert median_kl(0.01) > median_kl(1.0)
@@ -556,5 +556,5 @@ class TestHeterogeneity:
     def test_histogram_columns_follow_sorted_class_ids(self):
         ds = LabeledDataset([[1.0], [2.0]], [9, 2], frozenset({2, 9}), frozenset())
         part = PartitionedDataset(ds, ((0,), (1,)), "manual")
-        stats = heterogeneity(part, ds)
+        stats = heterogeneity(part)
         assert stats.class_histograms.tolist() == [[0, 1], [1, 0]]

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from qfedsim.core import NoiseSpec, ShotSpec
-from qfedsim.data import SCHEME_IID, partition, synth_anomaly_dataset
+from qfedsim import federation
+from qfedsim.data import (
+    SCHEME_DIRICHLET,
+    SCHEME_IID,
+    PartitionScheme,
+    partition,
+    synth_anomaly_dataset,
+)
+from qfedsim.encoding import encode_batch
 from qfedsim.exceptions import (
     ConfigError,
     ContractError,
@@ -17,7 +25,6 @@ from qfedsim.federation import (
     SCORE_CENTROID,
     SCORE_MAX_PROB,
     THRESHOLD_YOUDEN,
-    ClientShard,
     FederationConfig,
     RoundHistory,
     aggregate_weighted,
@@ -31,7 +38,7 @@ from qfedsim.federation import (
 )
 from qfedsim.model import CircuitSpec, ModelParams, init_params
 from qfedsim.seeding import client_rng, derive_rng, STAGE_INIT
-from qfedsim.training import TrainConfig, train_on_encoded
+from qfedsim.training import ClientShard, TrainConfig, local_train
 
 
 def const_params(value, n_classes=2, spec=CircuitSpec(2, 1)):
@@ -80,6 +87,10 @@ def make_setup(n_clients=2, rounds=2, eta=0.05, lam=0.1, epochs=1, seed=5,
         threshold=threshold,
     )
     return config, part, val
+
+
+def shards_of(part, spec):
+    return build_client_shards(part, encode_batch(part.dataset.features, spec.n_qubits))
 
 
 class TestAggregate:
@@ -208,11 +219,23 @@ class TestValidationContext:
                 only_anomalies, CircuitSpec(2, 1), frozenset({0, 1})
             )
 
+    def test_shards_slice_the_encoded_training_set_bit_for_bit(self):
+        train, _ = split_synth(6)
+        part = partition(train, PartitionScheme(SCHEME_DIRICHLET, alpha=0.5), 3,
+                         np.random.default_rng(7))
+        encoded = encode_batch(train.features, 2)
+        shards = build_client_shards(part, encoded)
+        logits = train.logit_indices()
+        for shard, rows in zip(shards, part.shards):
+            rows = list(rows)
+            assert np.array_equal(shard.encoded, encode_batch(train.features[rows], 2))
+            assert np.array_equal(shard.labels, logits[rows])
+
     def test_anomalies_in_training_shards_rejected(self):
         ds = synth_anomaly_dataset(2, 6, 4, 4, 6.0, np.random.default_rng(2))
         part = partition(ds, SCHEME_IID, 2, np.random.default_rng(3))
         with pytest.raises(DataError, match="anomaly classes"):
-            build_client_shards(part, CircuitSpec(2, 1))
+            shards_of(part, CircuitSpec(2, 1))
 
     def test_centroid_scoring_needs_training_context(self):
         _, val = split_synth(0)
@@ -251,20 +274,20 @@ class TestValidationContext:
 class TestRunRound:
     def test_single_client_round_is_plain_local_training(self):
         config, part, val = make_setup(n_clients=1, seed=9)
-        shards = build_client_shards(part, config.spec)
+        shards = shards_of(part, config.spec)
         ctx = build_validation_context(val, config.spec, part.dataset.normal_classes)
         start = init_params(config.spec, 2, derive_rng(config.master_seed, STAGE_INIT))
         new_global, record = run_round(0, config, start, shards, ctx)
-        direct = train_on_encoded(
-            config.spec, start, shards[0].encoded, shards[0].labels, config.train,
-            start, config.shots, config.noise[0], client_rng(config.master_seed, 0, 0),
+        direct = local_train(
+            config.spec, start, shards[0], config.train, start, config.shots,
+            config.noise[0], client_rng(config.master_seed, 0, 0),
         )
         assert np.array_equal(new_global.vector, direct.params.vector)
         assert record.client_losses == (float(direct.loss_trace[-1]),)
 
     def test_zero_eta_round_returns_same_params(self):
         config, part, val = make_setup(eta=0.0, seed=11)
-        shards = build_client_shards(part, config.spec)
+        shards = shards_of(part, config.spec)
         ctx = build_validation_context(val, config.spec, part.dataset.normal_classes)
         start = init_params(config.spec, 2, derive_rng(config.master_seed, STAGE_INIT))
         new_global, record = run_round(0, config, start, shards, ctx)
@@ -273,7 +296,7 @@ class TestRunRound:
 
     def test_client_failures_name_client_and_round(self):
         config, part, val = make_setup(seed=13)
-        shards = build_client_shards(part, config.spec)
+        shards = shards_of(part, config.spec)
         ctx = build_validation_context(val, config.spec, part.dataset.normal_classes)
         start = init_params(config.spec, 2, derive_rng(config.master_seed, STAGE_INIT))
         poisoned = [ClientShard(shards[0].encoded, shards[0].labels + 99), shards[1]]
@@ -299,9 +322,26 @@ class TestRunRound:
             with pytest.raises(NumericError, match="round 0: non-finite validation loss"):
                 run_round(0, config, params, [shard], ctx)
 
+    def test_each_client_trains_once_per_round(self, monkeypatch):
+        # perfbench times a client epoch as one federation.train_on_encoded call
+        config, part, val = make_setup(n_clients=3, seed=19)
+        shards = shards_of(part, config.spec)
+        ctx = build_validation_context(val, config.spec, part.dataset.normal_classes)
+        start = init_params(config.spec, 2, derive_rng(config.master_seed, STAGE_INIT))
+        calls = []
+        original = federation.train_on_encoded
+
+        def counted(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(federation, "train_on_encoded", counted)
+        run_round(0, config, start, shards, ctx)
+        assert calls == [0, 1, 2]
+
     def test_shard_count_mismatch_rejected(self):
         config, part, val = make_setup(seed=15)
-        shards = build_client_shards(part, config.spec)
+        shards = shards_of(part, config.spec)
         ctx = build_validation_context(val, config.spec, part.dataset.normal_classes)
         start = init_params(config.spec, 2, derive_rng(config.master_seed, STAGE_INIT))
         with pytest.raises(ConfigError):

@@ -31,6 +31,7 @@ from qfedsim.model import (
 from qfedsim.training import (
     MODE_CLASSIFY,
     MODE_VQE,
+    ClientShard,
     GradientEstimate,
     TrainConfig,
     classify_loss_and_grad,
@@ -39,7 +40,6 @@ from qfedsim.training import (
     local_train,
     loss_vqe,
     personalized_step,
-    train_on_encoded,
 )
 
 EXACT = ShotSpec.exact()
@@ -59,6 +59,11 @@ def make_batch(rng, n_samples, n_features, n_classes):
     rows = [(rng.normal(size=n_features), int(rng.integers(n_classes)))
             for _ in range(n_samples)]
     return labeled([x for x, _ in rows], [c for _, c in rows], n_classes)
+
+
+def shard_of(spec, batch):
+    """A batch as local_train takes it: encoded rows and logit indices."""
+    return ClientShard(encode_batch(batch.features, spec.n_qubits), batch.logit_indices())
 
 
 def batch_loss(spec, params, batch):
@@ -144,15 +149,15 @@ class TestLossClassify:
         spec = CircuitSpec(1, 1)
         params = make_params(spec, 2)
         with pytest.raises(LabelError):
-            train_on_encoded(spec, params, encode_batch([[1.0]], 1), np.array([5]),
-                             TrainConfig(), None, EXACT, CLEAN, np.random.default_rng(0))
+            local_train(spec, params, ClientShard(encode_batch([[1.0]], 1), np.array([5])),
+                        TrainConfig(), rng=np.random.default_rng(0))
 
     def test_empty_batch(self):
         spec = CircuitSpec(1, 1)
         params = make_params(spec, 2)
         with pytest.raises(DataError):
-            train_on_encoded(spec, params, np.empty((0, 2)), np.empty(0, dtype=np.int64),
-                             TrainConfig(), None, EXACT, CLEAN, np.random.default_rng(0))
+            local_train(spec, params, ClientShard(np.empty((0, 2)), np.empty(0, dtype=np.int64)),
+                        TrainConfig(), rng=np.random.default_rng(0))
 
 
 class TestGradParameterShift:
@@ -572,7 +577,8 @@ class TestLocalTrain:
         params = make_params(spec, 2, seed=8)
         batch = make_batch(np.random.default_rng(9), 8, 4, 2)
         config = TrainConfig(eta=0.0, lam=0.0, local_epochs=3, batch_size=4)
-        result = local_train(spec, params, batch, config, rng=np.random.default_rng(10))
+        result = local_train(spec, params, shard_of(spec, batch), config,
+                             rng=np.random.default_rng(10))
         assert np.array_equal(result.params.angles, params.angles)
         assert np.array_equal(result.params.head_weights, params.head_weights)
         assert len(result.loss_trace) == 3
@@ -620,7 +626,8 @@ class TestLocalTrain:
         spec = CircuitSpec(2, 1)
         batch = make_batch(np.random.default_rng(2), 4, 4, 2)
         with pytest.raises(ConfigError, match="generator"):
-            local_train(spec, make_params(spec, 2), batch, TrainConfig(local_epochs=1))
+            local_train(spec, make_params(spec, 2), shard_of(spec, batch),
+                        TrainConfig(local_epochs=1))
 
     def test_vqe_requires_observable(self):
         spec = CircuitSpec(1, 1)
@@ -632,8 +639,7 @@ class TestLocalTrain:
         spec = CircuitSpec(1, 1)
         config = TrainConfig(mode=MODE_CLASSIFY)
         with pytest.raises(DataError):
-            local_train(spec, make_params(spec, 2), labeled(np.empty((0, 2)), [], 2), config,
-                        rng=np.random.default_rng(0))
+            local_train(spec, make_params(spec, 2), None, config, rng=np.random.default_rng(0))
 
     def test_bit_identical_under_same_seed(self):
         spec = CircuitSpec(2, 1)
@@ -641,7 +647,7 @@ class TestLocalTrain:
         batch = make_batch(np.random.default_rng(13), 10, 4, 2)
         config = TrainConfig(eta=0.05, lam=0.1, local_epochs=2, batch_size=4)
         runs = [
-            local_train(spec, params, batch, config, global_params=params,
+            local_train(spec, params, shard_of(spec, batch), config, global_params=params,
                         shots=ShotSpec(64), noise=NoiseSpec(0.1),
                         rng=np.random.default_rng(99))
             for _ in range(2)
@@ -655,9 +661,10 @@ class TestLocalTrain:
         params = make_params(spec, 2, seed=14)
         batch = make_batch(np.random.default_rng(15), 9, 4, 2)
         anchored = TrainConfig(eta=0.02, lam=0.0, local_epochs=3, batch_size=4)
-        with_anchor = local_train(spec, params, batch, anchored, global_params=params,
+        shard = shard_of(spec, batch)
+        with_anchor = local_train(spec, params, shard, anchored, global_params=params,
                                   rng=np.random.default_rng(7))
-        without_anchor = local_train(spec, params, batch, anchored, global_params=None,
+        without_anchor = local_train(spec, params, shard, anchored, global_params=None,
                                      rng=np.random.default_rng(7))
         assert np.array_equal(
             with_anchor.params.vector, without_anchor.params.vector
@@ -675,20 +682,9 @@ class TestLocalTrain:
             2,
         )
         config = TrainConfig(eta=0.5, lam=0.0, local_epochs=30, batch_size=16)
-        result = local_train(spec, params, batch, config, rng=np.random.default_rng(18))
+        result = local_train(spec, params, shard_of(spec, batch), config,
+                             rng=np.random.default_rng(18))
         assert result.loss_trace[-1] < result.loss_trace[0]
-
-    def test_train_on_encoded_matches_local_train(self):
-        spec = CircuitSpec(2, 1)
-        params = make_params(spec, 2, seed=19)
-        batch = make_batch(np.random.default_rng(20), 7, 4, 2)
-        config = TrainConfig(eta=0.05, lam=0.1, local_epochs=2, batch_size=3)
-        a = local_train(spec, params, batch, config, global_params=params,
-                        rng=np.random.default_rng(21))
-        b = train_on_encoded(spec, params, encode_batch(batch.features, 2), batch.labels, config,
-                             params, EXACT, CLEAN, np.random.default_rng(21))
-        assert np.array_equal(a.params.vector, b.params.vector)
-        assert np.array_equal(a.loss_trace, b.loss_trace)
 
 
 class TestTrainConfig:
