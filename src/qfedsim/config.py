@@ -97,7 +97,13 @@ _list = _within(_typed(list, "a list"), len, "non-empty")
 
 
 def _number(value) -> float:
-    return float(_typed((int, float), "a number")(value))
+    try:
+        number = float(_typed((int, float), "a number")(value))
+    except OverflowError:  # an integer literal beyond the float range
+        number = np.inf
+    if not np.isfinite(number):
+        raise ConfigError(f"must be finite, got {value!r}")
+    return number
 
 
 def _optional(parse):

@@ -159,7 +159,10 @@ def _qubit_pairing(dim: int, qubit: int) -> tuple:
     """Per basis index j: its `qubit` bit, the flipped bit, and j with the bit flipped."""
     idx = np.arange(dim)
     bit = (idx >> qubit) & 1
-    return bit, 1 - bit, idx ^ (1 << qubit)
+    tables = bit, 1 - bit, idx ^ (1 << qubit)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 @lru_cache(maxsize=None)
@@ -182,25 +185,13 @@ def apply_one_qubit_kernel(amps: np.ndarray, qubit: int, mat: np.ndarray) -> Non
     leading axes broadcast against those of `amps`: an (S, 1, 2, 2) stack on
     an (S, B, 2**n) array gives each block of B states its own matrix.
     Amplitude j becomes mat[b, b] * amps[j] + mat[b, 1 - b] * amps[j ^ 2**qubit],
-    b the qubit's bit of j. The halves b = 0 and b = 1 are updated through a
-    strided view; at strides 2 and 4 that view's inner loops are so short
-    that gathering every amplitude's partner is faster. Both orders of the
-    same two products give bit-identical sums.
+    b the qubit's bit of j, with every partner amplitude gathered at once.
     """
-    dim = amps.shape[-1]
-    stride = 1 << qubit
-    if stride in (2, 4):
-        bit, flipped_bit, partner = _qubit_pairing(dim, qubit)
-        swapped = amps[..., partner]
-        swapped *= mat[..., bit, flipped_bit]
-        amps *= mat[..., bit, bit]
-        amps += swapped
-        return
-    view = amps.reshape(amps.shape[:-1] + (dim >> (qubit + 1), 2, stride))
-    lo = view[..., 0, :].copy()
-    hi = view[..., 1, :]
-    view[..., 0, :] = mat[..., 0, 0, None, None] * lo + mat[..., 0, 1, None, None] * hi
-    view[..., 1, :] = mat[..., 1, 0, None, None] * lo + mat[..., 1, 1, None, None] * hi
+    bit, flipped_bit, partner = _qubit_pairing(amps.shape[-1], qubit)
+    swapped = np.take(amps, partner, axis=-1)
+    swapped *= mat[..., bit, flipped_bit]
+    amps *= mat[..., bit, bit]
+    amps += swapped
 
 
 @dataclass(frozen=True, eq=False)

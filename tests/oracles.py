@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive — dense Kronecker products, explicit
 loops, brute-force pair enumeration — and shares no code with the package.
-The one exception is `per_gate_ansatz`, the bit-for-bit reference for the
-noisy pass: it takes the package's Ry kernel as an argument, because dense
-Ry products round differently, and does everything else itself.
+The bit-for-bit references apply gates the way the package once did:
+`one_qubit_kernel` is the package's former two-branch one-qubit kernel, and
+`per_gate_ansatz` applies every gate and every drawn Pauli on its own.
 """
 
 import math
@@ -93,13 +93,38 @@ def depolarize_rows(amps: np.ndarray, qubit: int, hit: np.ndarray,
     np.copyto(hi, old_lo, where=flip)
 
 
+def one_qubit_kernel(amps: np.ndarray, qubit: int, mat: np.ndarray) -> None:
+    """A 2x2 matrix on one qubit of every state in `amps` (..., 2**n), in
+    place; `mat` is (2, 2) or a (..., 2, 2) stack that broadcasts against the
+    leading axes. Amplitude j becomes mat[b, b] * amps[j] + mat[b, 1 - b] *
+    amps[j ^ 2**qubit], b the qubit's bit of j: at strides 2 and 4 by
+    gathering every partner, else through a strided view of the two halves.
+    The package's kernel must match it bit for bit, signed zeros included."""
+    dim = amps.shape[-1]
+    stride = 1 << qubit
+    if stride in (2, 4):
+        idx = np.arange(dim)
+        bit = (idx >> qubit) & 1
+        swapped = amps[..., idx ^ stride]
+        swapped *= mat[..., bit, 1 - bit]
+        amps *= mat[..., bit, bit]
+        amps += swapped
+        return
+    view = amps.reshape(amps.shape[:-1] + (dim >> (qubit + 1), 2, stride))
+    lo = view[..., 0, :].copy()
+    hi = view[..., 1, :]
+    view[..., 0, :] = mat[..., 0, 0, None, None] * lo + mat[..., 0, 1, None, None] * hi
+    view[..., 1, :] = mat[..., 1, 0, None, None] * lo + mat[..., 1, 1, None, None] * hi
+
+
 def per_gate_ansatz(amps: np.ndarray, n: int, n_layers: int, pairs, apply_ry,
                     hit: np.ndarray, which: np.ndarray) -> None:
     """The noisy ansatz gate by gate on a (rows, 2**n) array, in place.
 
-    Per layer, Ry on qubits 0..n-1 by `apply_ry(amps, layer, qubit)`, each
-    followed by its noise site, then each CX pair as its own gather followed
-    by the sites of its control and its target. Site s (in that order over
+    Per layer, Ry on qubits 0..n-1 by `apply_ry(amps, layer, qubit)`, which
+    the caller builds on `one_qubit_kernel` with its choice of matrix per
+    block of rows, each followed by its noise site, then each CX pair as its
+    own gather followed by the sites of its control and its target. Site s (in that order over
     all layers) applies the pre-drawn (hit[s], which[s]), each (rows,).
     """
     sites = iter(zip(hit, which))

@@ -334,6 +334,26 @@ class TestErrorsNameTheKey:
             config_from_mapping(minimal(**{key: value}))
 
 
+class TestNonFiniteNumbers:
+    # Python's json reads NaN, Infinity and -Infinity, and integers of any
+    # size; each number that is not a finite float is refused at load time
+    # under the name of its key, not after training has run.
+    @pytest.mark.parametrize("extra, named", [
+        ({"eta": float("nan")}, "eta"),
+        ({"eta": 10 ** 400}, "eta"),
+        ({"lam": float("inf")}, "lam"),
+        ({"target_loss": float("nan")}, "target_loss"),
+        ({"n_clients": 3, "client_weights": [float("nan"), 0.5, 0.5]}, "client_weights"),
+        ({"metrics": {"threshold": float("nan")}}, "threshold"),
+        ({"sweep": {"lambda": [0.1, float("-inf")]}}, "lambda"),
+    ])
+    def test_refused_naming_the_key(self, tmp_path, extra, named):
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(minimal(**extra)))
+        with pytest.raises(ConfigError, match=rf"\b{named}\b.*must be finite"):
+            load_config(path)
+
+
 class TestSnapshot:
     def test_round_trip_preserves_resolved_config(self):
         partitions = ({"scheme": "dirichlet", "alpha": 0.5}, {"scheme": "iid"},

@@ -16,14 +16,15 @@ from qfedsim.core import (
     expectation,
     pauli_frames,
     ry_matrices,
+    ry_pi_tables,
+    _qubit_pairing,
 )
 from qfedsim.exceptions import CapacityError, ConfigError, ContractError, ShapeError
 from qfedsim.model import LINEAR_CHAIN, RING, CircuitSpec, readout_batch
 
 SQ2 = np.sqrt(0.5)
 
-# Widths 1..5 put every qubit stride (1, 2, 4, 8, 16) under test, so the
-# kernel's gather branch (strides 2 and 4) and its strided-view branch both run.
+# Widths 1..5 put every qubit stride from 1 to 16 under test.
 WIDTHS = (1, 2, 3, 4, 5)
 
 
@@ -156,7 +157,7 @@ class TestApplyRy:
         assert np.allclose(out, [[SQ2, SQ2]], atol=1e-15)
 
     def test_index_out_of_range(self):
-        # A qubit past the array's width fails loudly in both kernel branches.
+        # A qubit past the array's width fails loudly.
         for n in WIDTHS:
             for qubit in (n, n + 1, n + 2):
                 with pytest.raises((IndexError, ValueError)):
@@ -177,7 +178,7 @@ class TestApplyRy:
 
     def test_matrix_stack_gives_each_block_its_matrix(self):
         # An (S, 1, 2, 2) stack on (S, B, 2**n) rows equals the shared-matrix
-        # kernel run block by block, bit for bit, in both kernel branches.
+        # kernel run block by block, bit for bit.
         rng = np.random.default_rng(8)
         for n in WIDTHS:
             blocks = real_states(n, 12, rng).reshape(3, 4, 1 << n)
@@ -195,6 +196,75 @@ class TestApplyRy:
             for qubit in range(n):
                 out = ry(ry(amps, qubit, 1.234), qubit, -1.234)
                 assert np.allclose(out, amps, atol=1e-12)
+
+    def test_qubit_pairing_tables_are_cached_and_read_only(self):
+        # The one-qubit kernel indexes every call with these shared arrays.
+        for qubit in range(3):
+            pairing = _qubit_pairing(8, qubit)
+            assert _qubit_pairing(8, qubit) is pairing
+            for table in pairing:
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 1
+        for table in ry_pi_tables(3):
+            assert not table.flags.writeable
+
+
+class TestOneQubitKernelAgainstReference:
+    """apply_one_qubit_kernel against oracles.one_qubit_kernel, the former
+    two-branch kernel, bit for bit with the signs of zeros, on every qubit of
+    1..7 qubits and on each kind of input the package gives it."""
+
+    @staticmethod
+    def assert_same_as_reference(amps, qubit, mat):
+        out, ref = amps.copy(), amps.copy()
+        apply_one_qubit_kernel(out, qubit, mat)
+        oracles.one_qubit_kernel(ref, qubit, mat)
+        assert out.dtype == ref.dtype
+        assert np.array_equal(out, ref)
+        for ours, theirs in ((out.real, ref.real), (out.imag, ref.imag)):
+            assert np.array_equal(np.signbit(ours), np.signbit(theirs))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_real_batches(self, n):
+        rng = np.random.default_rng(40 + n)
+        amps = real_states(n, 9, rng)
+        for qubit in range(n):
+            self.assert_same_as_reference(amps, qubit, ry_matrices(rng.uniform(-7, 7)))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matrix_stacks(self, n):
+        rng = np.random.default_rng(50 + n)
+        blocks = real_states(n, 12, rng).reshape(3, 4, 1 << n)
+        for qubit in range(n):
+            mats = ry_matrices(rng.uniform(-7, 7, size=3))[:, None]
+            self.assert_same_as_reference(blocks, qubit, mats)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_complex_vectors_under_paulis(self, n):
+        # The `expectation` path: one complex vector per Pauli term.
+        rng = np.random.default_rng(60 + n)
+        vec = random_state(n, rng).amplitudes
+        for qubit in range(n):
+            for pauli in (oracles.X, oracles.Y, oracles.Z):
+                self.assert_same_as_reference(vec, qubit, pauli)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_signed_zeros(self, n):
+        # Rows of +0.0 and -0.0 next to nonzero amplitudes, under angles whose
+        # matrices hold -0.0 (angle 0) or exact zeros of either sign.
+        rng = np.random.default_rng(70 + n)
+        amps = real_states(n, 6, rng)
+        amps[0] = 0.0
+        amps[1] = -0.0
+        amps[2, ::2] = -0.0
+        amps[3, 1::3] = 0.0
+        for qubit in range(n):
+            for angle in (0.0, -0.0, np.pi, -np.pi, 2 * np.pi):
+                self.assert_same_as_reference(amps, qubit, ry_matrices(angle))
+            complex_rows = amps * (1 - 1j)
+            for pauli in (oracles.X, oracles.Y, oracles.Z):
+                self.assert_same_as_reference(complex_rows, qubit, pauli)
 
 
 class TestApplyCx:

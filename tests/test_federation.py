@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from qfedsim.core import NoiseSpec, ShotSpec
-from qfedsim import federation
+from qfedsim import core, federation
 from qfedsim.data import (
     SCHEME_DIRICHLET,
     SCHEME_IID,
@@ -39,6 +40,7 @@ from qfedsim.federation import (
 from qfedsim.model import CircuitSpec, ModelParams, init_params
 from qfedsim.seeding import client_rng, derive_rng, STAGE_INIT
 from qfedsim.training import ClientShard, TrainConfig, local_train
+from test_acceptance import GENTLE_BENCHMARK, federated_history
 
 
 def const_params(value, n_classes=2, spec=CircuitSpec(2, 1)):
@@ -357,6 +359,16 @@ class TestRunFederation:
         assert [r.params_checksum for r in a.records] == [
             r.params_checksum for r in b.records
         ]
+
+    def test_reference_one_qubit_kernel_gives_the_same_rounds(self, monkeypatch):
+        # Every forward pass, adjoint sweep and expectation runs the one-qubit
+        # kernel; the former two-branch kernel must leave a gentle federation
+        # on the same parameters, round by round.
+        rounds = federated_history(GENTLE_BENCHMARK, 0, global_rounds=3).records
+        monkeypatch.setattr(core, "apply_one_qubit_kernel", oracles.one_qubit_kernel)
+        reference = federated_history(GENTLE_BENCHMARK, 0, global_rounds=3).records
+        assert len(rounds) == 3
+        assert [r.params_checksum for r in rounds] == [r.params_checksum for r in reference]
 
     def test_round_records_are_complete_and_ordered(self):
         config, part, val = make_setup(rounds=3, seed=25)

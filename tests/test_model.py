@@ -8,7 +8,6 @@ from qfedsim.core import (
     NoiseSpec,
     QuantumState,
     ShotSpec,
-    apply_one_qubit_kernel,
     ry_matrices,
 )
 from qfedsim.encoding import encode_batch
@@ -230,9 +229,10 @@ class TestRunAnsatzKernel:
 
 def frame_and_reference_passes(spec, angles, rows, epsilon, seed):
     """The same noisy pass by run_ansatz_kernel and by the gate-by-gate
-    reference, oracles.per_gate_ansatz, from twin generators. The reference
-    draws its trajectory as the pass documents: one uniform, then one Pauli
-    choice, per (site, row). Returns both outputs and both generators."""
+    reference, oracles.per_gate_ansatz on oracles.one_qubit_kernel, from twin
+    generators. The reference draws its trajectory as the pass documents: one
+    uniform, then one Pauli choice, per (site, row). Returns both outputs and
+    both generators."""
     rng = np.random.default_rng(seed)
     encoded = encode_batch(rng.normal(size=(rows, spec.dim)), spec.n_qubits)
     amps = np.tile(encoded, (len(angles), 1)) if angles.ndim == 3 else encoded.copy()
@@ -250,7 +250,7 @@ def frame_and_reference_passes(spec, angles, rows, epsilon, seed):
 
     def apply_ry(_, layer, qubit):
         mat = mats[:, layer, qubit, None] if angles.ndim == 3 else mats[layer, qubit]
-        apply_one_qubit_kernel(blocks, qubit, mat)
+        oracles.one_qubit_kernel(blocks, qubit, mat)
 
     oracles.per_gate_ansatz(ref, spec.n_qubits, spec.n_layers, spec.entangler_pairs(),
                             apply_ry, hit, which)

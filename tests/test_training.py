@@ -11,7 +11,6 @@ from qfedsim.core import (
     NoiseSpec,
     Observable,
     ShotSpec,
-    apply_one_qubit_kernel,
     ry_matrices,
 )
 from qfedsim.data import LabeledDataset
@@ -242,13 +241,13 @@ class TestGradParameterShift:
 
 
 def ansatz_on_trajectory(spec, angles, amps, hit, which):
-    """The ansatz gate by gate on one block of rows (oracles.per_gate_ansatz);
-    noise site s (in gate order, CX control before target) applies the
-    pre-drawn (hit[s], which[s])."""
+    """The ansatz gate by gate on one block of rows (oracles.per_gate_ansatz,
+    its Ry gates by oracles.one_qubit_kernel); noise site s (in gate order, CX
+    control before target) applies the pre-drawn (hit[s], which[s])."""
     mats = ry_matrices(angles)
 
     def apply_ry(rows, layer, qubit):
-        apply_one_qubit_kernel(rows, qubit, mats[layer, qubit])
+        oracles.one_qubit_kernel(rows, qubit, mats[layer, qubit])
 
     oracles.per_gate_ansatz(amps, spec.n_qubits, spec.n_layers, spec.entangler_pairs(),
                             apply_ry, hit, which)
