@@ -27,7 +27,8 @@ def encode_batch(rows: np.ndarray, n_qubits: int) -> np.ndarray:
         )
     out = np.zeros((rows.shape[0], dim))
     norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0.0):
-        raise DegenerateInputError("zero vector cannot be normalized")
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DegenerateInputError(f"row {zero[0]} is a zero vector and cannot be normalized")
     out[:, : rows.shape[1]] = rows / norms[:, None]
     return out

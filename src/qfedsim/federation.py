@@ -5,7 +5,8 @@ proximal anchor), trains T local epochs on its shard with a generator derived
 from (master_seed, round, client), and the server aggregates the results as
 the convex combination sum(alpha_n * w_n). The new global model is then
 evaluated on a held-out validation set — exactly (no shots, no gate noise),
-so each round record is a pure function of the aggregated parameters.
+so each round record is a pure function of the aggregated parameters. Each
+shard, the validation set and the centroid reference is one EncodedSet.
 
 Plain federated averaging is the lam = 0 special case of the personalized
 update; both modes run the same code path, step for step.
@@ -21,7 +22,8 @@ import numpy as np
 from .core import NoiseSpec, ShotSpec
 from .data import LabeledDataset, PartitionedDataset
 from .encoding import encode_batch
-from .exceptions import ConfigError, ContractError, DataError, NumericError, ShapeError
+from .exceptions import (ConfigError, ContractError, DataError, DegenerateInputError,
+                         NumericError, ShapeError)
 from .metrics import (
     ScoredSet,
     auroc,
@@ -44,7 +46,7 @@ from .model import (
 from .seeding import STAGE_INIT, client_rng, derive_rng
 from .training import (
     MODE_CLASSIFY,
-    ClientShard,
+    EncodedSet,
     LocalTrainResult,
     TrainConfig,
     cross_entropy,
@@ -89,9 +91,9 @@ class FederationConfig:
             raise ConfigError(
                 f"client_weights has {weights.size} entries for {self.n_clients} clients"
             )
-        if abs(weights.sum() - 1.0) > 1e-9:
+        if not abs(weights.sum() - 1.0) <= 1e-9:
             raise ConfigError(f"client_weights sum to {float(weights.sum())!r}, not 1")
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):
             raise ConfigError("client_weights must all be positive")
         noise = tuple(self.noise)
         if len(noise) != self.n_clients:
@@ -171,9 +173,9 @@ def aggregate_weighted(param_sets, alphas) -> ModelParams:
         raise ShapeError(
             f"{alphas.size} weights for {len(param_sets)} parameter sets"
         )
-    if abs(alphas.sum() - 1.0) > 1e-9:
+    if not abs(alphas.sum() - 1.0) <= 1e-9:
         raise ConfigError(f"weights sum to {alphas.sum()!r}, not 1")
-    if np.any(alphas < 0):
+    if not np.all(alphas >= 0):
         raise ConfigError("weights must be non-negative")
     return first.with_vector(
         np.tensordot(alphas, np.stack([p.vector for p in param_sets]), axes=1)
@@ -183,75 +185,33 @@ def aggregate_weighted(param_sets, alphas) -> ModelParams:
 # ---------------------------------------------------------------------------
 # Validation.
 
-def build_client_shards(partitioned: PartitionedDataset, encoded: np.ndarray) -> list:
-    """One ClientShard per client: its rows of `encoded`, the whole training
-    set amplitude-encoded, with their logit indices."""
-    dataset = partitioned.dataset
-    logits = dataset.logit_indices()
-    if np.any(logits < 0):
-        bad = np.unique(dataset.labels[logits < 0]).tolist()
-        raise DataError(f"anomaly classes {bad} present in training shards")
-    rows = [list(shard) for shard in partitioned.shards]
-    return [ClientShard(encoded[r], logits[r]) for r in rows]
-
-
-@dataclass(frozen=True)
-class ValidationContext:
-    """Pre-encoded validation set (and, for centroid scoring, training set)."""
-
-    encoded: np.ndarray
-    anomaly_labels: np.ndarray      # binary, 1 = anomaly
-    normal_rows: np.ndarray         # indices of normal samples
-    normal_logits: np.ndarray       # their mapped class labels
-    train_encoded: np.ndarray | None
-
-
-def build_validation_context(validation_set: LabeledDataset, spec: CircuitSpec,
-                             normal_classes: frozenset,
-                             train_encoded: np.ndarray | None = None) -> ValidationContext:
-    if len(validation_set) == 0:
-        raise DataError("empty validation set")
-    if validation_set.normal_classes != normal_classes:
-        raise ConfigError(
-            "validation normal classes differ from the training normal classes"
-        )
-    logits = validation_set.logit_indices()
-    normal_rows = np.flatnonzero(logits >= 0)
-    if normal_rows.size == 0:
-        raise DataError("validation set has no normal samples to compute loss on")
-    return ValidationContext(
-        encode_batch(validation_set.features, spec.n_qubits),
-        (logits < 0).astype(np.int64),
-        normal_rows,
-        logits[normal_rows],
-        train_encoded,
-    )
-
-
-def evaluate_global(spec: CircuitSpec, params: ModelParams, ctx: ValidationContext,
-                    score_method: str, threshold) -> dict:
+def evaluate_global(spec: CircuitSpec, params: ModelParams, validation: EncodedSet,
+                    reference: EncodedSet | None, score_method: str, threshold) -> dict:
     """Exact-mode validation of one parameter set.
 
-    Returns the ROUND_METRICS by name: val_loss (cross-entropy on normal
-    samples), fe_pct and me_pct under the configured threshold rule, auroc
-    and aupr. A non-finite validation loss raises NumericError.
+    Rows of `validation` labelled -1 are the anomalies. Returns the
+    ROUND_METRICS by name: val_loss (cross-entropy on the normal rows),
+    fe_pct and me_pct under the configured threshold rule, auroc and aupr.
+    Centroid scoring reads the mean class probabilities over `reference`,
+    the training set. A non-finite validation loss raises NumericError.
     """
-    readout = probability_batch(spec, params.angles, ctx.encoded, _EXACT, _NOISELESS, None)
-    val_loss = cross_entropy(params, readout[ctx.normal_rows], ctx.normal_logits)
+    readout = probability_batch(spec, params.angles, validation.encoded, _EXACT, _NOISELESS, None)
+    normal = validation.labels >= 0
+    val_loss = cross_entropy(params, readout[normal], validation.labels[normal])
     if not np.isfinite(val_loss):
         raise NumericError("non-finite validation loss")
     probs = class_probabilities(head_scores(params, readout))
     if score_method == SCORE_CENTROID:
-        if ctx.train_encoded is None:
-            raise ConfigError("centroid scoring needs the training set in the context")
+        if reference is None:
+            raise ConfigError("centroid scoring needs the training set as reference")
         train_readout = probability_batch(
-            spec, params.angles, ctx.train_encoded, _EXACT, _NOISELESS, None
+            spec, params.angles, reference.encoded, _EXACT, _NOISELESS, None
         )
         centroid = class_probabilities(head_scores(params, train_readout)).mean(axis=0)
         scores = centroid_distance_scores(probs, centroid)
     else:
         scores = max_prob_scores(probs)
-    scored = ScoredSet(scores, ctx.anomaly_labels)
+    scored = ScoredSet(scores, ~normal)
     cut = youden_threshold(scored) if threshold == THRESHOLD_YOUDEN else float(threshold)
     counts = confusion(scored, cut)
     values = (val_loss, fe(counts), me(counts), auroc(scored), aupr(scored))
@@ -262,7 +222,7 @@ def evaluate_global(spec: CircuitSpec, params: ModelParams, ctx: ValidationConte
 # Rounds.
 
 def train_on_encoded(config: FederationConfig, round_index: int, client: int,
-                     global_params: ModelParams, shard: ClientShard) -> LocalTrainResult:
+                     global_params: ModelParams, shard: EncodedSet) -> LocalTrainResult:
     """One client's local training in one round: local_train from the
     round's global parameters, which are also its proximal anchor, on the
     client's own generator."""
@@ -277,13 +237,13 @@ def train_on_encoded(config: FederationConfig, round_index: int, client: int,
 
 
 def run_round(round_index: int, config: FederationConfig, global_params: ModelParams,
-              client_shards, validation) -> tuple:
+              client_shards, validation: EncodedSet, reference: EncodedSet | None = None) -> tuple:
     """One global round; returns (new global params, RoundRecord).
 
-    `client_shards` are ClientShard values (see build_client_shards);
-    `validation` is a prebuilt ValidationContext. Clients train one after
-    another, each on its own generator derived from (master_seed, round,
-    client), so no client's draws depend on another's.
+    `client_shards` holds one EncodedSet per client; `validation` and
+    `reference` go to evaluate_global. Clients train one after another, each
+    on its own generator derived from (master_seed, round, client), so no
+    client's draws depend on another's.
     """
     if len(client_shards) != config.n_clients:
         raise ConfigError(
@@ -295,9 +255,8 @@ def run_round(round_index: int, config: FederationConfig, global_params: ModelPa
     ]
     new_global = aggregate_weighted([r.params for r in results], config.client_weights)
     try:
-        scores = evaluate_global(
-            config.spec, new_global, validation, config.score_method, config.threshold
-        )
+        scores = evaluate_global(config.spec, new_global, validation, reference,
+                                 config.score_method, config.threshold)
     except Exception as err:
         raise type(err)(f"round {round_index}: {err}") from err
     record = RoundRecord(
@@ -311,9 +270,17 @@ def run_round(round_index: int, config: FederationConfig, global_params: ModelPa
     return new_global, record
 
 
+def _encode(dataset: LabeledDataset, n_qubits: int, name: str) -> EncodedSet:
+    try:
+        return EncodedSet(encode_batch(dataset.features, n_qubits), dataset.logit_indices())
+    except DegenerateInputError as err:
+        raise DegenerateInputError(f"{name} {err}") from None
+
+
 def run_federation(config: FederationConfig, partitioned_data: PartitionedDataset,
                    validation_set: LabeledDataset) -> RoundHistory:
-    """K rounds of federated training; deterministic under master_seed."""
+    """K rounds of federated training; deterministic under master_seed. Both
+    sets are encoded and checked once, before any client trains."""
     if config.train.mode != MODE_CLASSIFY:
         raise ConfigError("federation trains the classifier; vqe mode is local-only")
     if partitioned_data.n_clients != config.n_clients:
@@ -322,20 +289,30 @@ def run_federation(config: FederationConfig, partitioned_data: PartitionedDatase
             f"config expects {config.n_clients}"
         )
     dataset = partitioned_data.dataset
-    train_encoded = encode_batch(dataset.features, config.spec.n_qubits)
-    shards = build_client_shards(partitioned_data, train_encoded)
-    if config.score_method != SCORE_CENTROID:
-        train_encoded = None  # the shards hold their own rows; drop the whole matrix
-    ctx = build_validation_context(
-        validation_set, config.spec, dataset.normal_classes, train_encoded
-    )
+    train = _encode(dataset, config.spec.n_qubits, "training set")
+    if np.any(train.labels < 0):
+        bad = np.unique(dataset.labels[train.labels < 0]).tolist()
+        raise DataError(f"anomaly classes {bad} present in training shards")
+    if len(validation_set) == 0:
+        raise DataError("empty validation set")
+    if validation_set.normal_classes != dataset.normal_classes:
+        raise ConfigError(
+            "validation normal classes differ from the training normal classes"
+        )
+    validation = _encode(validation_set, config.spec.n_qubits, "validation set")
+    if not np.any(validation.labels >= 0):
+        raise DataError("validation set has no normal samples to compute loss on")
+    shards = [EncodedSet(train.encoded[r], train.labels[r])
+              for r in map(list, partitioned_data.shards)]
+    reference = train if config.score_method == SCORE_CENTROID else None
+    del train  # the shards copy their rows; only `reference` may keep the whole set
     n_classes = len(dataset.normal_classes)
     global_params = init_params(
         config.spec, n_classes, derive_rng(config.master_seed, STAGE_INIT)
     )
     history = RoundHistory(records=[])
     for k in range(config.global_rounds):
-        global_params, record = run_round(k, config, global_params, shards, ctx)
+        global_params, record = run_round(k, config, global_params, shards, validation, reference)
         history.records.append(record)
     history.final_params = global_params
     return history

@@ -273,10 +273,11 @@ def load_params(path) -> tuple:
     version, n_layers, n_qubits, n_classes = struct.unpack("<IIII", blob[4:head_len])
     if version != _CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version}")
-    vec = np.frombuffer(blob[head_len:], dtype="<f8")
     expected = n_layers * n_qubits + n_classes * (1 << n_qubits) + n_classes
-    if vec.size != expected:
+    if len(blob) - head_len != 8 * expected:
         raise DataError(
-            f"checkpoint payload has {vec.size} values, geometry implies {expected}"
+            f"{path}: checkpoint payload has {len(blob) - head_len} bytes, geometry "
+            f"implies {expected} float64 values"
         )
+    vec = np.frombuffer(blob[head_len:], dtype="<f8")
     return n_layers, n_qubits, n_classes, vec.astype(np.float64)

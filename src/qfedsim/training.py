@@ -94,9 +94,10 @@ class GradientEstimate:
 
 
 @dataclass(frozen=True)
-class ClientShard:
-    """One client's training rows: amplitude-encoded inputs and their logit
-    indices (not raw class ids), encoded once and reused across rounds."""
+class EncodedSet:
+    """Amplitude-encoded rows and their logit indices, -1 marking an anomaly
+    row (see LabeledDataset.logit_indices): a client's shard, the validation
+    set or the centroid reference, encoded once and reused across rounds."""
 
     encoded: np.ndarray
     labels: np.ndarray
@@ -282,18 +283,18 @@ def _train_vqe_loop(spec, params, observable, config, global_params):
     return LocalTrainResult(params, trace, evals)
 
 
-def local_train(spec: CircuitSpec, start_params: ModelParams, shard: ClientShard | None,
+def local_train(spec: CircuitSpec, start_params: ModelParams, shard: EncodedSet | None,
                 config: TrainConfig, global_params: ModelParams | None = None,
                 shots: ShotSpec = ShotSpec.exact(), noise: NoiseSpec = NoiseSpec.off(),
                 rng: np.random.Generator | None = None,
                 observable: Observable | None = None) -> LocalTrainResult:
     """T local epochs of proximal mini-batch training.
 
-    classify mode: `shard` is a non-empty ClientShard. Each epoch shuffles
-    its rows and steps over mini-batches; the trace holds each epoch's
-    sample-weighted mean batch loss, evaluated at the parameters the batch
-    was seen with. `rng` drives the shuffles and every stochastic draw and
-    is required, so that every run can be replayed.
+    classify mode: `shard` is a non-empty EncodedSet of normal rows. Each
+    epoch shuffles its rows and steps over mini-batches; the trace holds each
+    epoch's sample-weighted mean batch loss, evaluated at the parameters the
+    batch was seen with. `rng` drives the shuffles and every stochastic draw
+    and is required, so that every run can be replayed.
 
     vqe mode: Algorithm-style observable minimization; `shard` is ignored
     (the loss consumes no data), one gradient step per epoch, and the trace

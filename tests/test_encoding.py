@@ -90,6 +90,11 @@ class TestEncodeBatch:
         with pytest.raises(DegenerateInputError):
             encode_batch(batch, 1)
 
+    def test_first_zero_row_is_named(self):
+        batch = np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(DegenerateInputError, match="^row 2 is a zero vector"):
+            encode_batch(batch, 1)
+
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             encode_batch(np.ones(4), 2)

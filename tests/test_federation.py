@@ -9,9 +9,11 @@ from qfedsim import core, federation
 from qfedsim.data import (
     SCHEME_DIRICHLET,
     SCHEME_IID,
+    LabeledDataset,
     PartitionScheme,
     partition,
     synth_anomaly_dataset,
+    with_anomaly_classes,
 )
 from qfedsim.encoding import encode_batch
 from qfedsim.exceptions import (
@@ -23,23 +25,29 @@ from qfedsim.exceptions import (
     ShapeError,
 )
 from qfedsim.federation import (
+    ROUND_METRICS,
     SCORE_CENTROID,
     SCORE_MAX_PROB,
     THRESHOLD_YOUDEN,
     FederationConfig,
     RoundHistory,
     aggregate_weighted,
-    build_client_shards,
-    build_validation_context,
     evaluate_global,
     params_checksum,
     payload_bits,
     run_federation,
     run_round,
 )
-from qfedsim.model import CircuitSpec, ModelParams, init_params
+from qfedsim.model import (
+    CircuitSpec,
+    ModelParams,
+    class_probabilities,
+    head_scores,
+    init_params,
+    probability_batch,
+)
 from qfedsim.seeding import client_rng, derive_rng, STAGE_INIT
-from qfedsim.training import ClientShard, TrainConfig, local_train
+from qfedsim.training import EncodedSet, TrainConfig, local_train
 from test_acceptance import GENTLE_BENCHMARK, federated_history
 
 
@@ -91,8 +99,73 @@ def make_setup(n_clients=2, rounds=2, eta=0.05, lam=0.1, epochs=1, seed=5,
     return config, part, val
 
 
+def encoded_set(dataset, spec):
+    return EncodedSet(encode_batch(dataset.features, spec.n_qubits), dataset.logit_indices())
+
+
 def shards_of(part, spec):
-    return build_client_shards(part, encode_batch(part.dataset.features, spec.n_qubits))
+    whole = encoded_set(part.dataset, spec)
+    return [EncodedSet(whole.encoded[list(r)], whole.labels[list(r)]) for r in part.shards]
+
+
+# Each data fault run_federation refuses: (exception, message).
+DATA_FAULTS = {
+    "empty validation set": (DataError, "empty validation set"),
+    "normal classes differ": (ConfigError, "normal classes differ"),
+    "no normal validation rows": (DataError, "no normal samples"),
+    "anomalies in training": (DataError, "anomaly classes"),
+}
+
+
+def with_fault(fault):
+    """make_setup's inputs with one of the DATA_FAULTS."""
+    config, part, val = make_setup(seed=0)
+    if fault == "empty validation set":
+        val = LabeledDataset(np.empty((0, 4)), [], frozenset({0, 1}), frozenset())
+    elif fault == "normal classes differ":
+        val = LabeledDataset(val.features, val.labels, frozenset({0}), frozenset({1, 2}))
+    elif fault == "no normal validation rows":
+        val = val.subset(np.flatnonzero(val.labels == 2))
+    else:
+        ds = synth_anomaly_dataset(2, 6, 4, 4, 6.0, np.random.default_rng(2))
+        part = partition(ds, SCHEME_IID, 2, np.random.default_rng(3))
+    return config, part, val
+
+
+def row_by_row_metrics(spec, params, dataset, threshold):
+    """The ROUND_METRICS one row at a time: each row through the dense ansatz
+    unitary, anomalies read from isin(labels, anomaly_classes)."""
+    unitary = oracles.ansatz_matrix(spec.n_qubits, params.angles, spec.entangler_pairs())
+    normal_ids = sorted(dataset.normal_classes)
+    is_anomaly = np.isin(dataset.labels, sorted(dataset.anomaly_classes))
+    losses, scores = [], []
+    for x, label, anomaly in zip(dataset.features, dataset.labels, is_anomaly):
+        amps = np.zeros(spec.dim)
+        amps[: x.size] = x / np.linalg.norm(x)
+        y = params.head_weights @ (np.abs(unitary @ amps) ** 2) + params.head_bias
+        log_p = y - y.max() - np.log(np.sum(np.exp(y - y.max())))
+        if not anomaly:
+            losses.append(-log_p[normal_ids.index(label)])
+        scores.append(1.0 - np.exp(log_p).max())
+    scores = np.array(scores)
+    if threshold == THRESHOLD_YOUDEN:
+        cuts = sorted(set(scores.tolist()))
+        gains = [np.sum(is_anomaly[scores >= t]) - np.sum(~is_anomaly[scores >= t])
+                 for t in cuts]
+        threshold = cuts[int(np.argmax(gains))]
+    flagged = scores >= threshold
+    tp, fp = np.sum(flagged & is_anomaly), np.sum(flagged & ~is_anomaly)
+    fn = np.sum(~flagged & is_anomaly)
+    labels = is_anomaly.astype(int)
+    return {"val_loss": np.mean(losses), "fe_pct": 100.0 * fp / (tp + fp),
+            "me_pct": 100.0 * fn / (tp + fn), "auroc": oracles.pairwise_auroc(scores, labels),
+            "aupr": oracles.sweep_aupr(scores, labels)}
+
+
+def refuses(fault):
+    error, message = DATA_FAULTS[fault]
+    with pytest.raises(error, match=message):
+        run_federation(*with_fault(fault))
 
 
 class TestAggregate:
@@ -168,6 +241,11 @@ class TestAggregate:
         with pytest.raises(ConfigError):
             aggregate_weighted([random_params(0), random_params(1)], np.array([1.5, -0.5]))
 
+    def test_nan_weight_rejected(self):
+        sets = [random_params(0)] * 3
+        with pytest.raises(ConfigError, match="weights"):
+            aggregate_weighted(sets, np.array([np.nan, 0.5, 0.5]))
+
 
 class TestPayloadBits:
     def test_reference_geometry(self):
@@ -199,87 +277,146 @@ class TestParamsChecksum:
 
 
 class TestValidationContext:
-    def test_empty_validation_rejected(self):
-        train, _ = split_synth(0)
-        from qfedsim.data import LabeledDataset
+    """The checks run_federation makes on its two sets, the shards it slices
+    from the training set, and evaluate_global on an encoded validation set."""
 
-        empty = LabeledDataset(np.empty((0, 4)), [], frozenset({0, 1}), frozenset())
-        with pytest.raises(DataError):
-            build_validation_context(empty, CircuitSpec(2, 1), train.normal_classes)
+    def test_empty_validation_rejected(self):
+        refuses("empty validation set")
 
     def test_mismatched_normal_classes_rejected(self):
-        _, val = split_synth(0)
-        with pytest.raises(ConfigError):
-            build_validation_context(val, CircuitSpec(2, 1), frozenset({0}))
+        refuses("normal classes differ")
 
     def test_anomaly_only_validation_rejected(self):
-        ds = synth_anomaly_dataset(2, 2, 6, 4, 6.0, np.random.default_rng(1))
-        labels = ds.labels
-        only_anomalies = ds.subset(np.flatnonzero(labels == 2))
-        with pytest.raises(DataError):
-            build_validation_context(
-                only_anomalies, CircuitSpec(2, 1), frozenset({0, 1})
-            )
+        refuses("no normal validation rows")
 
-    def test_shards_slice_the_encoded_training_set_bit_for_bit(self):
+    def test_anomalies_in_training_shards_rejected(self):
+        refuses("anomalies in training")
+
+    @pytest.mark.parametrize("fault", sorted(DATA_FAULTS))
+    def test_data_errors_raise_before_any_client_trains(self, fault, monkeypatch):
+        calls = []
+        original = federation.train_on_encoded
+
+        def counted(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(federation, "train_on_encoded", counted)
+        refuses(fault)
+        assert calls == []
+
+    def test_shards_slice_the_encoded_training_set_bit_for_bit(self, monkeypatch):
+        config, _, val = make_setup(n_clients=3, rounds=1, seed=6)
         train, _ = split_synth(6)
         part = partition(train, PartitionScheme(SCHEME_DIRICHLET, alpha=0.5), 3,
                          np.random.default_rng(7))
-        encoded = encode_batch(train.features, 2)
-        shards = build_client_shards(part, encoded)
-        logits = train.logit_indices()
-        for shard, rows in zip(shards, part.shards):
-            rows = list(rows)
-            assert np.array_equal(shard.encoded, encode_batch(train.features[rows], 2))
-            assert np.array_equal(shard.labels, logits[rows])
+        handed = {}
+        original = federation.train_on_encoded
 
-    def test_anomalies_in_training_shards_rejected(self):
-        ds = synth_anomaly_dataset(2, 6, 4, 4, 6.0, np.random.default_rng(2))
-        part = partition(ds, SCHEME_IID, 2, np.random.default_rng(3))
-        with pytest.raises(DataError, match="anomaly classes"):
-            shards_of(part, CircuitSpec(2, 1))
+        def captured(*args):
+            handed[args[2]] = args[4]
+            return original(*args)
+
+        monkeypatch.setattr(federation, "train_on_encoded", captured)
+        run_federation(config, part, val)
+        logits = train.logit_indices()
+        assert sorted(handed) == [0, 1, 2]
+        for client, rows in enumerate(part.shards):
+            rows = list(rows)
+            assert np.array_equal(handed[client].encoded, encode_batch(train.features[rows], 2))
+            assert np.array_equal(handed[client].labels, logits[rows])
 
     def test_centroid_scoring_needs_training_context(self):
         _, val = split_synth(0)
-        ctx = build_validation_context(val, CircuitSpec(2, 1), frozenset({0, 1}))
+        spec = CircuitSpec(2, 1)
         with pytest.raises(ConfigError):
             evaluate_global(
-                CircuitSpec(2, 1), random_params(0), ctx, SCORE_CENTROID, 0.5
+                spec, random_params(0), encoded_set(val, spec), None, SCORE_CENTROID, 0.5
             )
 
     def test_non_finite_validation_loss_raises(self):
         # Finite head weights at the float limit: the score gap between the
         # classes overflows, so a class-1 row has log-probability -inf.
-        from qfedsim.data import LabeledDataset
-
         spec = CircuitSpec(2, 1)
         rng = np.random.default_rng(4)
         val = LabeledDataset(rng.uniform(0.1, 1.0, size=(8, 4)), [0, 0, 0, 1, 1, 1, 2, 2],
                              frozenset({0, 1}), frozenset({2}))
-        ctx = build_validation_context(val, spec, frozenset({0, 1}))
         params = ModelParams(np.zeros((1, 2)), np.array([[1e308] * 4, [-1e308] * 4]),
                              np.zeros(2))
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="non-finite validation loss"):
-                evaluate_global(spec, params, ctx, SCORE_MAX_PROB, THRESHOLD_YOUDEN)
+                evaluate_global(spec, params, encoded_set(val, spec), None,
+                                SCORE_MAX_PROB, THRESHOLD_YOUDEN)
 
     def test_fixed_zero_threshold_flags_everything(self):
         _, val = split_synth(0)
-        ctx = build_validation_context(val, CircuitSpec(2, 1), frozenset({0, 1}))
-        out = evaluate_global(CircuitSpec(2, 1), random_params(0), ctx, SCORE_MAX_PROB, 0.0)
-        n_anom = int(ctx.anomaly_labels.sum())
-        n_norm = int(ctx.anomaly_labels.size - n_anom)
+        spec = CircuitSpec(2, 1)
+        validation = encoded_set(val, spec)
+        out = evaluate_global(spec, random_params(0), validation, None, SCORE_MAX_PROB, 0.0)
+        n_anom = int(np.sum(validation.labels < 0))
+        n_norm = int(validation.labels.size - n_anom)
         assert out["me_pct"] == pytest.approx(0.0)
         assert out["fe_pct"] == pytest.approx(100.0 * n_norm / (n_norm + n_anom))
+
+
+class TestEvaluateGlobal:
+    @pytest.mark.parametrize("threshold", [THRESHOLD_YOUDEN, 0.4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_interleaved_anomalies_match_a_row_by_row_reference(self, seed, threshold):
+        # Classes 1 and 3 are the anomalies, so the normal classes 0 and 2
+        # map to logits 0 and 1; rows are shuffled so anomalies interleave.
+        rng = np.random.default_rng(seed)
+        ds = with_anomaly_classes(synth_anomaly_dataset(3, 10, 8, 8, 3.0, rng), [1, 3])
+        val = ds.subset(rng.permutation(len(ds)))
+        at = np.flatnonzero(np.isin(val.labels, [1, 3]))
+        assert np.any(np.diff(at) > 1)
+        spec = CircuitSpec(3, 2)
+        params = init_params(spec, 2, rng)
+        out = evaluate_global(spec, params, encoded_set(val, spec), None, SCORE_MAX_PROB,
+                              threshold)
+        reference = row_by_row_metrics(spec, params, val, threshold)
+        assert list(out) == list(ROUND_METRICS)
+        for name in ROUND_METRICS:
+            assert out[name] == pytest.approx(reference[name], rel=1e-12, abs=1e-12), name
+
+    def test_centroid_reference_is_the_whole_training_set_in_row_order(self, monkeypatch):
+        # Each client's shard interleaves with the others (Dirichlet), so
+        # the shards concatenated hold the training rows in another order,
+        # and their mean would be summed in another order.
+        config, _, val = make_setup(n_clients=3, rounds=1, seed=6, score=SCORE_CENTROID)
+        train, _ = split_synth(6)
+        part = partition(train, PartitionScheme(SCHEME_DIRICHLET, alpha=0.5), 3,
+                         np.random.default_rng(7))
+        centroids = []
+        original = federation.centroid_distance_scores
+
+        def captured(probs, centroid):
+            centroids.append(centroid)
+            return original(probs, centroid)
+
+        monkeypatch.setattr(federation, "centroid_distance_scores", captured)
+        history = run_federation(config, part, val)
+        params = history.final_params
+        readout = probability_batch(config.spec, params.angles,
+                                    encode_batch(train.features, config.spec.n_qubits),
+                                    ShotSpec.exact(), NoiseSpec.off(), None)
+        expected = class_probabilities(head_scores(params, readout)).mean(axis=0)
+        assert len(centroids) == 1
+        assert np.array_equal(centroids[0], expected)
+        reference = evaluate_global(config.spec, params, encoded_set(val, config.spec),
+                                    encoded_set(train, config.spec), SCORE_CENTROID,
+                                    config.threshold)
+        record = history.records[0]
+        assert {name: getattr(record, name) for name in ROUND_METRICS} == reference
 
 
 class TestRunRound:
     def test_single_client_round_is_plain_local_training(self):
         config, part, val = make_setup(n_clients=1, seed=9)
         shards = shards_of(part, config.spec)
-        ctx = build_validation_context(val, config.spec, part.dataset.normal_classes)
+        validation = encoded_set(val, config.spec)
         start = init_params(config.spec, 2, derive_rng(config.master_seed, STAGE_INIT))
-        new_global, record = run_round(0, config, start, shards, ctx)
+        new_global, record = run_round(0, config, start, shards, validation)
         direct = local_train(
             config.spec, start, shards[0], config.train, start, config.shots,
             config.noise[0], client_rng(config.master_seed, 0, 0),
@@ -290,45 +427,43 @@ class TestRunRound:
     def test_zero_eta_round_returns_same_params(self):
         config, part, val = make_setup(eta=0.0, seed=11)
         shards = shards_of(part, config.spec)
-        ctx = build_validation_context(val, config.spec, part.dataset.normal_classes)
+        validation = encoded_set(val, config.spec)
         start = init_params(config.spec, 2, derive_rng(config.master_seed, STAGE_INIT))
-        new_global, record = run_round(0, config, start, shards, ctx)
+        new_global, record = run_round(0, config, start, shards, validation)
         assert np.array_equal(new_global.vector, start.vector)
         assert record.params_checksum == params_checksum(start)
 
     def test_client_failures_name_client_and_round(self):
         config, part, val = make_setup(seed=13)
         shards = shards_of(part, config.spec)
-        ctx = build_validation_context(val, config.spec, part.dataset.normal_classes)
+        validation = encoded_set(val, config.spec)
         start = init_params(config.spec, 2, derive_rng(config.master_seed, STAGE_INIT))
-        poisoned = [ClientShard(shards[0].encoded, shards[0].labels + 99), shards[1]]
+        poisoned = [EncodedSet(shards[0].encoded, shards[0].labels + 99), shards[1]]
         with pytest.raises(LabelError, match="client 0, round 3"):
-            run_round(3, config, start, poisoned, ctx)
+            run_round(3, config, start, poisoned, validation)
 
     def test_validation_failures_name_the_round(self):
         # Class-0 rows train to a finite loss under head weights at the float
         # limit, but the validation set's class-1 rows overflow (see
         # test_non_finite_validation_loss_raises).
-        from qfedsim.data import LabeledDataset
-
         config, _, _ = make_setup(n_clients=1, eta=0.0, seed=17)
         spec = config.spec
         rng = np.random.default_rng(4)
         val = LabeledDataset(rng.uniform(0.1, 1.0, size=(8, 4)), [0, 0, 0, 1, 1, 1, 2, 2],
                              frozenset({0, 1}), frozenset({2}))
-        ctx = build_validation_context(val, spec, frozenset({0, 1}))
-        shard = ClientShard(ctx.encoded[:3], np.zeros(3, dtype=np.int64))
+        validation = encoded_set(val, spec)
+        shard = EncodedSet(validation.encoded[:3], np.zeros(3, dtype=np.int64))
         params = ModelParams(np.zeros((1, 2)), np.array([[1e308] * 4, [-1e308] * 4]),
                              np.zeros(2))
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="round 0: non-finite validation loss"):
-                run_round(0, config, params, [shard], ctx)
+                run_round(0, config, params, [shard], validation)
 
     def test_each_client_trains_once_per_round(self, monkeypatch):
         # perfbench times a client epoch as one federation.train_on_encoded call
         config, part, val = make_setup(n_clients=3, seed=19)
         shards = shards_of(part, config.spec)
-        ctx = build_validation_context(val, config.spec, part.dataset.normal_classes)
+        validation = encoded_set(val, config.spec)
         start = init_params(config.spec, 2, derive_rng(config.master_seed, STAGE_INIT))
         calls = []
         original = federation.train_on_encoded
@@ -338,16 +473,16 @@ class TestRunRound:
             return original(*args)
 
         monkeypatch.setattr(federation, "train_on_encoded", counted)
-        run_round(0, config, start, shards, ctx)
+        run_round(0, config, start, shards, validation)
         assert calls == [0, 1, 2]
 
     def test_shard_count_mismatch_rejected(self):
         config, part, val = make_setup(seed=15)
         shards = shards_of(part, config.spec)
-        ctx = build_validation_context(val, config.spec, part.dataset.normal_classes)
+        validation = encoded_set(val, config.spec)
         start = init_params(config.spec, 2, derive_rng(config.master_seed, STAGE_INIT))
         with pytest.raises(ConfigError):
-            run_round(0, config, start, shards[:1], ctx)
+            run_round(0, config, start, shards[:1], validation)
 
 
 class TestRunFederation:
@@ -440,6 +575,21 @@ class TestFederationConfigValidation:
             FederationConfig(client_weights=np.array([0.7, 0.2]), **base)
         with pytest.raises(ConfigError):
             FederationConfig(client_weights=np.array([1.0, 0.0]), **base)
+
+    @pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.5], [np.nan, np.nan, np.nan],
+                                         [0.5, 0.5, np.nan]])
+    def test_nan_weights_rejected(self, weights):
+        with pytest.raises(ConfigError, match="client_weights"):
+            FederationConfig(
+                n_clients=3,
+                global_rounds=1,
+                client_weights=np.array(weights),
+                train=TrainConfig(),
+                spec=CircuitSpec(2, 1),
+                shots=ShotSpec.exact(),
+                noise=(NoiseSpec.off(),) * 3,
+                master_seed=0,
+            )
 
     def test_noise_arity_checked(self):
         with pytest.raises(ConfigError):

@@ -385,6 +385,15 @@ class TestCheckpoints:
         with pytest.raises(DataError):
             load_params(path)
 
+    @pytest.mark.parametrize("cut", [1, 3, 7])
+    def test_payload_cut_inside_a_value_names_the_file(self, tmp_path, cut):
+        spec = CircuitSpec(2, 1)
+        path = tmp_path / "params.bin"
+        save_params(path, spec, make_params(spec, 2, seed=1))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(DataError, match="params.bin: checkpoint payload"):
+            load_params(path)
+
     def test_wrong_geometry_rejected_on_save(self, tmp_path):
         spec = CircuitSpec(2, 1)
         params = make_params(CircuitSpec(3, 1), 2, seed=1)

@@ -8,7 +8,7 @@ import pytest
 
 from qfedsim import runner
 from qfedsim.config import config_from_mapping
-from qfedsim.exceptions import ConfigError, DataError, NumericError
+from qfedsim.exceptions import ConfigError, DataError, DegenerateInputError, NumericError
 from qfedsim.model import load_params
 from qfedsim.runner import (
     CONFIG_NAME,
@@ -222,6 +222,29 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="client 0, round 0"):
                 run(make_config(output_dir=out, eta=1e308))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("csv_row, set_name", [(9, "training"), (13, "validation")])
+    def test_zero_feature_row_names_its_set_and_row(self, tmp_path, csv_row, set_name):
+        labels = np.arange(30) % 3
+        features = np.random.default_rng(5).uniform(0.5, 1.5, size=(30, 4))
+        features[csv_row] = 0.0
+        path = tmp_path / "zero.csv"
+        path.write_text("".join(
+            ",".join(map(str, [*row, label])) + "\n" for row, label in zip(features, labels)
+        ))
+        out = tmp_path / "out"
+        config = make_config(
+            output_dir=out, dataset={"kind": "csv", "path": str(path), "anomaly_classes": [2]}
+        )
+        sets = split_dataset(build_dataset(config), config.val_fraction,
+                             config.data_fraction, config.master_seed)
+        # the row's position in its own set: for the training set, the index
+        # partition.json would list
+        held = dict(zip(("training", "validation"), sets))[set_name]
+        row = int(np.flatnonzero(~held.features.any(axis=1))[0])
+        with pytest.raises(DegenerateInputError, match=f"^{set_name} set row {row} is a zero"):
+            run(config)
         assert not out.exists()
 
     def test_requires_output_dir(self):

@@ -30,7 +30,7 @@ from qfedsim.model import (
 from qfedsim.training import (
     MODE_CLASSIFY,
     MODE_VQE,
-    ClientShard,
+    EncodedSet,
     GradientEstimate,
     TrainConfig,
     classify_loss_and_grad,
@@ -62,7 +62,7 @@ def make_batch(rng, n_samples, n_features, n_classes):
 
 def shard_of(spec, batch):
     """A batch as local_train takes it: encoded rows and logit indices."""
-    return ClientShard(encode_batch(batch.features, spec.n_qubits), batch.logit_indices())
+    return EncodedSet(encode_batch(batch.features, spec.n_qubits), batch.logit_indices())
 
 
 def batch_loss(spec, params, batch):
@@ -148,14 +148,14 @@ class TestLossClassify:
         spec = CircuitSpec(1, 1)
         params = make_params(spec, 2)
         with pytest.raises(LabelError):
-            local_train(spec, params, ClientShard(encode_batch([[1.0]], 1), np.array([5])),
+            local_train(spec, params, EncodedSet(encode_batch([[1.0]], 1), np.array([5])),
                         TrainConfig(), rng=np.random.default_rng(0))
 
     def test_empty_batch(self):
         spec = CircuitSpec(1, 1)
         params = make_params(spec, 2)
         with pytest.raises(DataError):
-            local_train(spec, params, ClientShard(np.empty((0, 2)), np.empty(0, dtype=np.int64)),
+            local_train(spec, params, EncodedSet(np.empty((0, 2)), np.empty(0, dtype=np.int64)),
                         TrainConfig(), rng=np.random.default_rng(0))
 
 
