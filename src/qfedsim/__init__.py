@@ -67,7 +67,7 @@ from .metrics import (
 from .model import (
     CircuitSpec,
     ModelParams,
-    class_probabilities,
+    head_softmax,
     init_params,
     load_params,
     run_circuit,

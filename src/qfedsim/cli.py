@@ -13,7 +13,7 @@ import os
 import sys
 
 from .config import MODES, load_config
-from .exceptions import SimulationError
+from .exceptions import ConfigError, SimulationError
 from .runner import compare, run, sweep
 
 ENV_SEED = "QFEDSIM_SEED"
@@ -44,9 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolved_config(args):
-    seed = args.seed
-    if seed is None and os.environ.get(ENV_SEED):
-        seed = int(os.environ[ENV_SEED])
+    seed, raw = args.seed, os.environ.get(ENV_SEED)
+    if seed is None and raw:
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ConfigError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
     overrides = {
         "mode": args.mode,
         "master_seed": seed,

@@ -251,6 +251,8 @@ def _dataset(value, base_dir: str) -> DatasetSpec:
         path = os.path.normpath(os.path.join(base_dir, path))
     if not os.path.exists(path):
         raise ConfigError(f"path does not exist: {path}")
+    if os.path.isdir(path):
+        raise ConfigError(f"path is a directory, not a CSV file: {path}")
     anomalies = _at("anomaly_classes", _list, value.get("anomaly_classes"))
     anomalies = tuple(_at("anomaly_classes", _integer, a) for a in anomalies)
     return DatasetSpec(kind, **_parse_keys({}, _table(DatasetSpec)), path=path,

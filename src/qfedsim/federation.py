@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .core import NoiseSpec, ShotSpec
+from .core import ShotSpec
 from .data import LabeledDataset, PartitionedDataset
 from .encoding import encode_batch
 from .exceptions import (ConfigError, ContractError, DataError, DegenerateInputError,
@@ -38,8 +38,7 @@ from .metrics import (
 from .model import (
     CircuitSpec,
     ModelParams,
-    class_probabilities,
-    head_scores,
+    head_softmax,
     init_params,
     probability_batch,
 )
@@ -49,7 +48,6 @@ from .training import (
     EncodedSet,
     LocalTrainResult,
     TrainConfig,
-    cross_entropy,
     local_train,
 )
 
@@ -60,9 +58,6 @@ THRESHOLD_YOUDEN = "youden"
 # The metrics each round reports, in history.csv column order; evaluate_global
 # returns them keyed by these names, which are RoundRecord fields.
 ROUND_METRICS = ("val_loss", "fe_pct", "me_pct", "auroc", "aupr")
-
-_EXACT = ShotSpec.exact()
-_NOISELESS = NoiseSpec.off()
 
 
 @dataclass(frozen=True)
@@ -102,9 +97,12 @@ class FederationConfig:
             raise ConfigError(f"bits_per_value must be >= 1, got {self.bits_per_value}")
         if self.score_method not in (SCORE_MAX_PROB, SCORE_CENTROID):
             raise ConfigError(f"unknown score_method {self.score_method!r}")
-        if self.threshold != THRESHOLD_YOUDEN and not isinstance(self.threshold, (int, float)):
+        if self.threshold != THRESHOLD_YOUDEN and (
+                isinstance(self.threshold, bool) or not isinstance(self.threshold, (int, float))
+                or not np.isfinite(self.threshold)):
             raise ConfigError(
-                f"threshold must be '{THRESHOLD_YOUDEN}' or a number, got {self.threshold!r}"
+                f"threshold must be '{THRESHOLD_YOUDEN}' or a finite number, "
+                f"got {self.threshold!r}"
             )
         object.__setattr__(self, "client_weights", weights)
         object.__setattr__(self, "noise", noise)
@@ -112,6 +110,11 @@ class FederationConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One round's results. `circuit_evals` is the paper's parameter-shift
+    cost of the round's local training on hardware, 2 * L * n per training
+    row per local epoch over all clients, whether the simulator differentiates
+    by the shift rule or by the adjoint method; run_round counts it."""
+
     round_index: int
     params_checksum: str
     val_loss: float
@@ -195,19 +198,17 @@ def evaluate_global(spec: CircuitSpec, params: ModelParams, validation: EncodedS
     Centroid scoring reads the mean class probabilities over `reference`,
     the training set. A non-finite validation loss raises NumericError.
     """
-    readout = probability_batch(spec, params.angles, validation.encoded, _EXACT, _NOISELESS, None)
+    readout = probability_batch(spec, params.angles, validation.encoded)
+    probs, log_probs = head_softmax(params, readout)
     normal = validation.labels >= 0
-    val_loss = cross_entropy(params, readout[normal], validation.labels[normal])
+    val_loss = float(-log_probs[normal, validation.labels[normal]].mean())
     if not np.isfinite(val_loss):
         raise NumericError("non-finite validation loss")
-    probs = class_probabilities(head_scores(params, readout))
     if score_method == SCORE_CENTROID:
         if reference is None:
             raise ConfigError("centroid scoring needs the training set as reference")
-        train_readout = probability_batch(
-            spec, params.angles, reference.encoded, _EXACT, _NOISELESS, None
-        )
-        centroid = class_probabilities(head_scores(params, train_readout)).mean(axis=0)
+        train_readout = probability_batch(spec, params.angles, reference.encoded)
+        centroid = head_softmax(params, train_readout)[0].mean(axis=0)
         scores = centroid_distance_scores(probs, centroid)
     else:
         scores = max_prob_scores(probs)
@@ -265,7 +266,8 @@ def run_round(round_index: int, config: FederationConfig, global_params: ModelPa
         **scores,
         client_losses=tuple(float(r.loss_trace[-1]) for r in results),
         payload_bits=payload_bits(new_global.vector.size, config.bits_per_value),
-        circuit_evals=sum(r.evals_used for r in results),
+        circuit_evals=2 * config.spec.n_layers * config.spec.n_qubits
+        * config.train.local_epochs * sum(len(shard.labels) for shard in client_shards),
     )
     return new_global, record
 

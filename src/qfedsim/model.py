@@ -8,8 +8,9 @@ needed.
 
 All evaluation funnels through `run_ansatz_kernel`, which acts in place on a
 (rows, 2**n) amplitude array run at one (layers, qubits) angle matrix, or at
-one per block of rows (training's stochastic shift pass). Class scores for
-a batch of encoded rows are head_scores(params, probability_batch(...));
+one per block of rows (training's stochastic shift pass). Class
+probabilities for a batch of encoded rows are
+head_softmax(params, probability_batch(spec, angles, encoded));
 `run_circuit` runs it noiselessly on one QuantumState. Training's adjoint
 sweep walks the same gates backwards (see the training module).
 """
@@ -223,14 +224,13 @@ def readout_batch(amps: np.ndarray, shots: ShotSpec,
     return counts / float(shots.shots)
 
 
-def probability_batch(spec: CircuitSpec, angles: np.ndarray, encoded: np.ndarray,
-                      shots: ShotSpec, noise: NoiseSpec,
-                      rng: np.random.Generator | None) -> np.ndarray:
-    """Encoded inputs (B, 2**n) -> readout probabilities (B, 2**n) at a
-    (layers, qubits) angle matrix."""
+def probability_batch(spec: CircuitSpec, angles: np.ndarray,
+                      encoded: np.ndarray) -> np.ndarray:
+    """Encoded inputs (B, 2**n) -> exact readout probabilities (B, 2**n) of
+    the noiseless ansatz at a (layers, qubits) angle matrix."""
     amps = encoded.copy()
-    run_ansatz_kernel(amps, spec, angles, noise, rng)
-    return readout_batch(amps, shots, rng)
+    run_ansatz_kernel(amps, spec, angles, NoiseSpec.off(), None)
+    return readout_batch(amps, ShotSpec.exact(), None)
 
 
 def head_scores(params: ModelParams, probs: np.ndarray) -> np.ndarray:
@@ -238,14 +238,17 @@ def head_scores(params: ModelParams, probs: np.ndarray) -> np.ndarray:
     return probs @ params.head_weights.T + params.head_bias
 
 
-def class_probabilities(y: np.ndarray) -> np.ndarray:
-    """Stable softmax over class scores (max subtracted before exp)."""
-    y = np.asarray(y, dtype=np.float64)
+def head_softmax(params: ModelParams, readout: np.ndarray) -> tuple:
+    """(probabilities, log-probabilities) of the classes, rowwise: one head
+    evaluation and one stable softmax (max subtracted before exp). Non-finite
+    class scores raise NumericError; an overflowing score gap gives -inf."""
+    y = head_scores(params, readout)
     if not np.all(np.isfinite(y)):
         raise NumericError("class scores contain non-finite entries")
     shifted = y - y.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, shifted - np.log(total)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +276,8 @@ def load_params(path) -> tuple:
     version, n_layers, n_qubits, n_classes = struct.unpack("<IIII", blob[4:head_len])
     if version != _CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version}")
+    if n_qubits > core.MAX_QUBITS:
+        raise ParseError(f"{path}: header n_qubits = {n_qubits} exceeds {core.MAX_QUBITS}")
     expected = n_layers * n_qubits + n_classes * (1 << n_qubits) + n_classes
     if len(blob) - head_len != 8 * expected:
         raise DataError(

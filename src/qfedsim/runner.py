@@ -308,13 +308,16 @@ def _load_run(run_dir: str) -> dict:
         rounds = sum(1 for line in fh if line.strip()) - 1
     with open(summary_path, "r", encoding="utf-8") as fh:
         summary = json.load(fh)
-    return {
-        "name": os.path.basename(os.path.normpath(run_dir)),
-        "rounds": rounds,
-        **{name: summary["final"][name] for name in ROUND_METRICS},
-        "rounds_to_target": summary.get("rounds_to_target"),
-        "total_payload_bits": summary["total_payload_bits"],
-    }
+    try:
+        return {
+            "name": os.path.basename(os.path.normpath(run_dir)),
+            "rounds": rounds,
+            **{name: summary["final"][name] for name in ROUND_METRICS},
+            "rounds_to_target": summary.get("rounds_to_target"),
+            "total_payload_bits": summary["total_payload_bits"],
+        }
+    except KeyError as err:
+        raise DataError(f"{summary_path} lacks key {err}") from None
 
 
 _COMPARE_COLUMNS = (

@@ -18,14 +18,8 @@ Two training modes share the machinery:
     classify_loss_and_grad).
 
 A GradientEstimate holds its gradient as a ModelParams, so a step is one
-expression on the flat parameter vector (see personalized_step).
-
-`evals_used` counts gradient-rule circuit executions only (2 per angle per
-probability readout): in exact VQE mode a T-step training consumes exactly
-2 * D * T evaluations. This is the paper's parameter-shift cost model, what
-the procedure would spend on hardware, and it is what `circuit_evals`
-reports; it does not change when the simulator differentiates by the
-adjoint method instead.
+expression on the flat parameter vector (see personalized_step). The
+circuit-evaluation cost model lives in federation.RoundRecord.
 """
 
 from __future__ import annotations
@@ -41,8 +35,6 @@ from .model import (
     CircuitSpec,
     ModelParams,
     check_params,
-    class_probabilities,
-    head_scores,
     run_circuit,
 )
 
@@ -83,10 +75,9 @@ class TrainConfig:
 @dataclass(frozen=True)
 class GradientEstimate:
     """Gradient of a loss w.r.t. every model parameter, laid out as the
-    parameters themselves (so finite by construction), plus work accounting."""
+    parameters themselves (so finite by construction)."""
 
     gradient: ModelParams
-    evals_used: int
 
     @property
     def angle_grads(self) -> np.ndarray:
@@ -107,7 +98,6 @@ class EncodedSet:
 class LocalTrainResult:
     params: ModelParams
     loss_trace: np.ndarray  # per-epoch mean loss, length = local_epochs
-    evals_used: int
 
 
 def loss_vqe(spec: CircuitSpec, params: ModelParams, observable: Observable) -> float:
@@ -122,12 +112,27 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> None:
         raise LabelError(f"label {bad} outside [0, {n_classes})")
 
 
-def cross_entropy(params: ModelParams, readout: np.ndarray, labels: np.ndarray) -> float:
-    y = head_scores(params, readout)
-    shifted = y - y.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=-1))
-    log_p = shifted[np.arange(len(labels)), labels] - log_norm
-    return float(-log_p.mean())
+def _shifted_angles(angles: np.ndarray) -> np.ndarray:
+    """The (2D + 1, layers, qubits) stack of the two-point rule over the D
+    angles: the base matrix, then angle k shifted by +PARAMETER_SHIFT and by
+    -PARAMETER_SHIFT for each k in row-major order."""
+    count = angles.size
+    stack = np.repeat(angles[None], 2 * count + 1, axis=0)
+    flat, k = stack.reshape(2 * count + 1, count), np.arange(count)
+    flat[2 * k + 1, k] += PARAMETER_SHIFT
+    flat[2 * k + 2, k] -= PARAMETER_SHIFT
+    return stack
+
+
+def _shift_rule(values: np.ndarray, shape: tuple) -> np.ndarray:
+    """Angle gradients [f(t + s) - f(t - s)] / 2 from the values at
+    _shifted_angles(...)[1:]; a non-finite one raises NumericError naming
+    its (layer, qubit) angle and sign."""
+    if not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise NumericError(f"non-finite shifted value at angle "
+                           f"{divmod(bad // 2, shape[1])}, shift {'+-'[bad % 2]}pi/2")
+    return (0.5 * (values[0::2] - values[1::2])).reshape(shape)
 
 
 def grad_parameter_shift(spec: CircuitSpec, params: ModelParams,
@@ -138,23 +143,16 @@ def grad_parameter_shift(spec: CircuitSpec, params: ModelParams,
     `loss_closure` maps an angle matrix to a scalar loss and must be linear in
     the circuit readout (an expectation value, or a fixed linear functional of
     the probability vector); for such losses the rule at shift pi/2 is
-    exact. Head gradients are not the closure's business and are
-    returned as zeros; each closure call counts as one circuit execution.
+    exact. It is called once per shifted matrix: angle k at +s, then at -s,
+    for each k in row-major order. Head gradients are not the closure's
+    business and are returned as zeros.
     """
-    base = params.angles
-    grads = np.zeros_like(base)
-    for idx in np.ndindex(*base.shape):
-        plus = base.copy()
-        plus[idx] += PARAMETER_SHIFT
-        minus = base.copy()
-        minus[idx] -= PARAMETER_SHIFT
-        up, down = loss_closure(plus), loss_closure(minus)
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise NumericError(f"non-finite loss at shifted angle {idx}")
-        grads[idx] = 0.5 * (up - down)
-    gradient = ModelParams(grads, np.zeros_like(params.head_weights),
+    stack = _shifted_angles(params.angles)
+    values = np.array([loss_closure(angles) for angles in stack[1:]], dtype=np.float64)
+    gradient = ModelParams(_shift_rule(values, params.angles.shape),
+                           np.zeros_like(params.head_weights),
                            np.zeros_like(params.head_bias))
-    return GradientEstimate(gradient, 2 * base.size)
+    return GradientEstimate(gradient)
 
 
 def _adjoint_angle_grads(spec: CircuitSpec, angles: np.ndarray, state: np.ndarray,
@@ -197,15 +195,12 @@ def classify_loss_and_grad(spec: CircuitSpec, params: ModelParams, encoded: np.n
     real output amplitudes psi and p = psi**2, and one adjoint sweep (see
     _adjoint_angle_grads) seeded with c * psi gives every angle derivative.
     With active noise or finite shots the two-point rule differentiates the
-    functional in one stochastic pass over a stack of 2D + 1 blocks of the
-    B rows: the base angles, then angle k shifted by +pi/2 and by -pi/2 for
-    each k in row-major order. One readout samples every block's shots in
+    functional in one stochastic pass over the B rows tiled once per angle
+    matrix of _shifted_angles. One readout samples every block's shots in
     stack order. The stack holds (2D + 1) * B * 2**n floats, about 38 MB at
     12 qubits, 3 layers and B = 16.
 
     A non-finite loss, shifted value or gradient raises NumericError.
-    `evals_used` is 2 * D * rows in both modes: the parameter-shift hardware
-    cost the paper reports, not what the adjoint sweep costs the simulator.
     """
     rows = encoded.shape[0]
     exact = shots.is_exact and not noise.active
@@ -216,36 +211,28 @@ def classify_loss_and_grad(spec: CircuitSpec, params: ModelParams, encoded: np.n
         model.run_ansatz_kernel(state, spec, params.angles, noise, rng)
         base = model.readout_batch(state, shots, rng)
     else:
-        count = params.angles.size
-        stack = np.repeat(params.angles[None], 2 * count + 1, axis=0)
-        flat, k = stack.reshape(2 * count + 1, count), np.arange(count)
-        flat[2 * k + 1, k] += PARAMETER_SHIFT
-        flat[2 * k + 2, k] -= PARAMETER_SHIFT
+        stack = _shifted_angles(params.angles)
         amps = np.tile(encoded, (stack.shape[0], 1))
         model.run_ansatz_kernel(amps, spec, stack, noise, rng)
         readout = model.readout_batch(amps, shots, rng).reshape(stack.shape[0], rows, -1)
         base = readout[0]
-    loss = cross_entropy(params, base, labels)
+    delta, log_probs = model.head_softmax(params, base)
+    loss = float(-log_probs[np.arange(rows), labels].mean())
     if not np.isfinite(loss):
         raise NumericError("non-finite batch loss")
-    delta = class_probabilities(head_scores(params, base))
     delta[np.arange(rows), labels] -= 1.0
     delta /= rows
     cotangent = delta @ params.head_weights
     if exact:
         angle_grads = _adjoint_angle_grads(spec, params.angles, state, cotangent * state)
     else:
-        values = (cotangent * readout[1:]).reshape(2 * count, -1).sum(axis=1)
-        if not np.all(np.isfinite(values)):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise NumericError(f"non-finite shifted value at angle "
-                               f"{divmod(bad // 2, spec.n_qubits)}, shift {'+-'[bad % 2]}pi/2")
-        angle_grads = (0.5 * (values[0::2] - values[1::2])).reshape(params.angles.shape)
+        values = (cotangent * readout[1:]).reshape(len(stack) - 1, -1).sum(axis=1)
+        angle_grads = _shift_rule(values, params.angles.shape)
     try:
         gradient = ModelParams(angle_grads, delta.T @ base, delta.sum(axis=0))
     except NumericError as err:
         raise NumericError(f"gradient {err}") from None
-    return loss, GradientEstimate(gradient, 2 * params.angles.size * rows)
+    return loss, GradientEstimate(gradient)
 
 
 def personalized_step(params: ModelParams, grad: GradientEstimate, eta: float,
@@ -270,7 +257,6 @@ def personalized_step(params: ModelParams, grad: GradientEstimate, eta: float,
 
 def _train_vqe_loop(spec, params, observable, config, global_params):
     trace = np.zeros(config.local_epochs)
-    evals = 0
     for epoch in range(config.local_epochs):
         trace[epoch] = loss_vqe(spec, params, observable)
 
@@ -279,8 +265,7 @@ def _train_vqe_loop(spec, params, observable, config, global_params):
 
         grad = grad_parameter_shift(spec, params, shifted_loss)
         params = personalized_step(params, grad, config.eta, config.lam, global_params)
-        evals += grad.evals_used
-    return LocalTrainResult(params, trace, evals)
+    return LocalTrainResult(params, trace)
 
 
 def local_train(spec: CircuitSpec, start_params: ModelParams, shard: EncodedSet | None,
@@ -324,7 +309,6 @@ def local_train(spec: CircuitSpec, start_params: ModelParams, shard: EncodedSet 
     count = encoded.shape[0]
     params = start_params
     trace = np.zeros(config.local_epochs)
-    evals = 0
     for epoch in range(config.local_epochs):
         order = rng.permutation(count)
         loss_sum = 0.0
@@ -335,6 +319,5 @@ def local_train(spec: CircuitSpec, start_params: ModelParams, shard: EncodedSet 
             )
             params = personalized_step(params, grad, config.eta, config.lam, global_params)
             loss_sum += loss * sel.size
-            evals += grad.evals_used
         trace[epoch] = loss_sum / count
-    return LocalTrainResult(params, trace, evals)
+    return LocalTrainResult(params, trace)

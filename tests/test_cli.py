@@ -124,6 +124,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "x")]) == 1
         assert "dataset" in capsys.readouterr().err
 
+    def test_non_integer_environment_seed_is_named(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path)
+        monkeypatch.setenv(ENV_SEED, "abc")
+        assert main(["run", "--config", config, "--output-dir", str(tmp_path / "z")]) == 1
+        err = capsys.readouterr().err
+        assert f"{ENV_SEED} must be an integer, got 'abc'" in err
+        assert not (tmp_path / "z").exists()
+
     def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
         assert main(
             ["run", "--config", str(tmp_path / "absent.json"),

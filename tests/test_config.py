@@ -396,6 +396,13 @@ class TestCsvDataset:
         with pytest.raises(ConfigError, match="does not exist"):
             config_from_mapping(data, base_dir=str(tmp_path))
 
+    def test_directory_path_rejected(self, tmp_path):
+        (tmp_path / "features").mkdir()
+        data = minimal()
+        data["dataset"] = {"kind": "csv", "path": "features", "anomaly_classes": [1]}
+        with pytest.raises(ConfigError, match="is a directory"):
+            config_from_mapping(data, base_dir=str(tmp_path))
+
     def test_relative_path_resolved_against_config_dir(self, tmp_path):
         (tmp_path / "features.csv").write_text("1.0,2.0,0\n3.0,4.0,1\n")
         config_path = tmp_path / "experiment.json"

@@ -41,8 +41,7 @@ from qfedsim.federation import (
 from qfedsim.model import (
     CircuitSpec,
     ModelParams,
-    class_probabilities,
-    head_scores,
+    head_softmax,
     init_params,
     probability_batch,
 )
@@ -398,9 +397,8 @@ class TestEvaluateGlobal:
         history = run_federation(config, part, val)
         params = history.final_params
         readout = probability_batch(config.spec, params.angles,
-                                    encode_batch(train.features, config.spec.n_qubits),
-                                    ShotSpec.exact(), NoiseSpec.off(), None)
-        expected = class_probabilities(head_scores(params, readout)).mean(axis=0)
+                                    encode_batch(train.features, config.spec.n_qubits))
+        expected = head_softmax(params, readout)[0].mean(axis=0)
         assert len(centroids) == 1
         assert np.array_equal(centroids[0], expected)
         reference = evaluate_global(config.spec, params, encoded_set(val, config.spec),
@@ -408,6 +406,27 @@ class TestEvaluateGlobal:
                                     config.threshold)
         record = history.records[0]
         assert {name: getattr(record, name) for name in ROUND_METRICS} == reference
+
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_val_loss_is_the_cross_entropy_of_the_normal_rows_alone(self, seed):
+        # A head pass over the normal rows only, then a log-sum-exp
+        # cross-entropy: the loss read off the one pass over every row must
+        # be the same bits.
+        rng = np.random.default_rng(seed)
+        ds = with_anomaly_classes(synth_anomaly_dataset(3, 10, 8, 8, 3.0, rng), [1, 3])
+        val = ds.subset(rng.permutation(len(ds)))
+        spec = CircuitSpec(3, 2)
+        params = init_params(spec, 2, rng)
+        validation = encoded_set(val, spec)
+        out = evaluate_global(spec, params, validation, None, SCORE_MAX_PROB, THRESHOLD_YOUDEN)
+        normal = validation.labels >= 0
+        labels = validation.labels[normal]
+        y = (probability_batch(spec, params.angles, validation.encoded[normal])
+             @ params.head_weights.T + params.head_bias)
+        shifted = y - y.max(axis=1, keepdims=True)
+        log_p = shifted[np.arange(len(labels)), labels] - np.log(np.exp(shifted).sum(axis=1))
+        assert out["val_loss"] == float(-log_p.mean())
 
 
 class TestRunRound:
@@ -619,3 +638,18 @@ class TestFederationConfigValidation:
             FederationConfig(score_method="entropy", **base)
         with pytest.raises(ConfigError):
             FederationConfig(threshold="median", **base)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, True, False])
+    def test_non_finite_or_boolean_threshold_rejected(self, threshold):
+        with pytest.raises(ConfigError, match="threshold"):
+            FederationConfig(
+                n_clients=1,
+                global_rounds=1,
+                client_weights=np.array([1.0]),
+                train=TrainConfig(),
+                spec=CircuitSpec(2, 1),
+                shots=ShotSpec.exact(),
+                noise=(NoiseSpec.off(),),
+                master_seed=0,
+                threshold=threshold,
+            )

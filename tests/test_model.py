@@ -1,5 +1,7 @@
 """Hybrid model: ansatz geometry, circuit runs, head, softmax, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,12 @@ from qfedsim.model import (
     RING,
     CircuitSpec,
     ModelParams,
-    class_probabilities,
     head_scores,
+    head_softmax,
     init_params,
     load_params,
     probability_batch,
+    readout_batch,
     run_ansatz_kernel,
     run_circuit,
     save_params,
@@ -49,9 +52,22 @@ def zero_state(n):
 
 
 def scores(spec, params, rows, shots=EXACT, rng=None):
-    """Class scores of raw feature rows: encode, run, read out, head."""
+    """Class scores of raw feature rows: encode, run, read out, head. The
+    exact readout is probability_batch; a finite-shot one samples the
+    noiseless ansatz output."""
     encoded = encode_batch(np.atleast_2d(rows), spec.n_qubits)
-    return head_scores(params, probability_batch(spec, params.angles, encoded, shots, CLEAN, rng))
+    if shots.is_exact:
+        return head_scores(params, probability_batch(spec, params.angles, encoded))
+    run_ansatz_kernel(encoded, spec, params.angles, CLEAN, None)
+    return head_scores(params, readout_batch(encoded, shots, rng))
+
+
+def softmax_of(y):
+    """head_softmax of class scores y, through a head that passes its
+    readout through unchanged (W = I, b = 0)."""
+    y = np.asarray(y, dtype=np.float64)
+    k = y.shape[-1]
+    return head_softmax(ModelParams(np.zeros((1, 1)), np.eye(k), np.zeros(k)), y)
 
 
 class TestCircuitSpec:
@@ -330,33 +346,51 @@ class TestForward:
 
 
 class TestClassProbabilities:
+    """head_softmax: class probabilities and log-probabilities of a readout."""
+
     def test_symmetric_scores(self):
-        assert np.allclose(class_probabilities(np.zeros(2)), [0.5, 0.5], atol=1e-15)
+        probs, log_probs = softmax_of(np.zeros(2))
+        assert np.allclose(probs, [0.5, 0.5], atol=1e-15)
+        assert np.allclose(log_probs, np.log([0.5, 0.5]), atol=1e-15)
 
     def test_large_scores_stable(self):
-        probs = class_probabilities(np.array([1000.0, 0.0]))
+        probs, log_probs = softmax_of(np.array([1000.0, 0.0]))
         assert np.all(np.isfinite(probs))
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert log_probs[0] == pytest.approx(0.0, abs=1e-12)
+        assert log_probs[1] == pytest.approx(-1000.0, abs=1e-12)
 
     def test_matches_direct_recomputation(self):
         y = np.array([1.0, 2.0, 3.0])
         direct = np.exp(y) / np.exp(y).sum()
-        assert np.allclose(class_probabilities(y), direct, atol=1e-12)
+        probs, log_probs = softmax_of(y)
+        assert np.allclose(probs, direct, atol=1e-12)
+        assert np.allclose(log_probs, np.log(direct), atol=1e-12)
 
     def test_monotone_in_scores(self):
-        probs = class_probabilities(np.array([0.2, 1.5, -0.3]))
+        probs, _ = softmax_of(np.array([0.2, 1.5, -0.3]))
         assert probs[1] > probs[0] > probs[2]
 
     def test_batch_rows_sum_to_one(self):
         rng = np.random.default_rng(14)
-        probs = class_probabilities(rng.normal(size=(5, 4)))
+        readout = rng.uniform(size=(5, 4))
+        params = ModelParams(np.zeros((1, 2)), rng.normal(size=(3, 4)), rng.normal(size=3))
+        probs, log_probs = head_softmax(params, readout)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs > 0)
+        assert np.allclose(np.exp(log_probs), probs, atol=1e-15)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
-            class_probabilities(np.array([np.inf, 0.0]))
+        with np.errstate(invalid="ignore"):  # inf * 0 in the identity head
+            with pytest.raises(NumericError, match="class scores"):
+                softmax_of(np.array([np.inf, 0.0]))
+        # Finite parameters whose class score overflows to inf.
+        params = ModelParams(np.zeros((1, 1)), np.array([[1e308, 1e308], [0.0, 0.0]]),
+                             np.zeros(2))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="class scores"):
+                head_softmax(params, np.array([[1.0, 1.0]]))
 
 
 class TestCheckpoints:
@@ -392,6 +426,13 @@ class TestCheckpoints:
         save_params(path, spec, make_params(spec, 2, seed=1))
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(DataError, match="params.bin: checkpoint payload"):
+            load_params(path)
+
+    @pytest.mark.parametrize("n_qubits", [21, 20000])
+    def test_header_qubit_count_above_the_limit_names_the_field(self, tmp_path, n_qubits):
+        path = tmp_path / "params.bin"
+        path.write_bytes(b"QFSP" + struct.pack("<IIII", 1, 1, n_qubits, 2) + bytes(16))
+        with pytest.raises(ParseError, match=f"n_qubits = {n_qubits}"):
             load_params(path)
 
     def test_wrong_geometry_rejected_on_save(self, tmp_path):

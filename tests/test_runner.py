@@ -392,6 +392,17 @@ class TestCompare:
         with pytest.raises(DataError, match="missing history"):
             compare([base_run.output_dir, str(empty)])
 
+    def test_summary_without_final_names_file_and_key(self, base_run, tmp_path):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for name in (HISTORY_NAME, SUMMARY_NAME):
+            (broken / name).write_bytes(read_bytes(base_run.output_dir, name))
+        summary = json.loads((broken / SUMMARY_NAME).read_text())
+        del summary["final"]
+        (broken / SUMMARY_NAME).write_text(json.dumps(summary))
+        with pytest.raises(DataError, match=f"{SUMMARY_NAME} lacks key 'final'"):
+            compare([base_run.output_dir, str(broken)])
+
     def test_needs_two_directories(self, base_run):
         with pytest.raises(ConfigError):
             compare([base_run.output_dir])

@@ -21,8 +21,7 @@ from qfedsim.model import (
     RING,
     CircuitSpec,
     ModelParams,
-    class_probabilities,
-    head_scores,
+    head_softmax,
     init_params,
     probability_batch,
     readout_batch,
@@ -34,7 +33,6 @@ from qfedsim.training import (
     GradientEstimate,
     TrainConfig,
     classify_loss_and_grad,
-    cross_entropy,
     grad_parameter_shift,
     local_train,
     loss_vqe,
@@ -66,10 +64,42 @@ def shard_of(spec, batch):
 
 
 def batch_loss(spec, params, batch):
-    """Exact mean cross-entropy of a batch against its logit indices."""
+    """Exact mean cross-entropy of a batch against its logit indices, read
+    off head_softmax's log-probabilities."""
     encoded = encode_batch(batch.features, spec.n_qubits)
-    readout = probability_batch(spec, params.angles, encoded, EXACT, CLEAN, None)
-    return cross_entropy(params, readout, batch.logit_indices())
+    _, log_probs = head_softmax(params, probability_batch(spec, params.angles, encoded))
+    labels = batch.logit_indices()
+    return float(-log_probs[np.arange(len(labels)), labels].mean())
+
+
+# Test-local references that share no code with the package: the two-point
+# rule as a per-angle loop, and the head evaluated twice, once for a
+# log-sum-exp cross-entropy and once for a separate softmax.
+
+def reference_shift_gradient(angles, closure):
+    """[f(t + s) - f(t - s)] / 2 at s = pi/2, one angle at a time in
+    row-major order, +s before -s."""
+    grads = np.zeros_like(angles)
+    for idx in np.ndindex(*angles.shape):
+        plus = angles.copy()
+        plus[idx] += np.pi / 2
+        minus = angles.copy()
+        minus[idx] -= np.pi / 2
+        grads[idx] = 0.5 * (closure(plus) - closure(minus))
+    return grads
+
+
+def reference_cross_entropy(params, readout, labels):
+    y = readout @ params.head_weights.T + params.head_bias
+    shifted = y - y.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1))
+    return float(-(shifted[np.arange(len(labels)), labels] - log_norm).mean())
+
+
+def reference_softmax(y):
+    shifted = y - y.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class TestLossVqe:
@@ -109,7 +139,8 @@ class TestLossVqe:
 
 
 class TestLossClassify:
-    """cross_entropy over an exact probability_batch readout."""
+    """The cross-entropy of head_softmax over an exact probability_batch
+    readout."""
 
     def test_uniform_probabilities_give_log_c(self):
         # zero head makes every class score 0, hence uniform softmax
@@ -170,7 +201,6 @@ class TestGradParameterShift:
 
         est = grad_parameter_shift(spec, params, closure)
         assert est.angle_grads[0, 0] == pytest.approx(-1.0, abs=1e-12)
-        assert est.evals_used == 2
 
     def test_stationary_point(self):
         spec = CircuitSpec(1, 1)
@@ -230,14 +260,27 @@ class TestGradParameterShift:
             fd_b = oracles.finite_difference(bias_loss, params.head_bias)
             assert np.allclose(est.gradient.head_bias, fd_b, atol=1e-6)
 
-    def test_eval_accounting_scales_with_batch(self):
-        spec = CircuitSpec(2, 2)
-        params = make_params(spec, 2, seed=3)
-        rng = np.random.default_rng(5)
-        encoded = encode_batch(rng.normal(size=(7, 4)), 2)
-        labels = rng.integers(0, 2, size=7)
-        _, est = classify_loss_and_grad(spec, params, encoded, labels, EXACT, CLEAN, None)
-        assert est.evals_used == 2 * params.angles.size * 7
+    @pytest.mark.parametrize("n, layers", [(1, 1), (2, 3), (3, 2)])
+    def test_matches_the_per_angle_loop_bit_for_bit(self, n, layers):
+        # The closure must see the same angle matrices in the same order as
+        # the per-angle loop, and the gradient must be the same bits.
+        spec = CircuitSpec(n, layers)
+        obs = Observable(((1.0, "Z" * n), (-0.7, "X" * n)))
+        params = make_params(spec, 2, seed=n + layers)
+        seen, expected_seen = [], []
+
+        def recording(log):
+            def closure(angles):
+                log.append(angles.copy())
+                return loss_vqe(spec, params.with_angles(angles), obs)
+            return closure
+
+        est = grad_parameter_shift(spec, params, recording(seen))
+        reference = reference_shift_gradient(params.angles, recording(expected_seen))
+        assert est.angle_grads.tobytes() == reference.tobytes()
+        assert len(seen) == 2 * params.angles.size
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, expected_seen))
+        assert not est.gradient.head_weights.any() and not est.gradient.head_bias.any()
 
 
 def ansatz_on_trajectory(spec, angles, amps, hit, which):
@@ -254,9 +297,9 @@ def ansatz_on_trajectory(spec, angles, amps, hit, which):
 
 
 def per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng):
-    """The per-shift reference: one ansatz pass for the base readout, then
-    grad_parameter_shift over the cotangent functional, one pass per shifted
-    angle matrix, each read out on its own.
+    """The per-shift reference: one ansatz pass for the base readout, the
+    two-pass head on it, then the per-angle shift loop over the cotangent
+    functional, one pass per shifted angle matrix, each read out on its own.
 
     Under noise the trajectory of all S = 2D + 1 passes is drawn first, as
     one uniform and then one Pauli choice per (site, row) over S * B rows,
@@ -270,17 +313,18 @@ def per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng):
     blocks = iter(range(passes))
 
     def probabilities(angles):
-        if not noise.active:
-            return probability_batch(spec, angles, encoded, shots, noise, rng)
-        block = next(blocks)
-        cols = slice(block * rows, (block + 1) * rows)
         amps = encoded.copy()
-        ansatz_on_trajectory(spec, angles, amps, hit[:, cols], which[:, cols])
+        if noise.active:
+            block = next(blocks)
+            cols = slice(block * rows, (block + 1) * rows)
+            ansatz_on_trajectory(spec, angles, amps, hit[:, cols], which[:, cols])
+        else:
+            model.run_ansatz_kernel(amps, spec, angles, noise, None)
         return readout_batch(amps, shots, rng)
 
     readout = probabilities(params.angles)
-    loss = cross_entropy(params, readout, labels)
-    delta = class_probabilities(head_scores(params, readout))
+    loss = reference_cross_entropy(params, readout, labels)
+    delta = reference_softmax(readout @ params.head_weights.T + params.head_bias)
     delta[np.arange(rows), labels] -= 1.0
     delta /= rows
     cotangent = delta @ params.head_weights
@@ -288,8 +332,8 @@ def per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng):
     def functional(angles):
         return float((cotangent * probabilities(angles)).sum())
 
-    est = grad_parameter_shift(spec, params, functional)
-    return loss, est.angle_grads, delta.T @ readout, delta.sum(axis=0), rows * est.evals_used
+    angle_grads = reference_shift_gradient(params.angles, functional)
+    return loss, angle_grads, delta.T @ readout, delta.sum(axis=0)
 
 
 def assert_same_gradient(spec, params, encoded, labels, shots, noise, seed):
@@ -303,7 +347,6 @@ def assert_same_gradient(spec, params, encoded, labels, shots, noise, seed):
     assert np.array_equal(est.angle_grads, ref[1])
     assert np.array_equal(est.gradient.head_weights, ref[2])
     assert np.array_equal(est.gradient.head_bias, ref[3])
-    assert est.evals_used == ref[4]
     assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -328,14 +371,37 @@ class TestStackedShiftGradient:
         assert np.allclose(est.angle_grads, ref[1], rtol=0.0, atol=1e-10)
         assert np.array_equal(est.gradient.head_weights, ref[2])
         assert np.array_equal(est.gradient.head_bias, ref[3])
-        assert est.evals_used == ref[4]
 
         def functional_loss(angles):
-            readout = probability_batch(spec, angles, encoded, EXACT, CLEAN, None)
-            return cross_entropy(params, readout, labels)
+            readout = probability_batch(spec, angles, encoded)
+            return reference_cross_entropy(params, readout, labels)
 
         fd = oracles.finite_difference(functional_loss, params.angles)
         assert np.allclose(est.angle_grads, fd, atol=1e-6)
+
+    @pytest.mark.parametrize("shots, noise", [(EXACT, CLEAN), (EXACT, NoiseSpec(0.4)),
+                                              (ShotSpec(64), CLEAN)])
+    @pytest.mark.parametrize("entangler", [LINEAR_CHAIN, RING])
+    def test_one_softmax_matches_the_two_pass_head(self, shots, noise, entangler):
+        # Loss and head gradients from one head_softmax call are the bits of
+        # a log-sum-exp cross-entropy and a separate softmax on the same
+        # readout; the angle gradients agree as in the tests above.
+        spec = CircuitSpec(3, 2, entangler)
+        params = make_params(spec, 3, seed=31)
+        rng = np.random.default_rng(32)
+        encoded = encode_batch(rng.normal(size=(9, 8)), 3)
+        labels = rng.integers(0, 3, size=9)
+        gen = None if shots.is_exact and not noise.active else np.random.default_rng(33)
+        ref_gen = None if gen is None else np.random.default_rng(33)
+        loss, est = classify_loss_and_grad(spec, params, encoded, labels, shots, noise, gen)
+        ref = per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, ref_gen)
+        assert loss == ref[0]
+        assert est.gradient.head_weights.tobytes() == ref[2].tobytes()
+        assert est.gradient.head_bias.tobytes() == ref[3].tobytes()
+        if gen is None:
+            assert np.allclose(est.angle_grads, ref[1], rtol=0.0, atol=1e-10)
+        else:
+            assert est.angle_grads.tobytes() == ref[1].tobytes()
 
     def test_noisy_finite_shots_keep_the_draw_order(self):
         spec = CircuitSpec(3, 2)
@@ -391,8 +457,18 @@ class TestStackedShiftGradient:
             return out
 
         monkeypatch.setattr(model, "readout_batch", poisoned)
-        with pytest.raises(NumericError, match=re.escape(f"angle {angle}, shift {sign}pi/2")):
+        message = re.escape(f"non-finite shifted value at angle {angle}, shift {sign}pi/2")
+        with pytest.raises(NumericError, match=message):
             classify_loss_and_grad(spec, params, encoded, labels, ShotSpec(64), CLEAN, rng)
+        # grad_parameter_shift calls its closure once per block after the
+        # base, so call block - 1 is the same shifted angle.
+        calls = iter(range(2 * params.angles.size))
+
+        def closure(angles):
+            return np.nan if next(calls) == block - 1 else 0.0
+
+        with pytest.raises(NumericError, match=message):
+            grad_parameter_shift(spec, params, closure)
 
 
 def depolarized_probabilities(spec, angles, state, epsilon):
@@ -432,8 +508,9 @@ class TestNoisyGradientInDistribution:
         encoded = encode_batch(rng.normal(size=(rows, 8)), 3)
         labels = rng.integers(0, 3, size=rows)
         # The cotangent is (softmax - onehot) / rows @ W; a constant softmax fixes it.
-        softmax = class_probabilities(rng.normal(size=(rows, 3)))
-        monkeypatch.setattr("qfedsim.training.class_probabilities", lambda y: softmax.copy())
+        softmax = reference_softmax(rng.normal(size=(rows, 3)))
+        monkeypatch.setattr(model, "head_softmax",
+                            lambda params, readout: (softmax.copy(), np.log(softmax)))
         delta = softmax.copy()
         delta[np.arange(rows), labels] -= 1.0
         cotangent = delta / rows @ params.head_weights
@@ -444,8 +521,7 @@ class TestNoisyGradientInDistribution:
                        for r in range(rows))
 
         def noiseless_functional(angles):
-            return float((cotangent * probability_batch(spec, angles, encoded, EXACT,
-                                                        CLEAN, None)).sum())
+            return float((cotangent * probability_batch(spec, angles, encoded)).sum())
 
         expected = oracles.finite_difference(density_functional, params.angles)
         noiseless = oracles.finite_difference(noiseless_functional, params.angles)
@@ -463,8 +539,8 @@ class TestNoisyGradientInDistribution:
         assert np.any(np.abs(samples.mean(axis=0) - noiseless) > 20 * stderr)
 
 
-def gradient_like(params, vector, evals=0):
-    return GradientEstimate(params.with_vector(vector), evals)
+def gradient_like(params, vector):
+    return GradientEstimate(params.with_vector(vector))
 
 
 def per_part_step(params, grad, eta, lam, anchor):
@@ -496,7 +572,7 @@ class TestSgdStep:
 
     def test_scalar_update_rule(self):
         params = ModelParams(np.array([[1.0]]), np.zeros((1, 2)), np.zeros(1))
-        grad = GradientEstimate(ModelParams(np.array([[2.0]]), np.zeros((1, 2)), np.zeros(1)), 0)
+        grad = GradientEstimate(ModelParams(np.array([[2.0]]), np.zeros((1, 2)), np.zeros(1)))
         out = personalized_step(params, grad, 0.1, 0.0, None)
         assert out.angles[0, 0] == pytest.approx(0.8, abs=1e-15)
 
@@ -596,16 +672,6 @@ class TestLocalTrain:
         assert final_loss <= -0.999
         assert result.loss_trace.min() <= -0.999
 
-    def test_vqe_eval_accounting(self):
-        spec = CircuitSpec(3, 2)  # D = 6
-        start = make_params(spec, 2, seed=11)
-        config = TrainConfig(eta=0.05, lam=0.0, local_epochs=17, batch_size=1, mode=MODE_VQE)
-        result = local_train(
-            spec, start, None, config,
-            rng=np.random.default_rng(1), observable=Observable(((1.0, "ZZZ"),)),
-        )
-        assert result.evals_used == 2 * start.angles.size * 17
-
     def test_vqe_rejects_finite_shots(self):
         spec = CircuitSpec(1, 1)
         config = TrainConfig(mode=MODE_VQE)
@@ -653,7 +719,6 @@ class TestLocalTrain:
         ]
         assert np.array_equal(runs[0].params.vector, runs[1].params.vector)
         assert np.array_equal(runs[0].loss_trace, runs[1].loss_trace)
-        assert runs[0].evals_used == runs[1].evals_used
 
     def test_zero_lambda_trajectory_equals_plain_sgd(self):
         spec = CircuitSpec(2, 1)
