@@ -102,14 +102,9 @@ class ModelParams:
 
     def _adopt(self, vector: np.ndarray, angle_shape: tuple, weight_shape: tuple) -> None:
         """Take ownership of a fresh float64 vector and view its parts."""
+        check_finite(vector, angle_shape, weight_shape)
         n_angles = angle_shape[0] * angle_shape[1]
         n_head = n_angles + weight_shape[0] * weight_shape[1]
-        finite = np.isfinite(vector)
-        if not finite.all():
-            first = int(np.argmin(finite))
-            name = "angles" if first < n_angles else (
-                "head_weights" if first < n_head else "head_bias")
-            raise NumericError(f"{name} contains non-finite entries")
         vector.flags.writeable = False
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "angles", vector[:n_angles].reshape(angle_shape))
@@ -136,6 +131,19 @@ class ModelParams:
         params = object.__new__(ModelParams)
         params._adopt(vector, self.angles.shape, self.head_weights.shape)
         return params
+
+
+def check_finite(vector: np.ndarray, angle_shape: tuple, weight_shape: tuple) -> None:
+    """Raise NumericError naming the first part of a ModelParams.vector-layout
+    array (angles, head_weights or head_bias) that holds a non-finite entry."""
+    finite = np.isfinite(vector)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        n_angles = angle_shape[0] * angle_shape[1]
+        n_head = n_angles + weight_shape[0] * weight_shape[1]
+        name = "angles" if first < n_angles else (
+            "head_weights" if first < n_head else "head_bias")
+        raise NumericError(f"{name} contains non-finite entries")
 
 
 def check_params(spec: CircuitSpec, params: ModelParams) -> None:

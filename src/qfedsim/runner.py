@@ -304,15 +304,26 @@ def _load_run(run_dir: str) -> dict:
     summary_path = os.path.join(run_dir, SUMMARY_NAME)
     if not os.path.exists(summary_path):
         raise DataError(f"missing summary file: {summary_path}")
-    with open(history_path, "r", encoding="utf-8") as fh:
-        rounds = sum(1 for line in fh if line.strip()) - 1
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
     try:
+        with open(history_path, "r", encoding="utf-8") as fh:
+            rounds = sum(1 for line in fh if line.strip()) - 1
+    except UnicodeDecodeError as err:
+        raise DataError(f"{history_path}: {err}") from None
+    try:
+        with open(summary_path, "r", encoding="utf-8") as fh:
+            summary = json.load(fh)
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise DataError(f"{summary_path}: {err}") from None
+    if not isinstance(summary, dict):
+        raise DataError(f"{summary_path}: expected a JSON object, got {type(summary).__name__}")
+    try:
+        final = summary["final"]
+        if not isinstance(final, dict):
+            raise DataError(f"{summary_path}: 'final' is {type(final).__name__}, not an object")
         return {
             "name": os.path.basename(os.path.normpath(run_dir)),
             "rounds": rounds,
-            **{name: summary["final"][name] for name in ROUND_METRICS},
+            **{name: final[name] for name in ROUND_METRICS},
             "rounds_to_target": summary.get("rounds_to_target"),
             "total_payload_bits": summary["total_payload_bits"],
         }

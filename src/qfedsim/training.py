@@ -17,7 +17,7 @@ Two training modes share the machinery:
     shifted angle matrices stacked into one stochastic ansatz pass (see
     classify_loss_and_grad).
 
-A GradientEstimate holds its gradient as a ModelParams, so a step is one
+A gradient is one flat array in ModelParams.vector order, so a step is one
 expression on the flat parameter vector (see personalized_step). The
 circuit-evaluation cost model lives in federation.RoundRecord.
 """
@@ -74,8 +74,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class GradientEstimate:
-    """Gradient of a loss w.r.t. every model parameter, laid out as the
-    parameters themselves (so finite by construction)."""
+    """grad_parameter_shift's angle gradients, with zero head gradients,
+    laid out as the parameters themselves (so finite by construction)."""
 
     gradient: ModelParams
 
@@ -187,9 +187,10 @@ def classify_loss_and_grad(spec: CircuitSpec, params: ModelParams, encoded: np.n
                            rng: np.random.Generator | None) -> tuple:
     """One batch's cross-entropy and full gradient (pre-encoded inputs).
 
-    Returns (loss, GradientEstimate). The head gradient is analytic from the
-    base readout; the angle gradient is that of the functional
-    sum(c * p(angles)), with the cotangent c frozen at the base parameters.
+    Returns (loss, gradient), the gradient a (P,) array in ModelParams.vector
+    order. The head gradient is analytic from the base readout; the angle
+    gradient is that of the functional sum(c * p(angles)), with the
+    cotangent c frozen at the base parameters.
 
     In exact mode (no active noise, exact shots) one forward pass gives the
     real output amplitudes psi and p = psi**2, and one adjoint sweep (see
@@ -200,7 +201,8 @@ def classify_loss_and_grad(spec: CircuitSpec, params: ModelParams, encoded: np.n
     stack order. The stack holds (2D + 1) * B * 2**n floats, about 38 MB at
     12 qubits, 3 layers and B = 16.
 
-    A non-finite loss, shifted value or gradient raises NumericError.
+    A non-finite loss, shifted value or gradient (naming its part) raises
+    NumericError.
     """
     rows = encoded.shape[0]
     exact = shots.is_exact and not noise.active
@@ -228,30 +230,35 @@ def classify_loss_and_grad(spec: CircuitSpec, params: ModelParams, encoded: np.n
     else:
         values = (cotangent * readout[1:]).reshape(len(stack) - 1, -1).sum(axis=1)
         angle_grads = _shift_rule(values, params.angles.shape)
+    gradient = np.concatenate([angle_grads.ravel(), (delta.T @ base).ravel(),
+                               delta.sum(axis=0)])
     try:
-        gradient = ModelParams(angle_grads, delta.T @ base, delta.sum(axis=0))
+        model.check_finite(gradient, params.angles.shape, params.head_weights.shape)
     except NumericError as err:
         raise NumericError(f"gradient {err}") from None
-    return loss, GradientEstimate(gradient)
+    return loss, gradient
 
 
-def personalized_step(params: ModelParams, grad: GradientEstimate, eta: float,
+def personalized_step(params: ModelParams, gradient: np.ndarray, eta: float,
                       lam: float, global_params: ModelParams | None) -> ModelParams:
     """Proximal update w <- w - eta * (g + lam * (w - w_global)) on the whole
-    parameter vector, angles and head alike.
+    parameter vector, angles and head alike. `gradient` g is in the
+    vector's layout; any other shape raises ShapeError, never broadcasts.
 
     lam = 0 is plain gradient descent, w - eta * g, and needs no anchor; its
     trajectories do not depend on whether one is passed.
     """
     w = params.vector
+    if gradient.shape != w.shape:
+        raise ShapeError(f"{gradient.shape} gradient for {w.size} parameters")
     if lam == 0.0:
-        return params.with_vector(w - eta * grad.gradient.vector)
+        return params.with_vector(w - eta * gradient)
     if global_params is None:
         raise ConfigError("personalized step with lam > 0 needs anchor parameters")
     if global_params.shapes != params.shapes:
         raise ShapeError("local and global parameter shapes differ")
     return params.with_vector(
-        w - eta * (grad.gradient.vector + lam * (w - global_params.vector))
+        w - eta * (gradient + lam * (w - global_params.vector))
     )
 
 
@@ -263,7 +270,7 @@ def _train_vqe_loop(spec, params, observable, config, global_params):
         def shifted_loss(angles):
             return loss_vqe(spec, params.with_angles(angles), observable)
 
-        grad = grad_parameter_shift(spec, params, shifted_loss)
+        grad = grad_parameter_shift(spec, params, shifted_loss).gradient.vector
         params = personalized_step(params, grad, config.eta, config.lam, global_params)
     return LocalTrainResult(params, trace)
 

@@ -186,6 +186,16 @@ class TestCompareCommand:
         assert main(["compare", str(missing), str(other)]) == 1
         assert "missing history" in capsys.readouterr().err
 
+    def test_compare_malformed_summary_names_file(self, tmp_path, capsys):
+        config = write_config(tmp_path, target_loss=100.0)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", config, "--output-dir", str(a)]) == 0
+        assert main(["run", "--config", config, "--output-dir", str(b)]) == 0
+        (b / SUMMARY_NAME).write_text('{"final": ')
+        capsys.readouterr()
+        assert main(["compare", str(a), str(b)]) == 1
+        assert str(b / SUMMARY_NAME) in capsys.readouterr().err
+
     def test_compare_needs_two_dirs(self, tmp_path, capsys):
         only = tmp_path / "only"
         only.mkdir()

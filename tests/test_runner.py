@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -220,7 +221,8 @@ class TestRun:
     def test_divergence_names_client_and_round_and_writes_nothing(self, tmp_path):
         out = tmp_path / "diverged"
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="client 0, round 0"):
+            with pytest.raises(NumericError,
+                               match="^client 0, round 0: angles contains non-finite entries$"):
                 run(make_config(output_dir=out, eta=1e308))
         assert not out.exists()
 
@@ -401,6 +403,22 @@ class TestCompare:
         del summary["final"]
         (broken / SUMMARY_NAME).write_text(json.dumps(summary))
         with pytest.raises(DataError, match=f"{SUMMARY_NAME} lacks key 'final'"):
+            compare([base_run.output_dir, str(broken)])
+
+    @pytest.mark.parametrize("name, content, reason", [
+        (SUMMARY_NAME, b'{"final": ', "Expecting value"),
+        (SUMMARY_NAME, b"[]", "expected a JSON object, got list"),
+        (SUMMARY_NAME, b'{"final": [], "total_payload_bits": 1}', "'final' is list"),
+        (SUMMARY_NAME, b'{"final": \xff}', "can't decode byte 0xff"),
+        (HISTORY_NAME, b"round\n\xff\n", "can't decode byte 0xff"),
+    ], ids=["not-json", "root-list", "final-list", "summary-not-utf8", "history-not-utf8"])
+    def test_malformed_run_file_names_file(self, base_run, tmp_path, name, content, reason):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for artifact in (HISTORY_NAME, SUMMARY_NAME):
+            (broken / artifact).write_bytes(read_bytes(base_run.output_dir, artifact))
+        (broken / name).write_bytes(content)
+        with pytest.raises(DataError, match=f"^{re.escape(str(broken / name))}: .*{reason}"):
             compare([base_run.output_dir, str(broken)])
 
     def test_needs_two_directories(self, base_run):

@@ -30,7 +30,6 @@ from qfedsim.training import (
     MODE_CLASSIFY,
     MODE_VQE,
     EncodedSet,
-    GradientEstimate,
     TrainConfig,
     classify_loss_and_grad,
     grad_parameter_shift,
@@ -61,6 +60,12 @@ def make_batch(rng, n_samples, n_features, n_classes):
 def shard_of(spec, batch):
     """A batch as local_train takes it: encoded rows and logit indices."""
     return EncodedSet(encode_batch(batch.features, spec.n_qubits), batch.logit_indices())
+
+
+def as_params(params, gradient):
+    """A flat gradient viewed in the parameters' layout: .angles,
+    .head_weights and .head_bias are its three parts."""
+    return params.with_vector(gradient)
 
 
 def batch_loss(spec, params, batch):
@@ -235,30 +240,31 @@ class TestGradParameterShift:
             params = make_params(spec, n_classes, seed=int(rng.integers(1000)))
             batch = make_batch(rng, 6, 1 << n, n_classes)
             encoded = encode_batch(batch.features, n)
-            loss, est = classify_loss_and_grad(
+            loss, gradient = classify_loss_and_grad(
                 spec, params, encoded, batch.labels, EXACT, CLEAN, None
             )
+            est = as_params(params, gradient)
             assert loss == pytest.approx(batch_loss(spec, params, batch), abs=1e-12)
 
             fd_angles = oracles.finite_difference(
                 lambda a: batch_loss(spec, params.with_angles(a), batch),
                 params.angles,
             )
-            assert np.allclose(est.angle_grads, fd_angles, atol=1e-6)
+            assert np.allclose(est.angles, fd_angles, atol=1e-6)
 
             def head_loss(w):
                 shifted = ModelParams(params.angles, w, params.head_bias)
                 return batch_loss(spec, shifted, batch)
 
             fd_w = oracles.finite_difference(head_loss, params.head_weights)
-            assert np.allclose(est.gradient.head_weights, fd_w, atol=1e-6)
+            assert np.allclose(est.head_weights, fd_w, atol=1e-6)
 
             def bias_loss(b):
                 shifted = ModelParams(params.angles, params.head_weights, b)
                 return batch_loss(spec, shifted, batch)
 
             fd_b = oracles.finite_difference(bias_loss, params.head_bias)
-            assert np.allclose(est.gradient.head_bias, fd_b, atol=1e-6)
+            assert np.allclose(est.head_bias, fd_b, atol=1e-6)
 
     @pytest.mark.parametrize("n, layers", [(1, 1), (2, 3), (3, 2)])
     def test_matches_the_per_angle_loop_bit_for_bit(self, n, layers):
@@ -341,12 +347,14 @@ def assert_same_gradient(spec, params, encoded, labels, shots, noise, seed):
     state included."""
     rng_fast = np.random.default_rng(seed)
     rng_ref = np.random.default_rng(seed)
-    loss, est = classify_loss_and_grad(spec, params, encoded, labels, shots, noise, rng_fast)
+    loss, gradient = classify_loss_and_grad(spec, params, encoded, labels, shots, noise,
+                                            rng_fast)
     ref = per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng_ref)
+    est = as_params(params, gradient)
     assert loss == ref[0]
-    assert np.array_equal(est.angle_grads, ref[1])
-    assert np.array_equal(est.gradient.head_weights, ref[2])
-    assert np.array_equal(est.gradient.head_bias, ref[3])
+    assert np.array_equal(est.angles, ref[1])
+    assert np.array_equal(est.head_weights, ref[2])
+    assert np.array_equal(est.head_bias, ref[3])
     assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -365,19 +373,21 @@ class TestStackedShiftGradient:
         encoded = encode_batch(rng.normal(size=(rows, 1 << n)), n)
         labels = rng.integers(0, 3, size=rows)
         assert encoded.dtype == np.float64
-        loss, est = classify_loss_and_grad(spec, params, encoded, labels, EXACT, CLEAN, None)
+        loss, gradient = classify_loss_and_grad(spec, params, encoded, labels, EXACT, CLEAN,
+                                                None)
         ref = per_shift_loss_and_grad(spec, params, encoded, labels, EXACT, CLEAN, None)
+        est = as_params(params, gradient)
         assert loss == ref[0]
-        assert np.allclose(est.angle_grads, ref[1], rtol=0.0, atol=1e-10)
-        assert np.array_equal(est.gradient.head_weights, ref[2])
-        assert np.array_equal(est.gradient.head_bias, ref[3])
+        assert np.allclose(est.angles, ref[1], rtol=0.0, atol=1e-10)
+        assert np.array_equal(est.head_weights, ref[2])
+        assert np.array_equal(est.head_bias, ref[3])
 
         def functional_loss(angles):
             readout = probability_batch(spec, angles, encoded)
             return reference_cross_entropy(params, readout, labels)
 
         fd = oracles.finite_difference(functional_loss, params.angles)
-        assert np.allclose(est.angle_grads, fd, atol=1e-6)
+        assert np.allclose(est.angles, fd, atol=1e-6)
 
     @pytest.mark.parametrize("shots, noise", [(EXACT, CLEAN), (EXACT, NoiseSpec(0.4)),
                                               (ShotSpec(64), CLEAN)])
@@ -393,15 +403,17 @@ class TestStackedShiftGradient:
         labels = rng.integers(0, 3, size=9)
         gen = None if shots.is_exact and not noise.active else np.random.default_rng(33)
         ref_gen = None if gen is None else np.random.default_rng(33)
-        loss, est = classify_loss_and_grad(spec, params, encoded, labels, shots, noise, gen)
+        loss, gradient = classify_loss_and_grad(spec, params, encoded, labels, shots, noise,
+                                                gen)
         ref = per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, ref_gen)
+        est = as_params(params, gradient)
         assert loss == ref[0]
-        assert est.gradient.head_weights.tobytes() == ref[2].tobytes()
-        assert est.gradient.head_bias.tobytes() == ref[3].tobytes()
+        assert est.head_weights.tobytes() == ref[2].tobytes()
+        assert est.head_bias.tobytes() == ref[3].tobytes()
         if gen is None:
-            assert np.allclose(est.angle_grads, ref[1], rtol=0.0, atol=1e-10)
+            assert np.allclose(est.angles, ref[1], rtol=0.0, atol=1e-10)
         else:
-            assert est.angle_grads.tobytes() == ref[1].tobytes()
+            assert est.angles.tobytes() == ref[1].tobytes()
 
     def test_noisy_finite_shots_keep_the_draw_order(self):
         spec = CircuitSpec(3, 2)
@@ -421,6 +433,26 @@ class TestStackedShiftGradient:
         encoded = encode_batch(rng.normal(size=(7, 8)), 3)
         labels = rng.integers(0, 2, size=7)
         assert_same_gradient(spec, params, encoded, labels, shots, noise, seed=13)
+
+    @pytest.mark.parametrize("shots, noise", [(ShotSpec(200), NoiseSpec(0.4)),
+                                              (ShotSpec(200), CLEAN),
+                                              (EXACT, NoiseSpec(0.4))])
+    def test_gradient_is_one_flat_vector(self, shots, noise):
+        # One (P,) array in ModelParams.vector order: the reference's angle,
+        # weight and bias parts concatenated, bit for bit.
+        spec = CircuitSpec(3, 2)
+        params = make_params(spec, 3, seed=14)
+        rng = np.random.default_rng(15)
+        encoded = encode_batch(rng.normal(size=(7, 8)), 3)
+        labels = rng.integers(0, 3, size=7)
+        _, gradient = classify_loss_and_grad(spec, params, encoded, labels, shots, noise,
+                                             np.random.default_rng(16))
+        ref = per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise,
+                                      np.random.default_rng(16))
+        assert isinstance(gradient, np.ndarray)
+        assert gradient.shape == params.vector.shape
+        flat = np.concatenate([ref[1].ravel(), ref[2].ravel(), ref[3]])
+        assert gradient.tobytes() == flat.tobytes()
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_overflowing_head_raises_instead_of_returning_inf_or_nan(self, rows):
@@ -527,8 +559,8 @@ class TestNoisyGradientInDistribution:
         noiseless = oracles.finite_difference(noiseless_functional, params.angles)
         gen = np.random.default_rng(23)
         samples = np.stack([
-            classify_loss_and_grad(spec, params, encoded, labels, EXACT, NoiseSpec(epsilon),
-                                   gen)[1].angle_grads
+            as_params(params, classify_loss_and_grad(spec, params, encoded, labels, EXACT,
+                                                     NoiseSpec(epsilon), gen)[1]).angles
             for _ in range(runs)
         ])
         stderr = samples.std(axis=0, ddof=1) / np.sqrt(runs)
@@ -539,13 +571,9 @@ class TestNoisyGradientInDistribution:
         assert np.any(np.abs(samples.mean(axis=0) - noiseless) > 20 * stderr)
 
 
-def gradient_like(params, vector):
-    return GradientEstimate(params.with_vector(vector))
-
-
 def per_part_step(params, grad, eta, lam, anchor):
     """The update written out part by part, as a reference for the vector form."""
-    g = grad.gradient
+    g = as_params(params, grad)
     if lam == 0.0:
         return ModelParams(params.angles - eta * g.angles,
                            params.head_weights - eta * g.head_weights,
@@ -564,7 +592,7 @@ class TestSgdStep:
     def test_zero_gradient_is_identity(self):
         spec = CircuitSpec(2, 1)
         params = make_params(spec, 2, seed=1)
-        zero = gradient_like(params, np.zeros_like(params.vector))
+        zero = np.zeros_like(params.vector)
         out = personalized_step(params, zero, 0.5, 0.0, None)
         assert np.array_equal(out.vector, params.vector)
         out2 = personalized_step(out, zero, 0.5, 0.0, None)
@@ -572,17 +600,17 @@ class TestSgdStep:
 
     def test_scalar_update_rule(self):
         params = ModelParams(np.array([[1.0]]), np.zeros((1, 2)), np.zeros(1))
-        grad = GradientEstimate(ModelParams(np.array([[2.0]]), np.zeros((1, 2)), np.zeros(1)))
+        grad = ModelParams(np.array([[2.0]]), np.zeros((1, 2)), np.zeros(1)).vector
         out = personalized_step(params, grad, 0.1, 0.0, None)
         assert out.angles[0, 0] == pytest.approx(0.8, abs=1e-15)
 
 
 class TestPersonalizedStep:
     def make_zero_grad(self, params):
-        return gradient_like(params, np.zeros_like(params.vector))
+        return np.zeros_like(params.vector)
 
     def random_grad(self, params, seed):
-        return gradient_like(params, np.random.default_rng(seed).normal(size=params.vector.size))
+        return np.random.default_rng(seed).normal(size=params.vector.size)
 
     def test_zero_lambda_reduces_to_sgd(self):
         # lam = 0 is w - eta * g whether or not an anchor is passed
@@ -591,7 +619,7 @@ class TestPersonalizedStep:
         grad = self.random_grad(params, 3)
         a = personalized_step(params, grad, 0.05, 0.0, None)
         b = personalized_step(params, grad, 0.05, 0.0, make_params(spec, 2, seed=9))
-        assert np.array_equal(a.vector, params.vector - 0.05 * grad.gradient.vector)
+        assert np.array_equal(a.vector, params.vector - 0.05 * grad)
         assert np.array_equal(a.vector, b.vector)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 1.5])
@@ -638,6 +666,15 @@ class TestPersonalizedStep:
         params = make_params(spec, 2)
         with pytest.raises(ConfigError):
             personalized_step(params, self.make_zero_grad(params), 0.1, 0.5, None)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("short", [1, "P - 1"])
+    def test_gradient_of_another_shape_rejected(self, lam, short):
+        # A (1,) gradient would otherwise broadcast over every parameter.
+        params = make_params(CircuitSpec(2, 1), 2)
+        size = 1 if short == 1 else params.vector.size - 1
+        with pytest.raises(ShapeError, match="gradient"):
+            personalized_step(params, np.zeros(size), 0.1, lam, params)
 
     def test_anchor_geometry_checked(self):
         params = make_params(CircuitSpec(2, 1), 2)
