@@ -17,10 +17,11 @@ The kernel functions operate in place on arrays of shape (..., 2**n),
 acting on the last axis; the Ry and CX kernels are dtype-generic. Their
 callers use them directly: batched evaluation (model module) on
 (rows, 2**n) batches, with a matrix per block of rows for a stack of angle
-matrices; the adjoint gradient sweep (training module) on (2, rows, 2**n)
-state/adjoint pairs; and `expectation` on one complex vector per Pauli
-term. So there is exactly one implementation of each gate. A layer's CX
-gates are one gather with their composed index (`entangler_tables`).
+matrices; the adjoint gradient sweep (training module) on
+(2, clients, rows, 2**n) state/adjoint pairs; and `expectation` on one
+complex vector per Pauli term. So there is exactly one implementation of
+each gate. A layer's CX gates are one gather with their composed index
+(`entangler_tables`).
 Noise applies Paulis drawn beforehand: CX is Clifford, so each Pauli moves
 past the layer's later CX gates with no sign, and a row's Paulis in one
 layer fold into one Pauli frame (`pauli_frames`) that `depolarize_kernel`

@@ -1,9 +1,11 @@
 """Federated orchestration: broadcast, local training, aggregation, validation.
 
 One round k: every client starts from the round's global parameters (also the
-proximal anchor), trains T local epochs on its shard with a generator derived
-from (master_seed, round, client), and the server aggregates the results as
-the convex combination sum(alpha_n * w_n). The new global model is then
+proximal anchor) and trains T local epochs on its shard with a generator
+derived from (master_seed, round, client). The clients train in lockstep, one
+stacked ansatz pass per step (training.train_lockstep), each getting the bits
+it would get alone. The server aggregates the results as the convex
+combination sum(alpha_n * w_n). The new global model is then
 evaluated on a held-out validation set — exactly (no shots, no gate noise),
 so each round record is a pure function of the aggregated parameters. Each
 shard, the validation set and the centroid reference is one EncodedSet.
@@ -45,10 +47,10 @@ from .model import (
 from .seeding import STAGE_INIT, client_rng, derive_rng
 from .training import (
     MODE_CLASSIFY,
+    ClientFailure,
     EncodedSet,
-    LocalTrainResult,
     TrainConfig,
-    local_train,
+    train_lockstep,
 )
 
 SCORE_MAX_PROB = "max_prob"
@@ -222,19 +224,22 @@ def evaluate_global(spec: CircuitSpec, params: ModelParams, validation: EncodedS
 # ---------------------------------------------------------------------------
 # Rounds.
 
-def train_on_encoded(config: FederationConfig, round_index: int, client: int,
-                     global_params: ModelParams, shard: EncodedSet) -> LocalTrainResult:
-    """One client's local training in one round: local_train from the
-    round's global parameters, which are also its proximal anchor, on the
-    client's own generator."""
-    rng = client_rng(config.master_seed, round_index, client)
+def train_on_encoded(config: FederationConfig, round_index: int,
+                     global_params: ModelParams, shards) -> list:
+    """The round's local training, one LocalTrainResult per client: every
+    client in lockstep (training.train_lockstep) from the round's global
+    parameters, which are also the proximal anchor, each on its own
+    generator. A failure raises the failing client's error as
+    "client c, round k: ...": c is the lowest-index client among those that
+    fail at the first failing step (a shard or label error before any
+    training)."""
+    rngs = [client_rng(config.master_seed, round_index, c) for c in range(len(shards))]
     try:
-        return local_train(
-            config.spec, global_params, shard, config.train, global_params,
-            config.shots, config.noise[client], rng,
-        )
-    except Exception as err:
-        raise type(err)(f"client {client}, round {round_index}: {err}") from err
+        return train_lockstep(config.spec, global_params, shards, config.train,
+                              global_params, config.shots, config.noise, rngs)
+    except ClientFailure as failure:
+        err = failure.error
+        raise type(err)(f"client {failure.client}, round {round_index}: {err}") from err
 
 
 def run_round(round_index: int, config: FederationConfig, global_params: ModelParams,
@@ -242,18 +247,15 @@ def run_round(round_index: int, config: FederationConfig, global_params: ModelPa
     """One global round; returns (new global params, RoundRecord).
 
     `client_shards` holds one EncodedSet per client; `validation` and
-    `reference` go to evaluate_global. Clients train one after another, each
-    on its own generator derived from (master_seed, round, client), so no
-    client's draws depend on another's.
+    `reference` go to evaluate_global. The clients train in one
+    train_on_encoded call, each on its own generator derived from
+    (master_seed, round, client), so no client's draws depend on another's.
     """
     if len(client_shards) != config.n_clients:
         raise ConfigError(
             f"{len(client_shards)} shards for {config.n_clients} clients"
         )
-    results = [
-        train_on_encoded(config, round_index, client, global_params, shard)
-        for client, shard in enumerate(client_shards)
-    ]
+    results = train_on_encoded(config, round_index, global_params, client_shards)
     new_global = aggregate_weighted([r.params for r in results], config.client_weights)
     try:
         scores = evaluate_global(config.spec, new_global, validation, reference,

@@ -8,17 +8,20 @@ needed.
 
 All evaluation funnels through `run_ansatz_kernel`, which acts in place on a
 (rows, 2**n) amplitude array run at one (layers, qubits) angle matrix, or at
-one per block of rows (training's stochastic shift pass). Class
-probabilities for a batch of encoded rows are
-head_softmax(params, probability_batch(spec, angles, encoded));
+one per block of rows (training's lockstep pass: one block per client, or
+per client and shifted angle matrix). Noise arrives as a trajectory drawn
+beforehand (`draw_trajectory`). Class probabilities for a batch of encoded
+rows are head_softmax(params, probability_batch(spec, angles, encoded));
 `run_circuit` runs it noiselessly on one QuantumState. Training's adjoint
-sweep walks the same gates backwards (see the training module).
+sweep walks the same gates backwards with the Ry matrices the pass returns
+(see the training module).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +77,31 @@ class CircuitSpec:
         return tuple(pairs)
 
 
+class ParamViews(NamedTuple):
+    """The three parts of a (..., P) array in ModelParams.vector layout, as
+    views with the same leading axes (see param_views)."""
+
+    angles: np.ndarray
+    head_weights: np.ndarray
+    head_bias: np.ndarray
+
+
+PART_NAMES = ParamViews._fields
+
+
+def param_views(vector: np.ndarray, shapes: tuple) -> ParamViews:
+    """Split a (..., P) array in ModelParams.vector layout into its angle
+    (..., layers, qubits), head weight (..., classes, 2**n) and bias
+    (..., classes) views, `shapes` being ModelParams.shapes. One (P,) vector
+    gives one parameter set's parts, an (A, P) matrix the A stacked ones."""
+    (layers, qubits), weight_shape, _ = shapes
+    lead, angles_end = vector.shape[:-1], layers * qubits
+    weights_end = angles_end + weight_shape[0] * weight_shape[1]
+    return ParamViews(vector[..., :angles_end].reshape(lead + shapes[0]),
+                      vector[..., angles_end:weights_end].reshape(lead + weight_shape),
+                      vector[..., weights_end:])
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class ModelParams:
     """Trainable parameters, kept as one read-only float64 `vector` copied
@@ -98,18 +126,15 @@ class ModelParams:
                 f"head shapes inconsistent: W {weights.shape}, b {bias.shape}"
             )
         self._adopt(np.concatenate([angles.ravel(), weights.ravel(), bias]),
-                    angles.shape, weights.shape)
+                    (angles.shape, weights.shape, bias.shape))
 
-    def _adopt(self, vector: np.ndarray, angle_shape: tuple, weight_shape: tuple) -> None:
+    def _adopt(self, vector: np.ndarray, shapes: tuple) -> None:
         """Take ownership of a fresh float64 vector and view its parts."""
-        check_finite(vector, angle_shape, weight_shape)
-        n_angles = angle_shape[0] * angle_shape[1]
-        n_head = n_angles + weight_shape[0] * weight_shape[1]
+        check_finite(vector, shapes)
         vector.flags.writeable = False
         object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "angles", vector[:n_angles].reshape(angle_shape))
-        object.__setattr__(self, "head_weights", vector[n_angles:n_head].reshape(weight_shape))
-        object.__setattr__(self, "head_bias", vector[n_head:])
+        for name, part in zip(PART_NAMES, param_views(vector, shapes)):
+            object.__setattr__(self, name, part)
 
     @property
     def n_classes(self) -> int:
@@ -129,20 +154,18 @@ class ModelParams:
         if vector.shape != self.vector.shape:
             raise ShapeError(f"{vector.shape} vector for {self.vector.size} parameters")
         params = object.__new__(ModelParams)
-        params._adopt(vector, self.angles.shape, self.head_weights.shape)
+        params._adopt(vector, self.shapes)
         return params
 
 
-def check_finite(vector: np.ndarray, angle_shape: tuple, weight_shape: tuple) -> None:
-    """Raise NumericError naming the first part of a ModelParams.vector-layout
-    array (angles, head_weights or head_bias) that holds a non-finite entry."""
+def check_finite(vector: np.ndarray, shapes: tuple) -> None:
+    """Raise NumericError naming the first part of a (P,) ModelParams.vector-
+    layout array (angles, head_weights or head_bias) that holds a non-finite
+    entry; `shapes` is ModelParams.shapes."""
     finite = np.isfinite(vector)
     if not finite.all():
-        first = int(np.argmin(finite))
-        n_angles = angle_shape[0] * angle_shape[1]
-        n_head = n_angles + weight_shape[0] * weight_shape[1]
-        name = "angles" if first < n_angles else (
-            "head_weights" if first < n_head else "head_bias")
+        name = next(name for name, part in zip(PART_NAMES, param_views(finite, shapes))
+                    if not part.all())
         raise NumericError(f"{name} contains non-finite entries")
 
 
@@ -170,32 +193,51 @@ def init_params(spec: CircuitSpec, n_classes: int, rng: np.random.Generator) -> 
 # ---------------------------------------------------------------------------
 # Circuit evaluation.
 
+def draw_trajectory(spec: CircuitSpec, noise: NoiseSpec, rng: np.random.Generator | None,
+                    rows: int) -> tuple | None:
+    """One depolarizing trajectory sample of `rows` rows through the ansatz,
+    for run_ansatz_kernel: (hit, which), each (layers, sites, rows), drawn as
+    one uniform per (site, row) and then one Pauli choice per (site, row).
+    A layer's sites are its n Ry gates, then the control and the target of
+    each CX (core.entangler_tables). None, drawing nothing, when the noise
+    is off."""
+    if not noise.active:
+        return None
+    sites = len(core.entangler_tables(spec.n_qubits, spec.entangler_pairs()).x_masks)
+    shape = (spec.n_layers, sites, rows)
+    hit = rng.random(shape) < noise.epsilon
+    return hit, rng.integers(0, 3, shape)
+
+
 def run_ansatz_kernel(amps: np.ndarray, spec: CircuitSpec, angles: np.ndarray,
-                      noise: NoiseSpec, rng: np.random.Generator | None) -> None:
+                      trajectory: tuple | None = None) -> np.ndarray:
     """Run the full ansatz in place on a C-contiguous (rows, 2**n) array at
     one (layers, qubits) angle matrix, or at an (S, layers, qubits) stack
     that splits the rows into S equal blocks, block s run at angles[s].
 
-    Each layer's CX gates act as one gather (core.entangler_tables). With
-    noise active, one depolarizing trajectory sample follows every gate on
-    every qubit the gate touched (CX: control first, then target). The pass
-    draws its whole trajectory first: one uniform per (site, row), then one
-    Pauli choice per (site, row). Each layer's Paulis fold into one Pauli
-    frame per row (core.pauli_frames), applied with the layer's gather after
-    its Ry gates; a layer that leaves every row's frame the identity is the
-    gather alone.
+    Each layer's CX gates act as one gather (core.entangler_tables). A
+    `trajectory` (hit, which) over the rows, drawn beforehand (see
+    draw_trajectory), puts a depolarizing Pauli after every gate on every
+    qubit the gate touched (CX: control first, then target) where drawn.
+    Each layer's Paulis fold into one Pauli frame per row (core.pauli_frames),
+    applied with the layer's gather after its Ry gates; a layer that leaves
+    every row's frame the identity is the gather alone.
+
+    Returns the Ry matrices applied, indexed [layer, qubit] and broadcasting
+    against the blocks, so that a reverse sweep can undo each gate with its
+    transpose.
     """
     angles = np.asarray(angles, dtype=np.float64)
+    if angles.ndim == 3 and len(angles) == 1:
+        angles = angles[0]  # one block: the same bits with less broadcasting
     mats, blocks = core.ry_matrices(angles), amps
     if angles.ndim == 3:
-        mats = np.moveaxis(mats, 0, 2)[:, :, :, None]  # (layers, qubits, S, 1, 2, 2)
+        mats = mats.transpose(1, 2, 0, 3, 4)[:, :, :, None]  # (layers, qubits, S, 1, 2, 2)
         blocks = amps.reshape(len(angles), -1, amps.shape[-1])
     tables = core.entangler_tables(spec.n_qubits, spec.entangler_pairs())
     frames = [None] * spec.n_layers
-    if noise.active:
-        shape = (spec.n_layers, len(tables.x_masks), amps.shape[0])
-        hit = rng.random(shape) < noise.epsilon
-        frames = core.pauli_frames(tables, hit, rng.integers(0, 3, shape))
+    if trajectory is not None:
+        frames = core.pauli_frames(tables, *trajectory)
     for layer, frame in enumerate(frames):
         for q in range(spec.n_qubits):
             core.apply_one_qubit_kernel(blocks, q, mats[layer, q])
@@ -203,6 +245,7 @@ def run_ansatz_kernel(amps: np.ndarray, spec: CircuitSpec, angles: np.ndarray,
             core.apply_cx_kernel(amps, tables.perm)
         else:
             core.depolarize_kernel(amps, tables, *frame)
+    return mats
 
 
 def run_circuit(spec: CircuitSpec, params: ModelParams,
@@ -215,7 +258,7 @@ def run_circuit(spec: CircuitSpec, params: ModelParams,
             f"spec on {spec.n_qubits}"
         )
     amps = input_state.amplitudes.copy().reshape(1, spec.dim)
-    run_ansatz_kernel(amps, spec, params.angles, NoiseSpec.off(), None)
+    run_ansatz_kernel(amps, spec, params.angles)
     return QuantumState(spec.n_qubits, amps[0])
 
 
@@ -237,26 +280,33 @@ def probability_batch(spec: CircuitSpec, angles: np.ndarray,
     """Encoded inputs (B, 2**n) -> exact readout probabilities (B, 2**n) of
     the noiseless ansatz at a (layers, qubits) angle matrix."""
     amps = encoded.copy()
-    run_ansatz_kernel(amps, spec, angles, NoiseSpec.off(), None)
+    run_ansatz_kernel(amps, spec, angles)
     return readout_batch(amps, ShotSpec.exact(), None)
 
 
-def head_scores(params: ModelParams, probs: np.ndarray) -> np.ndarray:
-    """y = W p + b, rowwise for batches."""
+def head_scores(params: ModelParams | ParamViews, probs: np.ndarray) -> np.ndarray:
+    """y = W p + b, rowwise for batches; `params` supplies head_weights W
+    and head_bias b."""
     return probs @ params.head_weights.T + params.head_bias
 
 
-def head_softmax(params: ModelParams, readout: np.ndarray) -> tuple:
-    """(probabilities, log-probabilities) of the classes, rowwise: one head
-    evaluation and one stable softmax (max subtracted before exp). Non-finite
-    class scores raise NumericError; an overflowing score gap gives -inf."""
-    y = head_scores(params, readout)
-    if not np.all(np.isfinite(y)):
-        raise NumericError("class scores contain non-finite entries")
-    shifted = y - y.max(axis=-1, keepdims=True)
+def softmax(scores: np.ndarray) -> tuple:
+    """(probabilities, log-probabilities) of finite class scores, rowwise
+    over the last axis: one stable softmax (max subtracted before exp). An
+    overflowing score gap gives -inf."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
     return e / total, shifted - np.log(total)
+
+
+def head_softmax(params: ModelParams, readout: np.ndarray) -> tuple:
+    """softmax of the class scores head_scores(params, readout). Non-finite
+    class scores raise NumericError."""
+    y = head_scores(params, readout)
+    if not np.all(np.isfinite(y)):
+        raise NumericError("class scores contain non-finite entries")
+    return softmax(y)
 
 
 # ---------------------------------------------------------------------------

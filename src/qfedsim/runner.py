@@ -320,15 +320,19 @@ def _load_run(run_dir: str) -> dict:
         final = summary["final"]
         if not isinstance(final, dict):
             raise DataError(f"{summary_path}: 'final' is {type(final).__name__}, not an object")
-        return {
-            "name": os.path.basename(os.path.normpath(run_dir)),
-            "rounds": rounds,
-            **{name: final[name] for name in ROUND_METRICS},
-            "rounds_to_target": summary.get("rounds_to_target"),
-            "total_payload_bits": summary["total_payload_bits"],
-        }
+        numbers = {**{name: final[name] for name in ROUND_METRICS},
+                   "total_payload_bits": summary["total_payload_bits"]}
     except KeyError as err:
         raise DataError(f"{summary_path} lacks key {err}") from None
+    for key, value in numbers.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DataError(f"{summary_path}: {key!r} is {type(value).__name__}, not a number")
+    return {
+        "name": os.path.basename(os.path.normpath(run_dir)),
+        "rounds": rounds,
+        **numbers,
+        "rounds_to_target": summary.get("rounds_to_target"),
+    }
 
 
 _COMPARE_COLUMNS = (

@@ -18,8 +18,15 @@ Two training modes share the machinery:
     classify_loss_and_grad).
 
 A gradient is one flat array in ModelParams.vector order, so a step is one
-expression on the flat parameter vector (see personalized_step). The
-circuit-evaluation cost model lives in federation.RoundRecord.
+expression on the flat parameter vector (see personalized_step).
+
+Classify training has one path, train_lockstep, which trains many clients
+together; local_train runs it with one client. The clients step in
+lockstep, and each step runs one ansatz pass (and one adjoint sweep) over
+every client's batch, each client's block at its own angles. The head, the
+loss, the reductions and every random draw stay per client, so each client
+gets the bits it would get trained alone. The circuit-evaluation cost model
+lives in federation.RoundRecord.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ import numpy as np
 
 from . import core, model
 from .core import NoiseSpec, Observable, QuantumState, ShotSpec
-from .exceptions import ConfigError, DataError, LabelError, NumericError, ShapeError
+from .exceptions import (ConfigError, DataError, LabelError, NumericError, ShapeError,
+                         SimulationError)
 from .model import (
     CircuitSpec,
     ModelParams,
@@ -42,6 +50,13 @@ MODE_VQE = "vqe"
 MODE_CLASSIFY = "classify"
 
 PARAMETER_SHIFT = np.pi / 2
+
+# Clients share one lockstep ansatz pass while it holds at most this many
+# amplitudes, S * B * 2**n per client (stack blocks, padded batch rows,
+# amplitudes). Larger passes leave the cache: at 10 qubits and 3 layers,
+# three 12-row clients per pass made whole runs about 9% slower than one
+# client per pass.
+LOCKSTEP_AMPLITUDES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -113,14 +128,15 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> None:
 
 
 def _shifted_angles(angles: np.ndarray) -> np.ndarray:
-    """The (2D + 1, layers, qubits) stack of the two-point rule over the D
-    angles: the base matrix, then angle k shifted by +PARAMETER_SHIFT and by
-    -PARAMETER_SHIFT for each k in row-major order."""
-    count = angles.size
-    stack = np.repeat(angles[None], 2 * count + 1, axis=0)
-    flat, k = stack.reshape(2 * count + 1, count), np.arange(count)
-    flat[2 * k + 1, k] += PARAMETER_SHIFT
-    flat[2 * k + 2, k] -= PARAMETER_SHIFT
+    """The (..., 2D + 1, layers, qubits) stack of the two-point rule over
+    the D angles of each (layers, qubits) matrix in `angles`: the base
+    matrix, then angle k shifted by +PARAMETER_SHIFT and by -PARAMETER_SHIFT
+    for each k in row-major order."""
+    count = angles.shape[-2] * angles.shape[-1]
+    stack = np.repeat(angles[..., None, :, :], 2 * count + 1, axis=-3)
+    flat, k = stack.reshape(stack.shape[:-2] + (count,)), np.arange(count)
+    flat[..., 2 * k + 1, k] += PARAMETER_SHIFT
+    flat[..., 2 * k + 2, k] -= PARAMETER_SHIFT
     return stack
 
 
@@ -155,114 +171,183 @@ def grad_parameter_shift(spec: CircuitSpec, params: ModelParams,
     return GradientEstimate(gradient)
 
 
-def _adjoint_angle_grads(spec: CircuitSpec, angles: np.ndarray, state: np.ndarray,
-                         adjoint: np.ndarray) -> np.ndarray:
-    """Angle gradient of sum(c * state**2) by one reverse sweep, given the
-    real ansatz output `state` (B, 2**n) and `adjoint` = c * state.
+def _adjoint_angle_grads(spec: CircuitSpec, mats: np.ndarray, pair: np.ndarray,
+                         rows: list) -> np.ndarray:
+    """(A, layers, qubits) angle gradients of each client's sum(c * state**2)
+    by one reverse sweep over `pair` = (state, adjoint), (2, A, B, 2**n): the
+    real ansatz output and c * state, client a's real rows the first rows[a]
+    of block a. `mats` are the forward pass's Ry matrices (run_ansatz_kernel).
+    The sweep works in place on `pair`.
 
-    Layer by layer from the top, the CX layer is undone on the
-    (state, adjoint) pair by one gather with its inverse index. The Ry
-    gates of a layer commute and dRy(a)/da = Ry(a + pi) / 2, so with
-    d(state**2) = 2 * state * d(state) angle (l, q) has derivative
-    sum(adjoint * Ry_q(pi) state), read for all q at once; then the layer's
-    Ry gates are undone with Ry(-a).
+    Layer by layer from the top, the CX layer is undone on the pair by one
+    gather with its inverse index. The Ry gates of a layer commute and
+    dRy(a)/da = Ry(a + pi) / 2, so with d(state**2) = 2 * state * d(state)
+    angle (l, q) has derivative sum(adjoint * Ry_q(pi) state), read for all q
+    at once on each client's own rows; then the layer's Ry gates are undone
+    with Ry(-a), the forward matrix transposed.
     """
     n = spec.n_qubits
     inverse = core.entangler_tables(n, spec.entangler_pairs()).inverse
     partners, signs = core.ry_pi_tables(n)
-    undo = core.ry_matrices(-angles)
-    pair = np.stack([state, adjoint])
-    grads = np.empty_like(angles)
+    grads = np.empty((len(rows), spec.n_layers, n))
     for layer in reversed(range(spec.n_layers)):
         core.apply_cx_kernel(pair, inverse)
-        grads[layer] = np.einsum("bj,qj,bqj->q", pair[1], signs, pair[0][:, partners])
+        for a, count in enumerate(rows):
+            grads[a, layer] = np.einsum("bj,qj,bqj->q", pair[1, a, :count], signs,
+                                        pair[0, a, :count][:, partners])
         if layer:
             for q in range(n):
-                core.apply_one_qubit_kernel(pair, q, undo[layer, q])
+                core.apply_one_qubit_kernel(pair, q, mats[layer, q].swapaxes(-1, -2))
     return grads
 
 
-def classify_loss_and_grad(spec: CircuitSpec, params: ModelParams, encoded: np.ndarray,
-                           labels: np.ndarray, shots: ShotSpec, noise: NoiseSpec,
-                           rng: np.random.Generator | None) -> tuple:
-    """One batch's cross-entropy and full gradient (pre-encoded inputs).
+def _padded_trajectory(spec: CircuitSpec, shape: tuple, rows: list, noises, rngs):
+    """The pass's (hit, which) over the padded (A, S, B) row layout: each
+    noisy client's trajectory drawn on its own generator over its S * b real
+    rows in stack order, as a pass of those rows alone would draw it. Pad
+    rows and noiseless clients draw nothing; None when no client is noisy."""
+    if not any(noise.active for noise in noises):
+        return None
+    sites = len(core.entangler_tables(spec.n_qubits, spec.entangler_pairs()).x_masks)
+    hit = np.zeros((spec.n_layers, sites) + shape, dtype=bool)
+    which = np.zeros(hit.shape, dtype=np.int64)
+    for a, (noise, rng, count) in enumerate(zip(noises, rngs, rows)):
+        drawn = model.draw_trajectory(spec, noise, rng, shape[1] * count)
+        for full, part in zip((hit, which), drawn or ()):
+            full[:, :, a, :, :count] = part.reshape(part.shape[:2] + (shape[1], count))
+    return hit.reshape(hit.shape[:2] + (-1,)), which.reshape(hit.shape[:2] + (-1,))
 
-    Returns (loss, gradient), the gradient a (P,) array in ModelParams.vector
-    order. The head gradient is analytic from the base readout; the angle
+
+def classify_loss_and_grad(spec: CircuitSpec, shapes: tuple, weights: np.ndarray,
+                           batches: list, shots: ShotSpec, noises, rngs) -> tuple:
+    """Each of A clients' batch cross-entropy and full gradient, in one
+    ansatz pass over all their batches.
+
+    `weights` is the (A, P) matrix of the clients' parameter vectors in
+    ModelParams.vector layout, `shapes` their ModelParams.shapes; `batches`,
+    `noises` and `rngs` hold each client's EncodedSet batch, NoiseSpec and
+    generator. Returns (losses, gradients, failures): the (A,) losses, the
+    (A, P) gradients in the same layout, and a dict from client position to
+    the NumericError its batch raised (non-finite class scores, loss,
+    shifted value, or gradient part, named), whose loss and gradient row are
+    NaN. Head gradients are analytic from the base readout; the angle
     gradient is that of the functional sum(c * p(angles)), with the
     cotangent c frozen at the base parameters.
 
-    In exact mode (no active noise, exact shots) one forward pass gives the
-    real output amplitudes psi and p = psi**2, and one adjoint sweep (see
-    _adjoint_angle_grads) seeded with c * psi gives every angle derivative.
-    With active noise or finite shots the two-point rule differentiates the
-    functional in one stochastic pass over the B rows tiled once per angle
-    matrix of _shifted_angles. One readout samples every block's shots in
-    stack order. The stack holds (2D + 1) * B * 2**n floats, about 38 MB at
-    12 qubits, 3 layers and B = 16.
+    Every batch is padded with zero rows to the widest, and block a of the
+    pass holds client a's rows, run at its own angles. In exact mode (exact
+    shots, no client's noise active) the blocks hold the batches once; one
+    adjoint sweep seeded with c * psi (see _adjoint_angle_grads) gives every
+    angle derivative. Otherwise the two-point rule differentiates the
+    functional: client a's block is its rows tiled once per angle matrix of
+    _shifted_angles, each client's trajectory is drawn on its own generator
+    before the pass (_padded_trajectory), and each client's readout samples
+    its own blocks' shots in stack order. A stochastic pass holds
+    A * (2D + 1) * B * 2**n floats.
 
-    A non-finite loss, shifted value or gradient (naming its part) raises
-    NumericError.
+    Head scores, cotangent, loss, head gradients and angle reductions run
+    per client on its real rows only, so each client gets the bits that it
+    gets alone: a matmul's rows can change in the last bit inside a taller
+    matrix.
     """
-    rows = encoded.shape[0]
-    exact = shots.is_exact and not noise.active
+    count, rows = len(batches), [batch.labels.size for batch in batches]
+    width = max(rows)
+    exact = shots.is_exact and not any(noise.active for noise in noises)
+    views = model.param_views(weights, shapes)
+    stack = views.angles if exact else _shifted_angles(views.angles)
+    blocks = 1 if exact else stack.shape[1]
+    # In exact mode amps[1] will hold the adjoint seed c * psi.
+    amps = np.zeros((1 + exact, count, blocks, width, spec.dim))
+    for a, batch in enumerate(batches):
+        amps[0, a, :, :rows[a]] = batch.encoded
+    flat = amps[0].reshape(-1, spec.dim)
     # Looked up on the module, so that wrappers installed there (perfbench's
     # tracer) see the pass.
-    if exact:
-        state = encoded.copy()
-        model.run_ansatz_kernel(state, spec, params.angles, noise, rng)
-        base = model.readout_batch(state, shots, rng)
+    mats = model.run_ansatz_kernel(flat, spec, stack.reshape((-1,) + shapes[0]),
+                                   _padded_trajectory(spec, amps.shape[1:4], rows, noises, rngs))
+    if shots.is_exact:
+        readout = model.readout_batch(flat, shots, None).reshape(amps.shape[1:])
+        readouts = [readout[a, :, :b] for a, b in enumerate(rows)]
     else:
-        stack = _shifted_angles(params.angles)
-        amps = np.tile(encoded, (stack.shape[0], 1))
-        model.run_ansatz_kernel(amps, spec, stack, noise, rng)
-        readout = model.readout_batch(amps, shots, rng).reshape(stack.shape[0], rows, -1)
-        base = readout[0]
-    delta, log_probs = model.head_softmax(params, base)
-    loss = float(-log_probs[np.arange(rows), labels].mean())
-    if not np.isfinite(loss):
-        raise NumericError("non-finite batch loss")
-    delta[np.arange(rows), labels] -= 1.0
-    delta /= rows
-    cotangent = delta @ params.head_weights
+        readouts = [model.readout_batch(amps[0, a, :, :b].reshape(-1, spec.dim), shots, rng)
+                    .reshape(blocks, b, spec.dim) for a, (b, rng) in enumerate(zip(rows, rngs))]
+    heads = [model.ParamViews(*parts) for parts in zip(*views)]
+    scores = np.zeros((count, width, shapes[2][0]))
+    for a, head in enumerate(heads):
+        scores[a, :rows[a]] = model.head_scores(head, readouts[a][0])
+    failures = {}
+    if not np.isfinite(scores).all():
+        failures = {a: NumericError("class scores contain non-finite entries")
+                    for a in np.flatnonzero(~np.isfinite(scores).all(axis=(1, 2))).tolist()}
+        scores[list(failures)] = 0.0
+    deltas, log_probs = model.softmax(scores)
+    losses = np.empty(count)
+    gradients = np.zeros(weights.shape)
+    parts = model.param_views(gradients, shapes)
+    cotangents = {}
+    for a, batch in enumerate(batches):
+        if a in failures:
+            continue
+        labelled = np.arange(rows[a]), batch.labels
+        losses[a] = -log_probs[a][labelled].mean()
+        if not np.isfinite(losses[a]):
+            failures[a] = NumericError("non-finite batch loss")
+            continue
+        delta = deltas[a, :rows[a]]
+        delta[labelled] -= 1.0
+        delta /= rows[a]
+        cotangents[a] = delta @ heads[a].head_weights
+        parts.head_weights[a] = delta.T @ readouts[a][0]
+        parts.head_bias[a] = delta.sum(axis=0)
     if exact:
-        angle_grads = _adjoint_angle_grads(spec, params.angles, state, cotangent * state)
+        pair = amps[:, :, 0]
+        for a, cotangent in cotangents.items():
+            np.multiply(cotangent, pair[0, a, :rows[a]], out=pair[1, a, :rows[a]])
+        parts.angles[:] = _adjoint_angle_grads(spec, mats, pair, rows)
     else:
-        values = (cotangent * readout[1:]).reshape(len(stack) - 1, -1).sum(axis=1)
-        angle_grads = _shift_rule(values, params.angles.shape)
-    gradient = np.concatenate([angle_grads.ravel(), (delta.T @ base).ravel(),
-                               delta.sum(axis=0)])
-    try:
-        model.check_finite(gradient, params.angles.shape, params.head_weights.shape)
-    except NumericError as err:
-        raise NumericError(f"gradient {err}") from None
-    return loss, gradient
+        for a, cotangent in cotangents.items():
+            values = (cotangent * readouts[a][1:]).reshape(blocks - 1, -1).sum(axis=1)
+            try:
+                parts.angles[a] = _shift_rule(values, shapes[0])
+            except NumericError as err:
+                failures[a] = err
+    if not np.isfinite(gradients).all():
+        for a in np.flatnonzero(~np.isfinite(gradients).all(axis=1)).tolist():
+            try:
+                model.check_finite(gradients[a], shapes)
+            except NumericError as err:
+                failures.setdefault(a, NumericError(f"gradient {err}"))
+    if failures:
+        losses[list(failures)] = gradients[list(failures)] = np.nan
+    return losses, gradients, failures
 
 
-def personalized_step(params: ModelParams, gradient: np.ndarray, eta: float,
-                      lam: float, global_params: ModelParams | None) -> ModelParams:
-    """Proximal update w <- w - eta * (g + lam * (w - w_global)) on the whole
-    parameter vector, angles and head alike. `gradient` g is in the
-    vector's layout; any other shape raises ShapeError, never broadcasts.
+def personalized_step(weights: np.ndarray, gradient: np.ndarray, eta: float,
+                      lam: float, anchor: np.ndarray | None) -> np.ndarray:
+    """Proximal update w <- w - eta * (g + lam * (w - w_global)) on
+    parameter vectors in ModelParams.vector layout, angles and head alike:
+    `weights` is one (P,) vector or an (A, P) matrix of clients, stepped by
+    the same elementwise expression, and `anchor` the (P,) vector w_global.
+    `gradient` g must have the shape of `weights`; any other raises
+    ShapeError, never broadcasts. Returns the stepped array; the caller
+    checks that it is finite.
 
     lam = 0 is plain gradient descent, w - eta * g, and needs no anchor; its
     trajectories do not depend on whether one is passed.
     """
-    w = params.vector
-    if gradient.shape != w.shape:
-        raise ShapeError(f"{gradient.shape} gradient for {w.size} parameters")
+    if gradient.shape != weights.shape:
+        raise ShapeError(f"{gradient.shape} gradient for {weights.shape} parameters")
     if lam == 0.0:
-        return params.with_vector(w - eta * gradient)
-    if global_params is None:
+        return weights - eta * gradient
+    if anchor is None:
         raise ConfigError("personalized step with lam > 0 needs anchor parameters")
-    if global_params.shapes != params.shapes:
+    if anchor.shape != weights.shape[-1:]:
         raise ShapeError("local and global parameter shapes differ")
-    return params.with_vector(
-        w - eta * (gradient + lam * (w - global_params.vector))
-    )
+    return weights - eta * (gradient + lam * (weights - anchor))
 
 
 def _train_vqe_loop(spec, params, observable, config, global_params):
+    anchor = None if global_params is None else global_params.vector
     trace = np.zeros(config.local_epochs)
     for epoch in range(config.local_epochs):
         trace[epoch] = loss_vqe(spec, params, observable)
@@ -271,8 +356,120 @@ def _train_vqe_loop(spec, params, observable, config, global_params):
             return loss_vqe(spec, params.with_angles(angles), observable)
 
         grad = grad_parameter_shift(spec, params, shifted_loss).gradient.vector
-        params = personalized_step(params, grad, config.eta, config.lam, global_params)
+        params = params.with_vector(
+            personalized_step(params.vector, grad, config.eta, config.lam, anchor))
     return LocalTrainResult(params, trace)
+
+
+class ClientFailure(SimulationError):
+    """train_lockstep's failure: client `client` (its index in the list)
+    raised `error`."""
+
+    def __init__(self, client: int, error: Exception):
+        super().__init__(f"client {client}: {error}")
+        self.client, self.error = client, error
+
+
+def _passes(stack_sizes: list, width: int, dim: int):
+    """Slices of a step's active clients that share one ansatz pass: runs of
+    clients with the same stack size S whose S * width * dim amplitudes
+    each add up to at most LOCKSTEP_AMPLITUDES, one client at least."""
+    start = 0
+    while start < len(stack_sizes):
+        size, stop = stack_sizes[start], start + 1
+        while (stop < len(stack_sizes) and stack_sizes[stop] == size
+               and (stop + 1 - start) * size * width * dim <= LOCKSTEP_AMPLITUDES):
+            stop += 1
+        yield slice(start, stop)
+        start = stop
+
+
+def _raise_first_failure(failures: dict, stepped: np.ndarray, shapes: tuple,
+                        active: np.ndarray) -> None:
+    """Raise ClientFailure for the lowest-position failing client of a step:
+    its batch's failure, or else its non-finite stepped parameters."""
+    first = min([*failures, *np.flatnonzero(~np.isfinite(stepped).all(axis=1)).tolist()])
+    if first not in failures:
+        try:
+            model.check_finite(stepped[first], shapes)
+        except NumericError as err:
+            failures[first] = err
+    raise ClientFailure(int(active[first]), failures[first]) from failures[first]
+
+
+def train_lockstep(spec: CircuitSpec, start_params: ModelParams, shards: list,
+                   config: TrainConfig, global_params: ModelParams | None, shots: ShotSpec,
+                   noises, rngs) -> list:
+    """Classify-mode local training of every client in `shards` at once, from
+    `start_params`: one LocalTrainResult per client, equal bit for bit to the
+    client trained alone (local_train).
+
+    Each client's shard is a non-empty EncodedSet of normal rows, and
+    noises[c] and rngs[c] are its NoiseSpec and generator, which drives its
+    shuffles and every stochastic draw. Each epoch every client shuffles its
+    rows, then the clients step in lockstep: step k takes batch k of every
+    client that has one left, in one classify_loss_and_grad call per pass
+    (see _passes), then one personalized_step over all of them. A client's
+    trace holds each epoch's sample-weighted mean batch loss, evaluated at
+    the parameters the batch was seen with.
+
+    Failures raise ClientFailure(c, error). A shard or label error is found
+    before any client trains. After that the error is that of the
+    lowest-index client among those that fail at the first failing step:
+    its batch's failure (see classify_loss_and_grad) or, with a finite
+    gradient, non-finite stepped parameters (naming the part).
+    """
+    check_params(spec, start_params)
+    for client, (shard, rng) in enumerate(zip(shards, rngs)):
+        try:
+            if rng is None:
+                raise ConfigError("classify training needs a seeded generator; got rng=None")
+            if shard is None or shard.encoded.shape[0] == 0:
+                raise DataError("classify training needs a non-empty shard")
+            _check_labels(shard.labels, start_params.n_classes)
+        except SimulationError as err:
+            raise ClientFailure(client, err) from err
+    shapes = start_params.shapes
+    anchor = None if global_params is None else global_params.vector
+    sizes = np.array([shard.encoded.shape[0] for shard in shards])
+    stack_sizes = [1 if shots.is_exact and not noise.active else 2 * start_params.angles.size + 1
+                   for noise in noises]
+    # Every epoch steps the same clients with the same batch sizes.
+    steps = []
+    for start in range(0, sizes.max(), config.batch_size):
+        active = np.flatnonzero(sizes > start)
+        counts = np.minimum(sizes[active] - start, config.batch_size)
+        passes = [(part, [noises[c] for c in active[part]], [rngs[c] for c in active[part]])
+                  for part in _passes([stack_sizes[c] for c in active], counts.max(), spec.dim)]
+        steps.append((start, active, counts, passes))
+    weights = np.repeat(start_params.vector[None], len(shards), axis=0)
+    traces = np.zeros((len(shards), config.local_epochs))
+    for epoch in range(config.local_epochs):
+        orders = [rng.permutation(size) for rng, size in zip(rngs, sizes)]
+        loss_sums = np.zeros(len(shards))
+        for start, active, counts, passes in steps:
+            batches = []
+            for c in active:
+                sel = orders[c][start : start + config.batch_size]
+                batches.append(EncodedSet(shards[c].encoded[sel], shards[c].labels[sel]))
+            current = weights[active]
+            results = [classify_loss_and_grad(spec, shapes, current[part], batches[part],
+                                              shots, pass_noises, pass_rngs)
+                       for part, pass_noises, pass_rngs in passes]
+            losses, grads, failures = results[0]
+            if len(results) > 1:
+                losses = np.concatenate([losses for losses, _, _ in results])
+                grads = np.concatenate([grads for _, grads, _ in results])
+                failures = {part.start + k: err for (part, *_), (*_, failed) in zip(passes, results)
+                            for k, err in failed.items()}
+            stepped = personalized_step(current, grads, config.eta, config.lam, anchor)
+            if failures or not np.isfinite(stepped).all():
+                _raise_first_failure(failures, stepped, shapes, active)
+            weights[active] = stepped
+            loss_sums[active] += losses * counts
+        traces[:, epoch] = loss_sums / sizes
+    return [LocalTrainResult(start_params.with_vector(w), trace)
+            for w, trace in zip(weights, traces)]
 
 
 def local_train(spec: CircuitSpec, start_params: ModelParams, shard: EncodedSet | None,
@@ -282,11 +479,12 @@ def local_train(spec: CircuitSpec, start_params: ModelParams, shard: EncodedSet 
                 observable: Observable | None = None) -> LocalTrainResult:
     """T local epochs of proximal mini-batch training.
 
-    classify mode: `shard` is a non-empty EncodedSet of normal rows. Each
-    epoch shuffles its rows and steps over mini-batches; the trace holds each
-    epoch's sample-weighted mean batch loss, evaluated at the parameters the
-    batch was seen with. `rng` drives the shuffles and every stochastic draw
-    and is required, so that every run can be replayed.
+    classify mode: train_lockstep with one client. `shard` is a non-empty
+    EncodedSet of normal rows. Each epoch shuffles its rows and steps over
+    mini-batches; the trace holds each epoch's sample-weighted mean batch
+    loss, evaluated at the parameters the batch was seen with. `rng` drives
+    the shuffles and every stochastic draw and is required, so that every
+    run can be replayed. The client's error is raised as itself.
 
     vqe mode: Algorithm-style observable minimization; `shard` is ignored
     (the loss consumes no data), one gradient step per epoch, and the trace
@@ -294,8 +492,8 @@ def local_train(spec: CircuitSpec, start_params: ModelParams, shard: EncodedSet 
     `shots` must be exact and `noise` off: <H> is read out exactly, on the
     noiseless circuit, so vqe mode draws nothing.
     """
-    check_params(spec, start_params)
     if config.mode == MODE_VQE:
+        check_params(spec, start_params)
         if observable is None:
             raise ConfigError("vqe mode needs an observable")
         if not shots.is_exact:
@@ -307,24 +505,8 @@ def local_train(spec: CircuitSpec, start_params: ModelParams, shard: EncodedSet 
                 f"vqe mode runs the noiseless circuit; got noise {noise.epsilon}"
             )
         return _train_vqe_loop(spec, start_params, observable, config, global_params)
-    if rng is None:
-        raise ConfigError("classify training needs a seeded generator; got rng=None")
-    if shard is None or shard.encoded.shape[0] == 0:
-        raise DataError("classify training needs a non-empty shard")
-    encoded, labels = shard.encoded, shard.labels
-    _check_labels(labels, start_params.n_classes)
-    count = encoded.shape[0]
-    params = start_params
-    trace = np.zeros(config.local_epochs)
-    for epoch in range(config.local_epochs):
-        order = rng.permutation(count)
-        loss_sum = 0.0
-        for start in range(0, count, config.batch_size):
-            sel = order[start : start + config.batch_size]
-            loss, grad = classify_loss_and_grad(
-                spec, params, encoded[sel], labels[sel], shots, noise, rng
-            )
-            params = personalized_step(params, grad, config.eta, config.lam, global_params)
-            loss_sum += loss * sel.size
-        trace[epoch] = loss_sum / count
-    return LocalTrainResult(params, trace)
+    try:
+        return train_lockstep(spec, start_params, [shard], config, global_params, shots,
+                              [noise], [rng])[0]
+    except ClientFailure as failure:
+        raise failure.error from None

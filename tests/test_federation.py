@@ -297,7 +297,7 @@ class TestValidationContext:
         original = federation.train_on_encoded
 
         def counted(*args):
-            calls.append(args[2])
+            calls.append(args[1])
             return original(*args)
 
         monkeypatch.setattr(federation, "train_on_encoded", counted)
@@ -313,7 +313,7 @@ class TestValidationContext:
         original = federation.train_on_encoded
 
         def captured(*args):
-            handed[args[2]] = args[4]
+            handed.update(enumerate(args[3]))
             return original(*args)
 
         monkeypatch.setattr(federation, "train_on_encoded", captured)
@@ -479,21 +479,30 @@ class TestRunRound:
                 run_round(0, config, params, [shard], validation)
 
     def test_each_client_trains_once_per_round(self, monkeypatch):
-        # perfbench times a client epoch as one federation.train_on_encoded call
+        # perfbench's federation.train span is the one train_on_encoded call
+        # of a round, which trains every client's shard once
         config, part, val = make_setup(n_clients=3, seed=19)
         shards = shards_of(part, config.spec)
         validation = encoded_set(val, config.spec)
         start = init_params(config.spec, 2, derive_rng(config.master_seed, STAGE_INIT))
-        calls = []
+        calls, trained = [], []
         original = federation.train_on_encoded
+        original_lockstep = federation.train_lockstep
 
         def counted(*args):
-            calls.append(args[2])
+            calls.append(args[1])
             return original(*args)
 
+        def lockstep(spec, start_params, client_shards, *args):
+            trained.append(list(client_shards))
+            return original_lockstep(spec, start_params, client_shards, *args)
+
         monkeypatch.setattr(federation, "train_on_encoded", counted)
+        monkeypatch.setattr(federation, "train_lockstep", lockstep)
         run_round(0, config, start, shards, validation)
-        assert calls == [0, 1, 2]
+        assert calls == [0]
+        assert len(trained) == 1 and len(trained[0]) == 3
+        assert all(got is shard for got, shard in zip(trained[0], shards))
 
     def test_shard_count_mismatch_rejected(self):
         config, part, val = make_setup(seed=15)

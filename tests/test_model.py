@@ -26,6 +26,7 @@ from qfedsim.model import (
     RING,
     CircuitSpec,
     ModelParams,
+    draw_trajectory,
     head_scores,
     head_softmax,
     init_params,
@@ -38,7 +39,6 @@ from qfedsim.model import (
 )
 
 EXACT = ShotSpec.exact()
-CLEAN = NoiseSpec.off()
 
 
 def make_params(spec, n_classes, seed=0):
@@ -58,7 +58,7 @@ def scores(spec, params, rows, shots=EXACT, rng=None):
     encoded = encode_batch(np.atleast_2d(rows), spec.n_qubits)
     if shots.is_exact:
         return head_scores(params, probability_batch(spec, params.angles, encoded))
-    run_ansatz_kernel(encoded, spec, params.angles, CLEAN, None)
+    run_ansatz_kernel(encoded, spec, params.angles)
     return head_scores(params, readout_batch(encoded, shots, rng))
 
 
@@ -221,10 +221,10 @@ class TestRunAnsatzKernel:
         stack = rng.uniform(-np.pi, np.pi, size=(4, 2, 3))
         encoded = encode_batch(rng.normal(size=(5, 8)), 3)
         amps = np.tile(encoded, (4, 1))
-        run_ansatz_kernel(amps, spec, stack, NoiseSpec.off(), None)
+        run_ansatz_kernel(amps, spec, stack)
         for s in range(4):
             block = encoded.copy()
-            run_ansatz_kernel(block, spec, stack[s], NoiseSpec.off(), None)
+            run_ansatz_kernel(block, spec, stack[s])
             assert np.array_equal(amps[5 * s : 5 * s + 5], block)
 
     @pytest.mark.parametrize("epsilon, draws", [(0.0, False), (1e-9, True), (0.3, True)])
@@ -234,7 +234,8 @@ class TestRunAnsatzKernel:
         spec = CircuitSpec(3, 2, RING)
         rng = np.random.default_rng(3)
         amps = encode_batch(rng.normal(size=(7, 8)), 3)
-        run_ansatz_kernel(amps, spec, np.ones((2, 3)), NoiseSpec(epsilon), rng)
+        run_ansatz_kernel(amps, spec, np.ones((2, 3)),
+                          draw_trajectory(spec, NoiseSpec(epsilon), rng, len(amps)))
         twin = np.random.default_rng(3)
         twin.normal(size=(7, 8))
         if draws:
@@ -254,7 +255,8 @@ def frame_and_reference_passes(spec, angles, rows, epsilon, seed):
     amps = np.tile(encoded, (len(angles), 1)) if angles.ndim == 3 else encoded.copy()
     ref = amps.copy()
     fast_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    run_ansatz_kernel(amps, spec, angles, NoiseSpec(epsilon), fast_rng)
+    run_ansatz_kernel(amps, spec, angles,
+                      draw_trajectory(spec, NoiseSpec(epsilon), fast_rng, len(amps)))
 
     sites = (spec.n_layers * (spec.n_qubits + 2 * len(spec.entangler_pairs())), len(ref))
     hit, which = np.zeros(sites, dtype=bool), np.zeros(sites, dtype=np.int64)

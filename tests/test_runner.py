@@ -409,9 +409,16 @@ class TestCompare:
         (SUMMARY_NAME, b'{"final": ', "Expecting value"),
         (SUMMARY_NAME, b"[]", "expected a JSON object, got list"),
         (SUMMARY_NAME, b'{"final": [], "total_payload_bits": 1}', "'final' is list"),
+        (SUMMARY_NAME, b'{"final": {"val_loss": 1.0, "fe_pct": 0.0, "me_pct": 0.0, '
+                       b'"auroc": "high", "aupr": 1.0}, "total_payload_bits": 1}',
+         "'auroc' is str, not a number"),
+        (SUMMARY_NAME, b'{"final": {"val_loss": 1.0, "fe_pct": 0.0, "me_pct": 0.0, '
+                       b'"auroc": 1.0, "aupr": 1.0}, "total_payload_bits": true}',
+         "'total_payload_bits' is bool, not a number"),
         (SUMMARY_NAME, b'{"final": \xff}', "can't decode byte 0xff"),
         (HISTORY_NAME, b"round\n\xff\n", "can't decode byte 0xff"),
-    ], ids=["not-json", "root-list", "final-list", "summary-not-utf8", "history-not-utf8"])
+    ], ids=["not-json", "root-list", "final-list", "metric-not-number", "payload-bool",
+            "summary-not-utf8", "history-not-utf8"])
     def test_malformed_run_file_names_file(self, base_run, tmp_path, name, content, reason):
         broken = tmp_path / "broken"
         broken.mkdir()

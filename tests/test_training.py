@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qfedsim import model
+from qfedsim import model, training
 from qfedsim.core import (
     NoiseSpec,
     Observable,
@@ -29,6 +29,7 @@ from qfedsim.model import (
 from qfedsim.training import (
     MODE_CLASSIFY,
     MODE_VQE,
+    ClientFailure,
     EncodedSet,
     TrainConfig,
     classify_loss_and_grad,
@@ -36,6 +37,7 @@ from qfedsim.training import (
     local_train,
     loss_vqe,
     personalized_step,
+    train_lockstep,
 )
 
 EXACT = ShotSpec.exact()
@@ -66,6 +68,17 @@ def as_params(params, gradient):
     """A flat gradient viewed in the parameters' layout: .angles,
     .head_weights and .head_bias are its three parts."""
     return params.with_vector(gradient)
+
+
+def loss_and_grad(spec, params, encoded, labels, shots, noise, rng):
+    """classify_loss_and_grad for one client: (loss, flat gradient), raising
+    the failure it reports."""
+    losses, gradients, failures = classify_loss_and_grad(
+        spec, params.shapes, params.vector[None], [EncodedSet(encoded, labels)], shots,
+        [noise], [rng])
+    if failures:
+        raise failures[0]
+    return float(losses[0]), gradients[0]
 
 
 def batch_loss(spec, params, batch):
@@ -240,7 +253,7 @@ class TestGradParameterShift:
             params = make_params(spec, n_classes, seed=int(rng.integers(1000)))
             batch = make_batch(rng, 6, 1 << n, n_classes)
             encoded = encode_batch(batch.features, n)
-            loss, gradient = classify_loss_and_grad(
+            loss, gradient = loss_and_grad(
                 spec, params, encoded, batch.labels, EXACT, CLEAN, None
             )
             est = as_params(params, gradient)
@@ -325,7 +338,7 @@ def per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng):
             cols = slice(block * rows, (block + 1) * rows)
             ansatz_on_trajectory(spec, angles, amps, hit[:, cols], which[:, cols])
         else:
-            model.run_ansatz_kernel(amps, spec, angles, noise, None)
+            model.run_ansatz_kernel(amps, spec, angles)
         return readout_batch(amps, shots, rng)
 
     readout = probabilities(params.angles)
@@ -347,7 +360,7 @@ def assert_same_gradient(spec, params, encoded, labels, shots, noise, seed):
     state included."""
     rng_fast = np.random.default_rng(seed)
     rng_ref = np.random.default_rng(seed)
-    loss, gradient = classify_loss_and_grad(spec, params, encoded, labels, shots, noise,
+    loss, gradient = loss_and_grad(spec, params, encoded, labels, shots, noise,
                                             rng_fast)
     ref = per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, rng_ref)
     est = as_params(params, gradient)
@@ -373,7 +386,7 @@ class TestStackedShiftGradient:
         encoded = encode_batch(rng.normal(size=(rows, 1 << n)), n)
         labels = rng.integers(0, 3, size=rows)
         assert encoded.dtype == np.float64
-        loss, gradient = classify_loss_and_grad(spec, params, encoded, labels, EXACT, CLEAN,
+        loss, gradient = loss_and_grad(spec, params, encoded, labels, EXACT, CLEAN,
                                                 None)
         ref = per_shift_loss_and_grad(spec, params, encoded, labels, EXACT, CLEAN, None)
         est = as_params(params, gradient)
@@ -403,7 +416,7 @@ class TestStackedShiftGradient:
         labels = rng.integers(0, 3, size=9)
         gen = None if shots.is_exact and not noise.active else np.random.default_rng(33)
         ref_gen = None if gen is None else np.random.default_rng(33)
-        loss, gradient = classify_loss_and_grad(spec, params, encoded, labels, shots, noise,
+        loss, gradient = loss_and_grad(spec, params, encoded, labels, shots, noise,
                                                 gen)
         ref = per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise, ref_gen)
         est = as_params(params, gradient)
@@ -445,7 +458,7 @@ class TestStackedShiftGradient:
         rng = np.random.default_rng(15)
         encoded = encode_batch(rng.normal(size=(7, 8)), 3)
         labels = rng.integers(0, 3, size=7)
-        _, gradient = classify_loss_and_grad(spec, params, encoded, labels, shots, noise,
+        _, gradient = loss_and_grad(spec, params, encoded, labels, shots, noise,
                                              np.random.default_rng(16))
         ref = per_shift_loss_and_grad(spec, params, encoded, labels, shots, noise,
                                       np.random.default_rng(16))
@@ -468,7 +481,7 @@ class TestStackedShiftGradient:
         message = "^gradient angles " if rows == 1 else "batch loss"
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match=message):
-                classify_loss_and_grad(spec, huge, encoded, labels, EXACT, CLEAN, None)
+                loss_and_grad(spec, huge, encoded, labels, EXACT, CLEAN, None)
 
     @pytest.mark.parametrize("block, angle, sign", [(1, (0, 0), "+"), (4, (0, 1), "-"),
                                                     (11, (1, 2), "+"), (12, (1, 2), "-")])
@@ -491,7 +504,7 @@ class TestStackedShiftGradient:
         monkeypatch.setattr(model, "readout_batch", poisoned)
         message = re.escape(f"non-finite shifted value at angle {angle}, shift {sign}pi/2")
         with pytest.raises(NumericError, match=message):
-            classify_loss_and_grad(spec, params, encoded, labels, ShotSpec(64), CLEAN, rng)
+            loss_and_grad(spec, params, encoded, labels, ShotSpec(64), CLEAN, rng)
         # grad_parameter_shift calls its closure once per block after the
         # base, so call block - 1 is the same shifted angle.
         calls = iter(range(2 * params.angles.size))
@@ -541,8 +554,8 @@ class TestNoisyGradientInDistribution:
         labels = rng.integers(0, 3, size=rows)
         # The cotangent is (softmax - onehot) / rows @ W; a constant softmax fixes it.
         softmax = reference_softmax(rng.normal(size=(rows, 3)))
-        monkeypatch.setattr(model, "head_softmax",
-                            lambda params, readout: (softmax.copy(), np.log(softmax)))
+        monkeypatch.setattr(model, "softmax",
+                            lambda scores: (softmax[None].copy(), np.log(softmax)[None]))
         delta = softmax.copy()
         delta[np.arange(rows), labels] -= 1.0
         cotangent = delta / rows @ params.head_weights
@@ -559,7 +572,7 @@ class TestNoisyGradientInDistribution:
         noiseless = oracles.finite_difference(noiseless_functional, params.angles)
         gen = np.random.default_rng(23)
         samples = np.stack([
-            as_params(params, classify_loss_and_grad(spec, params, encoded, labels, EXACT,
+            as_params(params, loss_and_grad(spec, params, encoded, labels, EXACT,
                                                      NoiseSpec(epsilon), gen)[1]).angles
             for _ in range(runs)
         ])
@@ -586,6 +599,12 @@ def per_part_step(params, grad, eta, lam, anchor):
     )
 
 
+def step(params, grad, eta, lam, anchor):
+    """personalized_step on one parameter set's vector, as ModelParams."""
+    anchor = None if anchor is None else anchor.vector
+    return params.with_vector(personalized_step(params.vector, grad, eta, lam, anchor))
+
+
 class TestSgdStep:
     """lam = 0: plain gradient descent through personalized_step."""
 
@@ -593,15 +612,15 @@ class TestSgdStep:
         spec = CircuitSpec(2, 1)
         params = make_params(spec, 2, seed=1)
         zero = np.zeros_like(params.vector)
-        out = personalized_step(params, zero, 0.5, 0.0, None)
+        out = step(params, zero, 0.5, 0.0, None)
         assert np.array_equal(out.vector, params.vector)
-        out2 = personalized_step(out, zero, 0.5, 0.0, None)
+        out2 = step(out, zero, 0.5, 0.0, None)
         assert np.array_equal(out2.vector, params.vector)
 
     def test_scalar_update_rule(self):
         params = ModelParams(np.array([[1.0]]), np.zeros((1, 2)), np.zeros(1))
         grad = ModelParams(np.array([[2.0]]), np.zeros((1, 2)), np.zeros(1)).vector
-        out = personalized_step(params, grad, 0.1, 0.0, None)
+        out = step(params, grad, 0.1, 0.0, None)
         assert out.angles[0, 0] == pytest.approx(0.8, abs=1e-15)
 
 
@@ -617,8 +636,8 @@ class TestPersonalizedStep:
         spec = CircuitSpec(2, 2)
         params = make_params(spec, 2, seed=2)
         grad = self.random_grad(params, 3)
-        a = personalized_step(params, grad, 0.05, 0.0, None)
-        b = personalized_step(params, grad, 0.05, 0.0, make_params(spec, 2, seed=9))
+        a = step(params, grad, 0.05, 0.0, None)
+        b = step(params, grad, 0.05, 0.0, make_params(spec, 2, seed=9))
         assert np.array_equal(a.vector, params.vector - 0.05 * grad)
         assert np.array_equal(a.vector, b.vector)
 
@@ -629,23 +648,35 @@ class TestPersonalizedStep:
         params = make_params(spec, n_classes, seed=n)
         anchor = make_params(spec, n_classes, seed=n + 50)
         grad = self.random_grad(params, layers)
-        out = personalized_step(params, grad, 0.07, lam, anchor)
+        out = step(params, grad, 0.07, lam, anchor)
         ref = per_part_step(params, grad, 0.07, lam, anchor)
         assert out.vector.tobytes() == ref.vector.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_stacked_clients_step_as_each_alone(self, lam):
+        # One (A, P) step: row a equals client a's vector stepped alone.
+        spec = CircuitSpec(3, 2)
+        anchor = make_params(spec, 3, seed=30)
+        clients = np.stack([make_params(spec, 3, seed=31 + a).vector for a in range(4)])
+        grads = np.random.default_rng(35).normal(size=clients.shape)
+        out = personalized_step(clients, grads, 0.07, lam, anchor.vector)
+        for a in range(4):
+            alone = personalized_step(clients[a], grads[a], 0.07, lam, anchor.vector)
+            assert out[a].tobytes() == alone.tobytes()
 
     def test_at_anchor_proximal_vanishes(self):
         spec = CircuitSpec(2, 1)
         params = make_params(spec, 2, seed=4)
         grad = self.random_grad(params, 5)
-        a = personalized_step(params, grad, 0.1, 0.7, params)
-        b = personalized_step(params, grad, 0.1, 0.0, None)
+        a = step(params, grad, 0.1, 0.7, params)
+        b = step(params, grad, 0.1, 0.0, None)
         assert np.allclose(a.vector, b.vector, atol=1e-15)
 
     def test_scalar_hand_evaluation(self):
         # w=1, g=0, lam=0.1, eta=0.01, w_global=0 -> 1 - 0.01*0.1*1 = 0.999
         params = ModelParams(np.array([[1.0]]), np.zeros((1, 2)), np.zeros(1))
         anchor = ModelParams(np.array([[0.0]]), np.zeros((1, 2)), np.zeros(1))
-        out = personalized_step(params, self.make_zero_grad(params), 0.01, 0.1, anchor)
+        out = step(params, self.make_zero_grad(params), 0.01, 0.1, anchor)
         assert out.angles[0, 0] == pytest.approx(0.999, abs=1e-15)
 
     def test_pull_strictly_decreases_distance(self):
@@ -656,7 +687,7 @@ class TestPersonalizedStep:
         for eta, lam in ((0.01, 0.1), (0.1, 1.0), (0.5, 1.5)):
             if eta * lam >= 1:
                 continue
-            out = personalized_step(params, zero, eta, lam, anchor)
+            out = step(params, zero, eta, lam, anchor)
             before = np.linalg.norm(params.vector - anchor.vector)
             after = np.linalg.norm(out.vector - anchor.vector)
             assert after < before
@@ -665,7 +696,7 @@ class TestPersonalizedStep:
         spec = CircuitSpec(1, 1)
         params = make_params(spec, 2)
         with pytest.raises(ConfigError):
-            personalized_step(params, self.make_zero_grad(params), 0.1, 0.5, None)
+            step(params, self.make_zero_grad(params), 0.1, 0.5, None)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     @pytest.mark.parametrize("short", [1, "P - 1"])
@@ -674,13 +705,13 @@ class TestPersonalizedStep:
         params = make_params(CircuitSpec(2, 1), 2)
         size = 1 if short == 1 else params.vector.size - 1
         with pytest.raises(ShapeError, match="gradient"):
-            personalized_step(params, np.zeros(size), 0.1, lam, params)
+            step(params, np.zeros(size), 0.1, lam, params)
 
     def test_anchor_geometry_checked(self):
         params = make_params(CircuitSpec(2, 1), 2)
         for anchor in (make_params(CircuitSpec(2, 2), 2), make_params(CircuitSpec(2, 1), 3)):
             with pytest.raises(ShapeError):
-                personalized_step(params, self.make_zero_grad(params), 0.1, 0.5, anchor)
+                step(params, self.make_zero_grad(params), 0.1, 0.5, anchor)
 
 
 class TestLocalTrain:
@@ -786,6 +817,126 @@ class TestLocalTrain:
         result = local_train(spec, params, shard_of(spec, batch), config,
                              rng=np.random.default_rng(18))
         assert result.loss_trace[-1] < result.loss_trace[0]
+
+
+def ragged_shards(spec, sizes, n_classes, seed):
+    """One EncodedSet per client, of the given row counts, with labels below
+    n_classes."""
+    rng = np.random.default_rng(seed)
+    return [EncodedSet(encode_batch(rng.normal(size=(rows, spec.dim)), spec.n_qubits),
+                       rng.integers(0, n_classes, size=rows)) for rows in sizes]
+
+
+def client_rngs(seed, count):
+    return [np.random.default_rng([seed, c]) for c in range(count)]
+
+
+class TestTrainLockstep:
+    """Clients trained in lockstep against each client trained alone through
+    the same code (local_train, one client): parameters, loss traces and
+    generator states equal bit for bit."""
+
+    # Row counts as a Dirichlet(0.01) split deals them: ragged, one of a
+    # single row; batches of 8 leave partial last batches, and clients drop
+    # out of later steps.
+    SIZES = (21, 1, 9, 34)
+
+    def assert_same_as_alone(self, spec, shards, config, shots, noises, seed):
+        start = make_params(spec, 3, seed=seed)
+        anchor = make_params(spec, 3, seed=seed + 1)
+        rngs = client_rngs(seed, len(shards))
+        together = train_lockstep(spec, start, shards, config, anchor, shots, noises, rngs)
+        alone_rngs = client_rngs(seed, len(shards))
+        for c, shard in enumerate(shards):
+            alone = local_train(spec, start, shard, config, anchor, shots, noises[c],
+                                alone_rngs[c])
+            assert together[c].params.vector.tobytes() == alone.params.vector.tobytes(), c
+            assert together[c].loss_trace.tobytes() == alone.loss_trace.tobytes(), c
+            assert rngs[c].bit_generator.state == alone_rngs[c].bit_generator.state, c
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("shots, epsilons", [
+        (EXACT, (0.0,) * 4),
+        (EXACT, (0.2,) * 4),
+        (EXACT, (0.0, 0.3, 0.2, 0.0)),
+        (ShotSpec(100), (0.0,) * 4),
+        (ShotSpec(100), (0.1, 0.0, 0.3, 0.1)),
+    ], ids=["exact", "noise", "mixed-noise", "shots", "shots-noise"])
+    @pytest.mark.parametrize("n, layers, entangler", [(4, 1, LINEAR_CHAIN), (3, 2, LINEAR_CHAIN),
+                                                      (3, 3, RING)])
+    def test_ragged_clients_equal_each_client_alone(self, n, layers, entangler, shots,
+                                                    epsilons, lam):
+        spec = CircuitSpec(n, layers, entangler)
+        shards = ragged_shards(spec, self.SIZES, 3, seed=10 * n + layers)
+        config = TrainConfig(eta=0.3, lam=lam, local_epochs=2, batch_size=8)
+        self.assert_same_as_alone(spec, shards, config, shots, tuple(map(NoiseSpec, epsilons)),
+                                  seed=n + layers)
+
+    @pytest.mark.parametrize("n, layers, sizes, epsilon, passes", [
+        # 12 rows of 1024 amplitudes fit the budget once, not twice
+        (10, 2, (12, 12, 12), 0.0, [1, 1, 1]),
+        (4, 1, (16,) * 10, 0.0, [10]),
+        # a noisy (4, 1) client holds 9 blocks of 16 rows: 7 per pass
+        (4, 1, (16,) * 10, 0.1, [7, 3]),
+    ])
+    def test_passes_split_at_the_amplitude_budget(self, monkeypatch, n, layers, sizes,
+                                                  epsilon, passes):
+        spec = CircuitSpec(n, layers)
+        shards = ragged_shards(spec, sizes, 3, seed=n)
+        config = TrainConfig(eta=0.1, lam=0.1, local_epochs=1, batch_size=16)
+        noises = (NoiseSpec(epsilon),) * len(sizes)
+        seen = []
+        original = training.classify_loss_and_grad
+
+        def recorded(spec, shapes, weights, *args):
+            seen.append(len(weights))
+            return original(spec, shapes, weights, *args)
+
+        monkeypatch.setattr(training, "classify_loss_and_grad", recorded)
+        self.assert_same_as_alone(spec, shards, config, EXACT, noises, seed=3)
+        assert seen[:len(passes)] == passes
+        assert seen[len(passes):] == [1] * len(sizes)
+
+    @staticmethod
+    def overflow_setup(labels):
+        """Head weights of +-1e308 on 2 qubits: a class-1 row's loss is
+        infinite at the start, a class-0 row's loss and gradient are zero.
+        labels[c] are client c's rows' labels, one row per batch."""
+        spec = CircuitSpec(2, 1)
+        start = ModelParams(np.zeros((1, 2)), np.array([[1e308] * 4, [-1e308] * 4]),
+                            np.zeros(2))
+        rng = np.random.default_rng(4)
+        shards = [EncodedSet(encode_batch(rng.uniform(0.1, 1.0, size=(len(rows), 4)), 2),
+                             np.array(rows)) for rows in labels]
+        return spec, start, shards
+
+    @pytest.mark.parametrize("case", ["earlier-step", "same-step", "update-before-batch"])
+    def test_failure_names_the_lowest_failing_client_of_the_first_failing_step(self, case):
+        # earlier-step: client 0 meets its class-1 row at step 1, client 1 at
+        # step 0; one client after another would name client 0.
+        # same-step: both fail in their batches at step 0.
+        # update-before-batch: an anchor far out makes every update overflow
+        # at step 0, where client 1's batch fails too; client 0's update
+        # comes first.
+        first = np.random.default_rng([7, 0]).permutation(2)
+        client0 = [0, 0]
+        client0[first[1]] = 1
+        labels = {"earlier-step": [client0, [1]], "same-step": [[1], [1]],
+                  "update-before-batch": [[0], [1]]}[case]
+        spec, start, shards = self.overflow_setup(labels)
+        anchor = start
+        if case == "update-before-batch":
+            anchor = start.with_vector(np.full(start.vector.size, -1e308))
+        config = TrainConfig(eta=0.5, lam=1.0, local_epochs=1, batch_size=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ClientFailure) as failure:
+                train_lockstep(spec, start, shards, config, anchor, EXACT,
+                               (NoiseSpec.off(),) * 2, client_rngs(7, 2))
+        expected = {"earlier-step": (1, "non-finite batch loss"),
+                    "same-step": (0, "non-finite batch loss"),
+                    "update-before-batch": (0, "head_weights contains non-finite entries")}[case]
+        assert (failure.value.client, str(failure.value.error)) == expected
+        assert isinstance(failure.value.error, NumericError)
 
 
 class TestTrainConfig:
