@@ -14,11 +14,12 @@ Conventions, fixed project-wide:
     engine a pure statevector simulator.
 
 The kernel functions operate in place on arrays of shape (..., 2**n),
-acting on the last axis; the Ry and CX kernels are dtype-generic. Their
-callers use them directly: batched evaluation (model module) on
-(rows, 2**n) batches, with a matrix per block of rows for a stack of angle
-matrices; the adjoint gradient sweep (training module) on
-(2, clients, rows, 2**n) state/adjoint pairs; and `expectation` on one
+acting on the last axis; the Ry and CX kernels are dtype-generic. The
+one-qubit kernel takes a gate as per-amplitude coefficients (diag, off),
+which its callers build once per pass: batched evaluation (model module)
+on (blocks, rows, 2**n) arrays, each block of rows at its own angles; the
+adjoint gradient sweep (training module) on (2, clients, rows, 2**n)
+state/adjoint pairs, with the pass's coefficients; and `expectation` on one
 complex vector per Pauli term. So there is exactly one implementation of
 each gate. A layer's CX gates are one gather with their composed index
 (`entangler_tables`).
@@ -147,20 +148,11 @@ class ShotSpec:
 # ---------------------------------------------------------------------------
 # In-place kernels on raw amplitude arrays of shape (..., 2**n), last axis.
 
-def ry_matrices(angles) -> np.ndarray:
-    """Real Ry(a) = [[cos a/2, -sin a/2], [sin a/2, cos a/2]] for every angle:
-    shape angles.shape + (2, 2)."""
-    half = 0.5 * np.asarray(angles, dtype=np.float64)[..., None]
-    c, s = np.cos(half), np.sin(half)
-    return np.concatenate([c, -s, s, c], axis=-1).reshape(half.shape[:-1] + (2, 2))
-
-
 @lru_cache(maxsize=None)
 def _qubit_pairing(dim: int, qubit: int) -> tuple:
-    """Per basis index j: its `qubit` bit, the flipped bit, and j with the bit flipped."""
+    """Per basis index j: its `qubit` bit, and j with the bit flipped."""
     idx = np.arange(dim)
-    bit = (idx >> qubit) & 1
-    tables = bit, 1 - bit, idx ^ (1 << qubit)
+    tables = (idx >> qubit) & 1, idx ^ (1 << qubit)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -170,28 +162,33 @@ def _qubit_pairing(dim: int, qubit: int) -> tuple:
 def ry_pi_tables(n_qubits: int) -> tuple:
     """(partners, signs), each (n_qubits, 2**n): Ry(pi) on qubit q maps an
     amplitude vector v to signs[q] * v[partners[q]], where partners[q, j] is
-    j with bit q flipped and signs[q, j] is +1 if bit q of j is set, else -1."""
+    j with bit q flipped and signs[q, j] is +1 if bit q of j is set, else -1.
+    So sin(a/2) * signs[q] is the off-diagonal coefficient of Ry(a) on qubit
+    q (see apply_one_qubit_kernel)."""
     pairings = [_qubit_pairing(1 << n_qubits, q) for q in range(n_qubits)]
-    partners = np.stack([partner for _, _, partner in pairings])
-    signs = np.stack([2.0 * bit - 1.0 for bit, _, _ in pairings])
+    partners = np.stack([partner for _, partner in pairings])
+    signs = np.stack([2.0 * bit - 1.0 for bit, _ in pairings])
     partners.flags.writeable = False
     signs.flags.writeable = False
     return partners, signs
 
 
-def apply_one_qubit_kernel(amps: np.ndarray, qubit: int, mat: np.ndarray) -> None:
-    """Apply a 2x2 matrix to one qubit of every state in `amps`, in place.
+def apply_one_qubit_kernel(amps: np.ndarray, qubit: int, diag, off) -> None:
+    """Apply a 2x2 matrix M to one qubit of every state in `amps`, in place,
+    given as per-amplitude coefficients: amplitude j becomes
+    diag[j] * amps[j] + off[j] * amps[j ^ 2**qubit], with every partner
+    amplitude gathered at once.
 
-    `mat` is one (2, 2) matrix for every state, or a (..., 2, 2) stack whose
-    leading axes broadcast against those of `amps`: an (S, 1, 2, 2) stack on
-    an (S, B, 2**n) array gives each block of B states its own matrix.
-    Amplitude j becomes mat[b, b] * amps[j] + mat[b, 1 - b] * amps[j ^ 2**qubit],
-    b the qubit's bit of j, with every partner amplitude gathered at once.
+    For b the qubit's bit of j, diag[j] = M[b, b] and off[j] = M[b, 1 - b].
+    Both broadcast against `amps`: an (S, 1, 1) diag and (S, 1, 2**n) off
+    on an (S, B, 2**n) array give each block of B states its own matrix.
+    Ry(a) is diag cos(a/2), the same at both bits, and off
+    sin(a/2) * ry_pi_tables(n)[1][qubit]; (diag, -off) applies its
+    transpose, Ry(-a).
     """
-    bit, flipped_bit, partner = _qubit_pairing(amps.shape[-1], qubit)
-    swapped = np.take(amps, partner, axis=-1)
-    swapped *= mat[..., bit, flipped_bit]
-    amps *= mat[..., bit, bit]
+    swapped = amps.take(_qubit_pairing(amps.shape[-1], qubit)[1], axis=-1)
+    swapped *= off
+    amps *= diag
     amps += swapped
 
 
@@ -276,7 +273,7 @@ def pauli_frames(tables: EntanglerTables, hit: np.ndarray, which: np.ndarray) ->
 def apply_cx_kernel(amps: np.ndarray, perm: np.ndarray) -> None:
     """Apply a layer of CX gates in place: one gather with its composed
     index (EntanglerTables.perm, or .inverse to undo the layer)."""
-    amps[...] = np.take(amps, perm, axis=-1)
+    amps[...] = amps.take(perm, axis=-1)
 
 
 def depolarize_kernel(amps: np.ndarray, tables: EntanglerTables, rows: np.ndarray,
@@ -317,9 +314,15 @@ def expectation(state: QuantumState, obs: Observable) -> float:
         vec = state.amplitudes.copy()
         for q, label in enumerate(string):
             if label != "I":
-                apply_one_qubit_kernel(vec, q, _PAULI_BY_LABEL[label])
+                apply_one_qubit_kernel(vec, q, *_coefficients(_PAULI_BY_LABEL[label], state.dim, q))
         total += coef * np.vdot(state.amplitudes, vec).real
     return float(total)
+
+
+def _coefficients(mat: np.ndarray, dim: int, qubit: int) -> tuple:
+    """apply_one_qubit_kernel's (diag, off) of a 2x2 matrix on `qubit`."""
+    bit = _qubit_pairing(dim, qubit)[0]
+    return mat[bit, bit], mat[bit, 1 - bit]
 
 
 def normalized_probabilities(raw: np.ndarray) -> np.ndarray:

@@ -13,14 +13,15 @@ per client and shifted angle matrix). Noise arrives as a trajectory drawn
 beforehand (`draw_trajectory`). Class probabilities for a batch of encoded
 rows are head_softmax(params, probability_batch(spec, angles, encoded));
 `run_circuit` runs it noiselessly on one QuantumState. Training's adjoint
-sweep walks the same gates backwards with the Ry matrices the pass returns
-(see the training module).
+sweep walks the same gates backwards with the Ry coefficients the pass
+returns, each gate undone by its transpose (see the training module).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +76,11 @@ class CircuitSpec:
         if self.entangler == RING and self.n_qubits >= 3:
             pairs.append((self.n_qubits - 1, 0))
         return tuple(pairs)
+
+    @cached_property
+    def tables(self) -> core.EntanglerTables:
+        """The entangler layer's core.entangler_tables, looked up once."""
+        return core.entangler_tables(self.n_qubits, self.entangler_pairs())
 
 
 class ParamViews(NamedTuple):
@@ -203,14 +209,13 @@ def draw_trajectory(spec: CircuitSpec, noise: NoiseSpec, rng: np.random.Generato
     is off."""
     if not noise.active:
         return None
-    sites = len(core.entangler_tables(spec.n_qubits, spec.entangler_pairs()).x_masks)
-    shape = (spec.n_layers, sites, rows)
+    shape = (spec.n_layers, len(spec.tables.x_masks), rows)
     hit = rng.random(shape) < noise.epsilon
     return hit, rng.integers(0, 3, shape)
 
 
 def run_ansatz_kernel(amps: np.ndarray, spec: CircuitSpec, angles: np.ndarray,
-                      trajectory: tuple | None = None) -> np.ndarray:
+                      trajectory: tuple | None = None) -> tuple:
     """Run the full ansatz in place on a C-contiguous (rows, 2**n) array at
     one (layers, qubits) angle matrix, or at an (S, layers, qubits) stack
     that splits the rows into S equal blocks, block s run at angles[s].
@@ -223,29 +228,40 @@ def run_ansatz_kernel(amps: np.ndarray, spec: CircuitSpec, angles: np.ndarray,
     applied with the layer's gather after its Ry gates; a layer that leaves
     every row's frame the identity is the gather alone.
 
-    Returns the Ry matrices applied, indexed [layer, qubit] and broadcasting
-    against the blocks, so that a reverse sweep can undo each gate with its
-    transpose.
+    The Ry coefficients of the whole pass come from one cos and one sin of
+    the half angles. Ry(a) on qubit q is core.apply_one_qubit_kernel's
+    diag = cos(a/2) and off = sin(a/2) * signs[q] (signs from
+    core.ry_pi_tables); each layer's off, qubits * S * 2**n values, is
+    built when the layer starts and freed after its Ry gates, so it stays
+    within the amplitude array while a block holds at least `qubits` rows.
+
+    Returns (diag, sines), the cos and sin of the half angles, each
+    (layers, qubits, S, 1, 1) (S = 1 for one matrix) so that [layer, qubit]
+    broadcasts against the blocks: a reverse sweep undoes each gate with
+    (diag, -off), its transpose.
     """
     angles = np.asarray(angles, dtype=np.float64)
-    if angles.ndim == 3 and len(angles) == 1:
-        angles = angles[0]  # one block: the same bits with less broadcasting
-    mats, blocks = core.ry_matrices(angles), amps
-    if angles.ndim == 3:
-        mats = mats.transpose(1, 2, 0, 3, 4)[:, :, :, None]  # (layers, qubits, S, 1, 2, 2)
-        blocks = amps.reshape(len(angles), -1, amps.shape[-1])
-    tables = core.entangler_tables(spec.n_qubits, spec.entangler_pairs())
+    stack = angles.reshape((-1,) + angles.shape[-2:]).transpose(1, 2, 0)
+    # C order: the kernel broadcasts contiguous coefficients several times
+    # faster than strided views of the transposed stack.
+    half = np.multiply(0.5, stack, order="C")[..., None, None]
+    diag, sines = np.cos(half), np.sin(half)
+    blocks = amps.reshape(stack.shape[-1], -1, amps.shape[-1])
+    signs = core.ry_pi_tables(spec.n_qubits)[1][:, None, None]
+    tables = spec.tables
     frames = [None] * spec.n_layers
     if trajectory is not None:
         frames = core.pauli_frames(tables, *trajectory)
     for layer, frame in enumerate(frames):
+        off = sines[layer] * signs
         for q in range(spec.n_qubits):
-            core.apply_one_qubit_kernel(blocks, q, mats[layer, q])
+            core.apply_one_qubit_kernel(blocks, q, diag[layer, q], off[q])
+        del off  # freed before the gather, whose temporaries are the pass's peak
         if frame is None:
             core.apply_cx_kernel(amps, tables.perm)
         else:
             core.depolarize_kernel(amps, tables, *frame)
-    return mats
+    return diag, sines
 
 
 def run_circuit(spec: CircuitSpec, params: ModelParams,
@@ -284,26 +300,26 @@ def probability_batch(spec: CircuitSpec, angles: np.ndarray,
     return readout_batch(amps, ShotSpec.exact(), None)
 
 
-def head_scores(params: ModelParams | ParamViews, probs: np.ndarray) -> np.ndarray:
-    """y = W p + b, rowwise for batches; `params` supplies head_weights W
-    and head_bias b."""
-    return probs @ params.head_weights.T + params.head_bias
+def head_scores(weights: np.ndarray, bias: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """y = W p + b, rowwise for batches: head weights W (classes, 2**n) and
+    bias b (classes,)."""
+    return probs @ weights.T + bias
 
 
 def softmax(scores: np.ndarray) -> tuple:
     """(probabilities, log-probabilities) of finite class scores, rowwise
     over the last axis: one stable softmax (max subtracted before exp). An
     overflowing score gap gives -inf."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
+    shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
+    total = np.add.reduce(e, axis=-1, keepdims=True)
     return e / total, shifted - np.log(total)
 
 
 def head_softmax(params: ModelParams, readout: np.ndarray) -> tuple:
-    """softmax of the class scores head_scores(params, readout). Non-finite
+    """softmax of params' class scores (head_scores) of `readout`. Non-finite
     class scores raise NumericError."""
-    y = head_scores(params, readout)
+    y = head_scores(params.head_weights, params.head_bias, readout)
     if not np.all(np.isfinite(y)):
         raise NumericError("class scores contain non-finite entries")
     return softmax(y)

@@ -327,11 +327,15 @@ def _load_run(run_dir: str) -> dict:
     for key, value in numbers.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DataError(f"{summary_path}: {key!r} is {type(value).__name__}, not a number")
+    to_target = summary.get("rounds_to_target")
+    if to_target is not None and (isinstance(to_target, bool) or not isinstance(to_target, int)):
+        raise DataError(f"{summary_path}: 'rounds_to_target' is {type(to_target).__name__}, "
+                        f"not an int or null")
     return {
         "name": os.path.basename(os.path.normpath(run_dir)),
         "rounds": rounds,
         **numbers,
-        "rounds_to_target": summary.get("rounds_to_target"),
+        "rounds_to_target": to_target,
     }
 
 

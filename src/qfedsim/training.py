@@ -12,7 +12,8 @@ Two training modes share the machinery:
     c = W^T (softmax(y) - onehot) frozen at the base parameters; its
     derivative equals the exact chain-rule gradient. Head gradients are
     analytic. In exact mode one adjoint sweep back through the circuit gives
-    every angle derivative (Jones & Gacon, arXiv:2009.02823); with noise or
+    every angle derivative (Jones & Gacon, arXiv:2009.02823), undoing each
+    Ry gate with the coefficients the forward pass returns; with noise or
     finite shots the two-point shift rule differentiates the functional, all
     shifted angle matrices stacked into one stochastic ansatz pass (see
     classify_loss_and_grad).
@@ -171,24 +172,27 @@ def grad_parameter_shift(spec: CircuitSpec, params: ModelParams,
     return GradientEstimate(gradient)
 
 
-def _adjoint_angle_grads(spec: CircuitSpec, mats: np.ndarray, pair: np.ndarray,
+def _adjoint_angle_grads(spec: CircuitSpec, coefficients: tuple, pair: np.ndarray,
                          rows: list) -> np.ndarray:
     """(A, layers, qubits) angle gradients of each client's sum(c * state**2)
     by one reverse sweep over `pair` = (state, adjoint), (2, A, B, 2**n): the
     real ansatz output and c * state, client a's real rows the first rows[a]
-    of block a. `mats` are the forward pass's Ry matrices (run_ansatz_kernel).
-    The sweep works in place on `pair`.
+    of block a. `coefficients` are the forward pass's Ry coefficients
+    (diag, sines) that run_ansatz_kernel returns. The sweep works in place on
+    `pair`.
 
     Layer by layer from the top, the CX layer is undone on the pair by one
     gather with its inverse index. The Ry gates of a layer commute and
     dRy(a)/da = Ry(a + pi) / 2, so with d(state**2) = 2 * state * d(state)
     angle (l, q) has derivative sum(adjoint * Ry_q(pi) state), read for all q
     at once on each client's own rows; then the layer's Ry gates are undone
-    with Ry(-a), the forward matrix transposed.
+    with Ry(-a), the forward gate transposed: (diag, -off), built as
+    sin(a/2) * -signs.
     """
     n = spec.n_qubits
-    inverse = core.entangler_tables(n, spec.entangler_pairs()).inverse
+    inverse = spec.tables.inverse
     partners, signs = core.ry_pi_tables(n)
+    diag, sines = coefficients
     grads = np.empty((len(rows), spec.n_layers, n))
     for layer in reversed(range(spec.n_layers)):
         core.apply_cx_kernel(pair, inverse)
@@ -196,8 +200,9 @@ def _adjoint_angle_grads(spec: CircuitSpec, mats: np.ndarray, pair: np.ndarray,
             grads[a, layer] = np.einsum("bj,qj,bqj->q", pair[1, a, :count], signs,
                                         pair[0, a, :count][:, partners])
         if layer:
+            off = sines[layer] * -signs[:, None, None]
             for q in range(n):
-                core.apply_one_qubit_kernel(pair, q, mats[layer, q].swapaxes(-1, -2))
+                core.apply_one_qubit_kernel(pair, q, diag[layer, q], off[q])
     return grads
 
 
@@ -208,8 +213,7 @@ def _padded_trajectory(spec: CircuitSpec, shape: tuple, rows: list, noises, rngs
     rows and noiseless clients draw nothing; None when no client is noisy."""
     if not any(noise.active for noise in noises):
         return None
-    sites = len(core.entangler_tables(spec.n_qubits, spec.entangler_pairs()).x_masks)
-    hit = np.zeros((spec.n_layers, sites) + shape, dtype=bool)
+    hit = np.zeros((spec.n_layers, len(spec.tables.x_masks)) + shape, dtype=bool)
     which = np.zeros(hit.shape, dtype=np.int64)
     for a, (noise, rng, count) in enumerate(zip(noises, rngs, rows)):
         drawn = model.draw_trajectory(spec, noise, rng, shape[1] * count)
@@ -261,20 +265,21 @@ def classify_loss_and_grad(spec: CircuitSpec, shapes: tuple, weights: np.ndarray
     for a, batch in enumerate(batches):
         amps[0, a, :, :rows[a]] = batch.encoded
     flat = amps[0].reshape(-1, spec.dim)
+    trajectory = None if exact else _padded_trajectory(spec, amps.shape[1:4], rows, noises, rngs)
     # Looked up on the module, so that wrappers installed there (perfbench's
     # tracer) see the pass.
-    mats = model.run_ansatz_kernel(flat, spec, stack.reshape((-1,) + shapes[0]),
-                                   _padded_trajectory(spec, amps.shape[1:4], rows, noises, rngs))
+    coefficients = model.run_ansatz_kernel(flat, spec, stack.reshape((-1,) + shapes[0]),
+                                           trajectory)
     if shots.is_exact:
         readout = model.readout_batch(flat, shots, None).reshape(amps.shape[1:])
         readouts = [readout[a, :, :b] for a, b in enumerate(rows)]
     else:
         readouts = [model.readout_batch(amps[0, a, :, :b].reshape(-1, spec.dim), shots, rng)
                     .reshape(blocks, b, spec.dim) for a, (b, rng) in enumerate(zip(rows, rngs))]
-    heads = [model.ParamViews(*parts) for parts in zip(*views)]
     scores = np.zeros((count, width, shapes[2][0]))
-    for a, head in enumerate(heads):
-        scores[a, :rows[a]] = model.head_scores(head, readouts[a][0])
+    for a, b in enumerate(rows):
+        scores[a, :b] = model.head_scores(views.head_weights[a], views.head_bias[a],
+                                          readouts[a][0])
     failures = {}
     if not np.isfinite(scores).all():
         failures = {a: NumericError("class scores contain non-finite entries")
@@ -285,25 +290,29 @@ def classify_loss_and_grad(spec: CircuitSpec, shapes: tuple, weights: np.ndarray
     gradients = np.zeros(weights.shape)
     parts = model.param_views(gradients, shapes)
     cotangents = {}
-    for a, batch in enumerate(batches):
+    for a, (batch, b) in enumerate(zip(batches, rows)):
         if a in failures:
             continue
-        labelled = np.arange(rows[a]), batch.labels
-        losses[a] = -log_probs[a][labelled].mean()
+        labelled = np.arange(b), batch.labels
+        # add.reduce / b is the bits of .mean() without its wrapper.
+        losses[a] = -(np.add.reduce(log_probs[a][labelled]) / b)
         if not np.isfinite(losses[a]):
             failures[a] = NumericError("non-finite batch loss")
             continue
-        delta = deltas[a, :rows[a]]
+        delta = deltas[a, :b]
         delta[labelled] -= 1.0
-        delta /= rows[a]
-        cotangents[a] = delta @ heads[a].head_weights
-        parts.head_weights[a] = delta.T @ readouts[a][0]
-        parts.head_bias[a] = delta.sum(axis=0)
+        delta /= b
+        if exact:
+            # The adjoint seed c * psi, written in place: amps[1] of the pair.
+            seed = amps[1, a, 0, :b]
+            np.matmul(delta, views.head_weights[a], out=seed)
+            seed *= amps[0, a, 0, :b]
+        else:
+            cotangents[a] = delta @ views.head_weights[a]
+        np.matmul(delta.T, readouts[a][0], out=parts.head_weights[a])
+        np.add.reduce(delta, axis=0, out=parts.head_bias[a])
     if exact:
-        pair = amps[:, :, 0]
-        for a, cotangent in cotangents.items():
-            np.multiply(cotangent, pair[0, a, :rows[a]], out=pair[1, a, :rows[a]])
-        parts.angles[:] = _adjoint_angle_grads(spec, mats, pair, rows)
+        parts.angles[:] = _adjoint_angle_grads(spec, coefficients, amps[:, :, 0], rows)
     else:
         for a, cotangent in cotangents.items():
             values = (cotangent * readouts[a][1:]).reshape(blocks - 1, -1).sum(axis=1)
@@ -407,7 +416,8 @@ def train_lockstep(spec: CircuitSpec, start_params: ModelParams, shards: list,
     Each client's shard is a non-empty EncodedSet of normal rows, and
     noises[c] and rngs[c] are its NoiseSpec and generator, which drives its
     shuffles and every stochastic draw. Each epoch every client shuffles its
-    rows, then the clients step in lockstep: step k takes batch k of every
+    rows (one gather of its shard, whose slices are its batches), then the
+    clients step in lockstep: step k takes batch k of every
     client that has one left, in one classify_loss_and_grad call per pass
     (see _passes), then one personalized_step over all of them. A client's
     trace holds each epoch's sample-weighted mean batch loss, evaluated at
@@ -446,12 +456,13 @@ def train_lockstep(spec: CircuitSpec, start_params: ModelParams, shards: list,
     traces = np.zeros((len(shards), config.local_epochs))
     for epoch in range(config.local_epochs):
         orders = [rng.permutation(size) for rng, size in zip(rngs, sizes)]
+        shuffled = [EncodedSet(shard.encoded[order], shard.labels[order])
+                    for shard, order in zip(shards, orders)]
         loss_sums = np.zeros(len(shards))
         for start, active, counts, passes in steps:
-            batches = []
-            for c in active:
-                sel = orders[c][start : start + config.batch_size]
-                batches.append(EncodedSet(shards[c].encoded[sel], shards[c].labels[sel]))
+            stop = start + config.batch_size
+            batches = [EncodedSet(shuffled[c].encoded[start:stop], shuffled[c].labels[start:stop])
+                       for c in active]
             current = weights[active]
             results = [classify_loss_and_grad(spec, shapes, current[part], batches[part],
                                               shots, pass_noises, pass_rngs)

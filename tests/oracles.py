@@ -3,8 +3,10 @@
 Everything here is deliberately naive — dense Kronecker products, explicit
 loops, brute-force pair enumeration — and shares no code with the package.
 The bit-for-bit references apply gates the way the package once did:
-`one_qubit_kernel` is the package's former two-branch one-qubit kernel, and
-`per_gate_ansatz` applies every gate and every drawn Pauli on its own.
+`one_qubit_kernel` is the package's former two-branch one-qubit kernel, on
+2x2 matrices such as `ry_matrices` builds, `matrix_kernel` runs it behind
+the package kernel's coefficient signature, and `per_gate_ansatz` applies
+every gate and every drawn Pauli on its own.
 """
 
 import math
@@ -23,6 +25,15 @@ def ry_matrix(angle: float) -> np.ndarray:
     return np.array(
         [[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]], dtype=complex
     )
+
+
+def ry_matrices(angles) -> np.ndarray:
+    """Real Ry(a) = [[cos a/2, -sin a/2], [sin a/2, cos a/2]] for every angle:
+    shape angles.shape + (2, 2). The package's former matrix form; its
+    entries are the package's Ry coefficients, bit for bit."""
+    half = 0.5 * np.asarray(angles, dtype=np.float64)[..., None]
+    c, s = np.cos(half), np.sin(half)
+    return np.concatenate([c, -s, s, c], axis=-1).reshape(half.shape[:-1] + (2, 2))
 
 
 def lift_one(n: int, qubit: int, mat: np.ndarray) -> np.ndarray:
@@ -115,6 +126,21 @@ def one_qubit_kernel(amps: np.ndarray, qubit: int, mat: np.ndarray) -> None:
     hi = view[..., 1, :]
     view[..., 0, :] = mat[..., 0, 0, None, None] * lo + mat[..., 0, 1, None, None] * hi
     view[..., 1, :] = mat[..., 1, 0, None, None] * lo + mat[..., 1, 1, None, None] * hi
+
+
+def matrix_kernel(amps: np.ndarray, qubit: int, diag, off) -> None:
+    """`one_qubit_kernel` called as the package kernel is, with per-amplitude
+    coefficients: amplitude j becomes diag[j] * amps[j] + off[j] *
+    amps[j ^ 2**qubit]. The 2x2 matrix (stack) is read off the coefficients
+    at amplitude 0, whose `qubit` bit is 0, and at amplitude 2**qubit, whose
+    bit is 1; so the coefficients must be those of one matrix per stack
+    entry, as every gate's are."""
+    shape = np.broadcast_shapes(np.shape(diag), np.shape(off))
+    diag, off = np.broadcast_to(diag, shape), np.broadcast_to(off, shape)
+    one = 1 << qubit
+    mat = np.stack([np.stack([diag[..., 0], off[..., 0]], axis=-1),
+                    np.stack([off[..., one], diag[..., one]], axis=-1)], axis=-2)
+    one_qubit_kernel(amps, qubit, mat)
 
 
 def per_gate_ansatz(amps: np.ndarray, n: int, n_layers: int, pairs, apply_ry,

@@ -15,8 +15,8 @@ from qfedsim.core import (
     entangler_tables,
     expectation,
     pauli_frames,
-    ry_matrices,
     ry_pi_tables,
+    _coefficients,
     _qubit_pairing,
 )
 from qfedsim.exceptions import CapacityError, ConfigError, ContractError, ShapeError
@@ -50,9 +50,20 @@ def basis_batch(n, index=0, rows=1):
     return amps
 
 
+def ry_coefficients(angles, n, qubit):
+    """The kernel's (diag, off) of Ry on `qubit` of n qubits at each angle:
+    cos(a/2), shape angles.shape + (1,), and sin(a/2) * ry_pi_tables signs,
+    shape angles.shape + (2**n,), as model.run_ansatz_kernel builds them."""
+    half = 0.5 * np.asarray(angles, dtype=np.float64)[..., None]
+    return np.cos(half), np.sin(half) * ry_pi_tables(n)[1][qubit]
+
+
 def ry(amps, qubit, angle):
     out = amps.copy()
-    apply_one_qubit_kernel(out, qubit, ry_matrices(angle))
+    n = amps.shape[-1].bit_length() - 1
+    # Coefficients exist for a qubit past the array's width, so that the
+    # kernel is what refuses it.
+    apply_one_qubit_kernel(out, qubit, *ry_coefficients(angle, max(n, qubit + 1), qubit))
     return out
 
 
@@ -137,7 +148,8 @@ class TestObservable:
 
 
 class TestApplyRy:
-    """apply_one_qubit_kernel(amps, q, ry_matrices(a)) on (rows, 2**n) batches."""
+    """apply_one_qubit_kernel(amps, q, *ry_coefficients(a, n, q)) on (rows, 2**n)
+    batches."""
 
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(1)
@@ -177,15 +189,15 @@ class TestApplyRy:
                     assert np.allclose(out, amps @ dense.T, atol=1e-12)
 
     def test_matrix_stack_gives_each_block_its_matrix(self):
-        # An (S, 1, 2, 2) stack on (S, B, 2**n) rows equals the shared-matrix
-        # kernel run block by block, bit for bit.
+        # (S, 1, 1) and (S, 1, 2**n) coefficients on (S, B, 2**n) rows equal
+        # the shared-coefficient kernel run block by block, bit for bit.
         rng = np.random.default_rng(8)
         for n in WIDTHS:
             blocks = real_states(n, 12, rng).reshape(3, 4, 1 << n)
             angles = rng.uniform(-np.pi, np.pi, size=3)
             for qubit in range(n):
                 out = blocks.copy()
-                apply_one_qubit_kernel(out, qubit, ry_matrices(angles)[:, None])
+                apply_one_qubit_kernel(out, qubit, *ry_coefficients(angles[:, None], n, qubit))
                 for s in range(3):
                     assert np.array_equal(out[s], ry(blocks[s], qubit, angles[s]))
 
@@ -211,45 +223,56 @@ class TestApplyRy:
 
 
 class TestOneQubitKernelAgainstReference:
-    """apply_one_qubit_kernel against oracles.one_qubit_kernel, the former
-    two-branch kernel, bit for bit with the signs of zeros, on every qubit of
-    1..7 qubits and on each kind of input the package gives it."""
+    """apply_one_qubit_kernel on coefficients against oracles.one_qubit_kernel,
+    the former two-branch kernel on 2x2 matrices, bit for bit with the signs
+    of zeros, on every qubit of 1..10 qubits and on each kind of input the
+    package gives it."""
 
     @staticmethod
-    def assert_same_as_reference(amps, qubit, mat):
+    def assert_same_as_reference(amps, qubit, coefficients, mat):
         out, ref = amps.copy(), amps.copy()
-        apply_one_qubit_kernel(out, qubit, mat)
+        apply_one_qubit_kernel(out, qubit, *coefficients)
         oracles.one_qubit_kernel(ref, qubit, mat)
         assert out.dtype == ref.dtype
         assert np.array_equal(out, ref)
         for ours, theirs in ((out.real, ref.real), (out.imag, ref.imag)):
             assert np.array_equal(np.signbit(ours), np.signbit(theirs))
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    def assert_ry_as_reference(self, amps, qubit, angles):
+        # The gate and, as (diag, -off), its transpose: the adjoint undo.
+        n = amps.shape[-1].bit_length() - 1
+        diag, off = ry_coefficients(angles, n, qubit)
+        mat = oracles.ry_matrices(angles)
+        self.assert_same_as_reference(amps, qubit, (diag, off), mat)
+        self.assert_same_as_reference(amps, qubit, (diag, -off), mat.swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_real_batches(self, n):
         rng = np.random.default_rng(40 + n)
         amps = real_states(n, 9, rng)
         for qubit in range(n):
-            self.assert_same_as_reference(amps, qubit, ry_matrices(rng.uniform(-7, 7)))
+            self.assert_ry_as_reference(amps, qubit, rng.uniform(-7, 7))
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_matrix_stacks(self, n):
+        # (S, 1, 1) diag and (S, 1, 2**n) off on (S, B, 2**n) blocks against an
+        # (S, 1, 2, 2) matrix stack.
         rng = np.random.default_rng(50 + n)
         blocks = real_states(n, 12, rng).reshape(3, 4, 1 << n)
         for qubit in range(n):
-            mats = ry_matrices(rng.uniform(-7, 7, size=3))[:, None]
-            self.assert_same_as_reference(blocks, qubit, mats)
+            self.assert_ry_as_reference(blocks, qubit, rng.uniform(-7, 7, size=(3, 1)))
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_complex_vectors_under_paulis(self, n):
         # The `expectation` path: one complex vector per Pauli term.
         rng = np.random.default_rng(60 + n)
         vec = random_state(n, rng).amplitudes
         for qubit in range(n):
             for pauli in (oracles.X, oracles.Y, oracles.Z):
-                self.assert_same_as_reference(vec, qubit, pauli)
+                self.assert_same_as_reference(vec, qubit, _coefficients(pauli, 1 << n, qubit),
+                                              pauli)
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_signed_zeros(self, n):
         # Rows of +0.0 and -0.0 next to nonzero amplitudes, under angles whose
         # matrices hold -0.0 (angle 0) or exact zeros of either sign.
@@ -261,10 +284,23 @@ class TestOneQubitKernelAgainstReference:
         amps[3, 1::3] = 0.0
         for qubit in range(n):
             for angle in (0.0, -0.0, np.pi, -np.pi, 2 * np.pi):
-                self.assert_same_as_reference(amps, qubit, ry_matrices(angle))
+                self.assert_ry_as_reference(amps, qubit, angle)
             complex_rows = amps * (1 - 1j)
             for pauli in (oracles.X, oracles.Y, oracles.Z):
-                self.assert_same_as_reference(complex_rows, qubit, pauli)
+                self.assert_same_as_reference(complex_rows, qubit,
+                                              _coefficients(pauli, 1 << n, qubit), pauli)
+
+    def test_matrix_kernel_adapter_reads_the_gate_back(self):
+        # oracles.matrix_kernel, which the federation test swaps in for the
+        # package kernel, rebuilds each block's matrix from its coefficients.
+        rng = np.random.default_rng(80)
+        blocks = real_states(4, 12, rng).reshape(3, 4, 16)
+        angles = rng.uniform(-7, 7, size=(3, 1))
+        for qubit in range(4):
+            out, ref = blocks.copy(), blocks.copy()
+            oracles.matrix_kernel(out, qubit, *ry_coefficients(angles, 4, qubit))
+            oracles.one_qubit_kernel(ref, qubit, oracles.ry_matrices(angles))
+            assert np.array_equal(out, ref)
 
 
 class TestApplyCx:

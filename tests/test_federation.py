@@ -525,10 +525,11 @@ class TestRunFederation:
 
     def test_reference_one_qubit_kernel_gives_the_same_rounds(self, monkeypatch):
         # Every forward pass, adjoint sweep and expectation runs the one-qubit
-        # kernel; the former two-branch kernel must leave a gentle federation
-        # on the same parameters, round by round.
+        # kernel; the former two-branch matrix kernel, fed the same gates
+        # through oracles.matrix_kernel, must leave a gentle federation on
+        # the same parameters, round by round.
         rounds = federated_history(GENTLE_BENCHMARK, 0, global_rounds=3).records
-        monkeypatch.setattr(core, "apply_one_qubit_kernel", oracles.one_qubit_kernel)
+        monkeypatch.setattr(core, "apply_one_qubit_kernel", oracles.matrix_kernel)
         reference = federated_history(GENTLE_BENCHMARK, 0, global_rounds=3).records
         assert len(rounds) == 3
         assert [r.params_checksum for r in rounds] == [r.params_checksum for r in reference]

@@ -10,7 +10,6 @@ from qfedsim.core import (
     NoiseSpec,
     QuantumState,
     ShotSpec,
-    ry_matrices,
 )
 from qfedsim.encoding import encode_batch
 from qfedsim.exceptions import (
@@ -57,9 +56,10 @@ def scores(spec, params, rows, shots=EXACT, rng=None):
     noiseless ansatz output."""
     encoded = encode_batch(np.atleast_2d(rows), spec.n_qubits)
     if shots.is_exact:
-        return head_scores(params, probability_batch(spec, params.angles, encoded))
+        return head_scores(params.head_weights, params.head_bias,
+                           probability_batch(spec, params.angles, encoded))
     run_ansatz_kernel(encoded, spec, params.angles)
-    return head_scores(params, readout_batch(encoded, shots, rng))
+    return head_scores(params.head_weights, params.head_bias, readout_batch(encoded, shots, rng))
 
 
 def softmax_of(y):
@@ -263,7 +263,7 @@ def frame_and_reference_passes(spec, angles, rows, epsilon, seed):
     if epsilon > 0:
         hit = ref_rng.random(sites) < epsilon
         which = ref_rng.integers(0, 3, sites)
-    mats = ry_matrices(angles)
+    mats = oracles.ry_matrices(angles)
     blocks = ref.reshape(len(angles), -1, spec.dim) if angles.ndim == 3 else ref
 
     def apply_ry(_, layer, qubit):

@@ -415,10 +415,18 @@ class TestCompare:
         (SUMMARY_NAME, b'{"final": {"val_loss": 1.0, "fe_pct": 0.0, "me_pct": 0.0, '
                        b'"auroc": 1.0, "aupr": 1.0}, "total_payload_bits": true}',
          "'total_payload_bits' is bool, not a number"),
+        (SUMMARY_NAME, b'{"final": {"val_loss": 1.0, "fe_pct": 0.0, "me_pct": 0.0, '
+                       b'"auroc": 1.0, "aupr": 1.0}, "total_payload_bits": 1, '
+                       b'"rounds_to_target": "soon"}',
+         "'rounds_to_target' is str, not an int or null"),
+        (SUMMARY_NAME, b'{"final": {"val_loss": 1.0, "fe_pct": 0.0, "me_pct": 0.0, '
+                       b'"auroc": 1.0, "aupr": 1.0}, "total_payload_bits": 1, '
+                       b'"rounds_to_target": true}',
+         "'rounds_to_target' is bool, not an int or null"),
         (SUMMARY_NAME, b'{"final": \xff}', "can't decode byte 0xff"),
         (HISTORY_NAME, b"round\n\xff\n", "can't decode byte 0xff"),
     ], ids=["not-json", "root-list", "final-list", "metric-not-number", "payload-bool",
-            "summary-not-utf8", "history-not-utf8"])
+            "target-not-int", "target-bool", "summary-not-utf8", "history-not-utf8"])
     def test_malformed_run_file_names_file(self, base_run, tmp_path, name, content, reason):
         broken = tmp_path / "broken"
         broken.mkdir()

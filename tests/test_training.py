@@ -11,7 +11,6 @@ from qfedsim.core import (
     NoiseSpec,
     Observable,
     ShotSpec,
-    ry_matrices,
 )
 from qfedsim.data import LabeledDataset
 from qfedsim.encoding import encode_batch
@@ -306,7 +305,7 @@ def ansatz_on_trajectory(spec, angles, amps, hit, which):
     """The ansatz gate by gate on one block of rows (oracles.per_gate_ansatz,
     its Ry gates by oracles.one_qubit_kernel); noise site s (in gate order, CX
     control before target) applies the pre-drawn (hit[s], which[s])."""
-    mats = ry_matrices(angles)
+    mats = oracles.ry_matrices(angles)
 
     def apply_ry(rows, layer, qubit):
         oracles.one_qubit_kernel(rows, qubit, mats[layer, qubit])
