@@ -40,9 +40,8 @@ from .metrics import (
 from .model import (
     CircuitSpec,
     ModelParams,
-    head_softmax,
+    class_probabilities,
     init_params,
-    probability_batch,
 )
 from .seeding import STAGE_INIT, client_rng, derive_rng
 from .training import (
@@ -198,10 +197,13 @@ def evaluate_global(spec: CircuitSpec, params: ModelParams, validation: EncodedS
     ROUND_METRICS by name: val_loss (cross-entropy on the normal rows),
     fe_pct and me_pct under the configured threshold rule, auroc and aupr.
     Centroid scoring reads the mean class probabilities over `reference`,
-    the training set. A non-finite validation loss raises NumericError.
+    the training set. Both sets go through model.class_probabilities, in
+    row blocks and, where its shape rule says so, through one circuit
+    matrix, so only their (rows, classes) outputs are held. A non-finite
+    class score or validation loss raises NumericError, and no metric is
+    returned.
     """
-    readout = probability_batch(spec, params.angles, validation.encoded)
-    probs, log_probs = head_softmax(params, readout)
+    probs, log_probs = class_probabilities(spec, params, validation.encoded)
     normal = validation.labels >= 0
     val_loss = float(-log_probs[normal, validation.labels[normal]].mean())
     if not np.isfinite(val_loss):
@@ -209,8 +211,7 @@ def evaluate_global(spec: CircuitSpec, params: ModelParams, validation: EncodedS
     if score_method == SCORE_CENTROID:
         if reference is None:
             raise ConfigError("centroid scoring needs the training set as reference")
-        train_readout = probability_batch(spec, params.angles, reference.encoded)
-        centroid = head_softmax(params, train_readout)[0].mean(axis=0)
+        centroid = class_probabilities(spec, params, reference.encoded)[0].mean(axis=0)
         scores = centroid_distance_scores(probs, centroid)
     else:
         scores = max_prob_scores(probs)
@@ -277,8 +278,8 @@ def run_round(round_index: int, config: FederationConfig, global_params: ModelPa
 def _encode(dataset: LabeledDataset, n_qubits: int, name: str) -> EncodedSet:
     try:
         return EncodedSet(encode_batch(dataset.features, n_qubits), dataset.logit_indices())
-    except DegenerateInputError as err:
-        raise DegenerateInputError(f"{name} {err}") from None
+    except (DataError, DegenerateInputError) as err:
+        raise type(err)(f"{name} {err}") from None
 
 
 def run_federation(config: FederationConfig, partitioned_data: PartitionedDataset,

@@ -6,15 +6,21 @@ vector p (exact, or a frequency estimate from M shots); class scores are the
 affine map y = W p + b, squashed by a stable softmax when probabilities are
 needed.
 
-All evaluation funnels through `run_ansatz_kernel`, which acts in place on a
+Every gate is applied by `run_ansatz_kernel`, which acts in place on a
 (rows, 2**n) amplitude array run at one (layers, qubits) angle matrix, or at
 one per block of rows (training's lockstep pass: one block per client, or
 per client and shifted angle matrix). Noise arrives as a trajectory drawn
-beforehand (`draw_trajectory`). Class probabilities for a batch of encoded
-rows are head_softmax(params, probability_batch(spec, angles, encoded));
-`run_circuit` runs it noiselessly on one QuantumState. Training's adjoint
-sweep walks the same gates backwards with the Ry coefficients the pass
-returns, each gate undone by its transpose (see the training module).
+beforehand (`draw_trajectory`). `run_circuit` runs it noiselessly on one
+QuantumState. Training's adjoint sweep walks the same gates backwards with
+the Ry coefficients the pass returns, each gate undone by its transpose (see
+the training module).
+
+Exact evaluation of a set of encoded rows (`class_probabilities`, for
+validation and the centroid reference) streams the rows in blocks that stay
+in cache and keeps only the (rows, classes) head outputs. Where the shape
+rule (`circuit_matrix_pays`) says it pays, the kernels run once on the
+identity's 2**n rows to give the circuit matrix M, and each block is then
+one `block @ M`: equal to the kernels up to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -42,6 +48,16 @@ RING = "ring"
 
 _CHECKPOINT_MAGIC = b"QFSP"
 _CHECKPOINT_VERSION = 1
+
+# Exact evaluation streams its rows in blocks of about this many amplitudes
+# (512 KB of float64), so that a block stays in cache through its gates, its
+# readout and the head (Goto & van de Geijn, ACM TOMS 34(3), 2008).
+EVAL_BLOCK_AMPLITUDES = 1 << 16
+
+# The circuit matrix's shape rule (circuit_matrix_pays): rows per amplitude,
+# amplitudes per gate layer, and the widest matrix. Measured with one BLAS
+# thread against the row-blocked kernels (see circuit_matrix_pays).
+CIRCUIT_MATRIX_RULE = (4, 32, 1 << 11)
 
 
 @dataclass(frozen=True)
@@ -291,15 +307,6 @@ def readout_batch(amps: np.ndarray, shots: ShotSpec,
     return counts / float(shots.shots)
 
 
-def probability_batch(spec: CircuitSpec, angles: np.ndarray,
-                      encoded: np.ndarray) -> np.ndarray:
-    """Encoded inputs (B, 2**n) -> exact readout probabilities (B, 2**n) of
-    the noiseless ansatz at a (layers, qubits) angle matrix."""
-    amps = encoded.copy()
-    run_ansatz_kernel(amps, spec, angles)
-    return readout_batch(amps, ShotSpec.exact(), None)
-
-
 def head_scores(weights: np.ndarray, bias: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """y = W p + b, rowwise for batches: head weights W (classes, 2**n) and
     bias b (classes,)."""
@@ -323,6 +330,73 @@ def head_softmax(params: ModelParams, readout: np.ndarray) -> tuple:
     if not np.all(np.isfinite(y)):
         raise NumericError("class scores contain non-finite entries")
     return softmax(y)
+
+
+def circuit_matrix_pays(spec: CircuitSpec, rows: int) -> bool:
+    """The shape rule of exact evaluation: whether `rows` encoded rows go
+    through the circuit matrix M rather than the kernels.
+
+    A kernel pass costs each row about L * (n + 1) sweeps over its 2**n
+    amplitudes (n Ry gates and one CX gather per circuit layer); `row @ M`
+    costs it 2**n multiply-adds per amplitude; building M costs one kernel
+    pass over 2**n rows. With CIRCUIT_MATRIX_RULE = (r, a, w), M is used
+    when rows >= r * 2**n, so that building it is at most 1/r of the
+    kernels' work and M at most 1/r of the encoded rows' memory, when
+    2**n <= a * L * (n + 1), and when 2**n <= w.
+
+    Measured per row, one BLAS thread, row-blocked kernels: M pays from
+    L = 1 at 8 and 9 qubits, from L = 2.2 at 10, 4.8 at 11 and 14.8 at 12
+    qubits, where the 128 MB matrix runs at about half the BLAS rate of
+    the smaller ones (1.28 ms a row against 0.087 ms per kernel layer),
+    hence the width cap. Whole calls, kernels against M (build plus matmul):
+    (4, 1) at 36k rows 12.3 against 5.6 ms; (8, 3) at 8k rows 95 against
+    25 ms; (10, 3) at 8k rows 495 against 415 ms; (10, 1) at 1024 rows 22
+    against 73 ms; (12, 1) at 4096 rows 434 against 7110 ms.
+    """
+    per_amplitude, per_layer, widest = CIRCUIT_MATRIX_RULE
+    return (rows >= per_amplitude * spec.dim and spec.dim <= widest
+            and spec.dim <= per_layer * spec.n_layers * (spec.n_qubits + 1))
+
+
+def circuit_matrix(spec: CircuitSpec, angles: np.ndarray) -> np.ndarray:
+    """The noiseless ansatz at a (layers, qubits) angle matrix as a
+    (2**n, 2**n) matrix M acting on rows: the kernels run on the identity's
+    rows, so row j of M is the circuit's image of basis state j, and an
+    encoded row x becomes x @ M."""
+    matrix = np.eye(spec.dim)
+    run_ansatz_kernel(matrix, spec, angles)
+    return matrix
+
+
+def class_probabilities(spec: CircuitSpec, params: ModelParams, encoded: np.ndarray) -> tuple:
+    """Exact class probabilities and log-probabilities, each (rows,
+    classes), of the noiseless ansatz and head_softmax over encoded rows
+    (rows, 2**n).
+
+    The rows go through in blocks of about EVAL_BLOCK_AMPLITUDES amplitudes;
+    only the head's outputs are kept. Where circuit_matrix_pays, M =
+    circuit_matrix is built once per call and each block's amplitudes are
+    block @ M; otherwise each block runs through the kernels, which treat
+    rows independently, so the blocks' readouts are the bits of one pass
+    (the head's BLAS matmul may still round a row differently with the
+    block's row count). A non-finite class score in any block raises
+    NumericError.
+    """
+    rows = encoded.shape[0]
+    probs = np.empty((rows, params.n_classes))
+    log_probs = np.empty_like(probs)
+    matrix = circuit_matrix(spec, params.angles) if circuit_matrix_pays(spec, rows) else None
+    step = max(1, EVAL_BLOCK_AMPLITUDES // spec.dim)
+    for start in range(0, rows, step):
+        block = encoded[start:start + step]
+        if matrix is None:
+            amps = block.copy()
+            run_ansatz_kernel(amps, spec, params.angles)
+        else:
+            amps = block @ matrix
+        readout = readout_batch(amps, ShotSpec.exact(), None)
+        probs[start:start + step], log_probs[start:start + step] = head_softmax(params, readout)
+    return probs, log_probs
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,18 @@ The bit-for-bit references apply gates the way the package once did:
 2x2 matrices such as `ry_matrices` builds, `matrix_kernel` runs it behind
 the package kernel's coefficient signature, and `per_gate_ansatz` applies
 every gate and every drawn Pauli on its own.
+
+`probability_batch` is the exception: it is the package's former exact
+evaluation, its own kernel pass over all rows at once, the reference that
+the package's row blocks and circuit matrix must reproduce.
 """
 
 import math
 
 import numpy as np
+
+from qfedsim.core import ShotSpec
+from qfedsim.model import readout_batch, run_ansatz_kernel
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -162,6 +169,15 @@ def per_gate_ansatz(amps: np.ndarray, n: int, n_layers: int, pairs, apply_ry,
             amps[...] = amps[..., cx_permutation(n, control, target)]
             depolarize_rows(amps, control, *next(sites))
             depolarize_rows(amps, target, *next(sites))
+
+
+def probability_batch(spec, angles: np.ndarray, encoded: np.ndarray) -> np.ndarray:
+    """Encoded inputs (B, 2**n) -> exact readout probabilities (B, 2**n) of
+    the noiseless ansatz at a (layers, qubits) angle matrix, in one unblocked
+    pass of the package's kernels."""
+    amps = encoded.copy()
+    run_ansatz_kernel(amps, spec, angles)
+    return readout_batch(amps, ShotSpec.exact(), None)
 
 
 def expectation_dense(state_vec: np.ndarray, h: np.ndarray) -> float:

@@ -5,7 +5,7 @@ import pytest
 
 from qfedsim.core import ShotSpec
 from qfedsim.encoding import encode_batch
-from qfedsim.exceptions import CapacityError, DegenerateInputError, ShapeError
+from qfedsim.exceptions import CapacityError, DataError, DegenerateInputError, ShapeError
 from qfedsim.model import readout_batch
 
 
@@ -98,3 +98,45 @@ class TestEncodeBatch:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             encode_batch(np.ones(4), 2)
+
+
+class TestExtremeScales:
+    """Rows whose sum of squares overflows or underflows float64 are encoded
+    as their direction; ordinary rows keep the bits of x / ||x||."""
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-170, 1e-320])
+    def test_extreme_rows_encode_as_their_direction(self, scale):
+        x = np.array([3.0, -4.0, 0.0, 12.0, 5.0])
+        out = encode_one(scale * x, 3)
+        assert np.all(np.isfinite(out))
+        assert np.allclose(out, reference_encoding(x, 3), rtol=0, atol=1e-15)
+
+    def test_ordinary_rows_keep_their_bits(self):
+        rng = np.random.default_rng(2)
+        batch = rng.normal(size=(9, 6))
+        plain = encode_batch(batch, 3)
+        batch[2] *= 1e300
+        batch[5] *= 1e-170
+        mixed = encode_batch(batch, 3)
+        ordinary = [0, 1, 3, 4, 6, 7, 8]
+        assert np.array_equal(mixed[ordinary], plain[ordinary])
+        assert np.array_equal(plain[ordinary, :6], batch[ordinary] / np.linalg.norm(
+            batch[ordinary], axis=1)[:, None])
+        assert np.allclose(mixed[[2, 5]], plain[[2, 5]], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_row_is_named(self, bad):
+        batch = np.ones((5, 3))
+        batch[3, 1] = bad
+        with pytest.raises(DataError, match="^row 3 holds a non-finite value"):
+            encode_batch(batch, 2)
+
+    def test_the_first_unencodable_row_is_named(self):
+        batch = np.ones((5, 3))
+        batch[1] = [1e300, np.inf, 0.0]
+        batch[3] = 0.0
+        with pytest.raises(DataError, match="^row 1 "):
+            encode_batch(batch, 2)
+        batch[1] = 1e300
+        with pytest.raises(DegenerateInputError, match="^row 3 is a zero vector"):
+            encode_batch(batch, 2)

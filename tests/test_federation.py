@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import probability_batch
 from qfedsim.core import NoiseSpec, ShotSpec
-from qfedsim import core, federation
+from qfedsim import core, federation, model
 from qfedsim.data import (
     SCHEME_DIRICHLET,
     SCHEME_IID,
@@ -43,7 +44,6 @@ from qfedsim.model import (
     ModelParams,
     head_softmax,
     init_params,
-    probability_batch,
 )
 from qfedsim.seeding import client_rng, derive_rng, STAGE_INIT
 from qfedsim.training import EncodedSet, TrainConfig, local_train
@@ -408,6 +408,24 @@ class TestEvaluateGlobal:
         assert {name: getattr(record, name) for name in ROUND_METRICS} == reference
 
 
+    def test_validation_and_centroid_reference_share_one_evaluation(self, monkeypatch):
+        # Both sets go through model.class_probabilities, one call each.
+        config, _, val = make_setup(n_clients=2, rounds=1, seed=6, score=SCORE_CENTROID)
+        train, _ = split_synth(6)
+        validation, reference = encoded_set(val, config.spec), encoded_set(train, config.spec)
+        seen = []
+        original = federation.class_probabilities
+
+        def spy(spec, params, encoded):
+            seen.append(encoded)
+            return original(spec, params, encoded)
+
+        monkeypatch.setattr(federation, "class_probabilities", spy)
+        evaluate_global(config.spec, random_params(3), validation, reference, SCORE_CENTROID,
+                        config.threshold)
+        assert len(seen) == 2
+        assert seen[0] is validation.encoded and seen[1] is reference.encoded
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_val_loss_is_the_cross_entropy_of_the_normal_rows_alone(self, seed):
         # A head pass over the normal rows only, then a log-sum-exp
@@ -476,6 +494,48 @@ class TestRunRound:
                              np.zeros(2))
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="round 0: non-finite validation loss"):
+                run_round(0, config, params, [shard], validation)
+
+    @pytest.mark.parametrize("path", ["matrix", "kernels"])
+    @pytest.mark.parametrize("row", [0, 9, 19])
+    def test_non_finite_scores_in_any_block_name_the_round(self, row, path, monkeypatch):
+        # Zero angles leave basis state 0 alone, so its class-0 score under
+        # the +1.7e308 weight and the 0.5e308 bias overflows; every other
+        # row's p0 stays below 0.4 and its score finite. The 20 rows run in
+        # blocks of 8, so the row sits in the first, second or last block.
+        config, _, _ = make_setup(n_clients=1, eta=0.0, seed=17)
+        spec = config.spec
+        features = np.random.default_rng(1).uniform(0.5, 1.0, size=(20, 4))
+        features[row] = [1.0, 0.0, 0.0, 0.0]
+        val = LabeledDataset(features, np.arange(20) % 3, frozenset({0, 1}), frozenset({2}))
+        validation = encoded_set(val, spec)
+        shard = EncodedSet(np.delete(validation.encoded, row, axis=0)[:3],
+                           np.zeros(3, dtype=np.int64))
+        params = ModelParams(np.zeros((1, 2)), np.array([[1.7e308, 0, 0, 0], [0, 0, 0, 0]]),
+                             np.array([0.5e308, 0.0]))
+        monkeypatch.setattr(model, "circuit_matrix_pays", lambda spec, rows: path == "matrix")
+        monkeypatch.setattr(model, "EVAL_BLOCK_AMPLITUDES", 8 * spec.dim)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError,
+                               match="^round 0: class scores contain non-finite entries$"):
+                run_round(0, config, params, [shard], validation)
+
+    @pytest.mark.parametrize("path", ["matrix", "kernels"])
+    def test_non_finite_validation_loss_on_either_path_names_the_round(self, path,
+                                                                      monkeypatch):
+        # test_validation_failures_name_the_round's set, in blocks of 3 rows
+        config, _, _ = make_setup(n_clients=1, eta=0.0, seed=17)
+        rng = np.random.default_rng(4)
+        val = LabeledDataset(rng.uniform(0.1, 1.0, size=(8, 4)), [0, 0, 0, 1, 1, 1, 2, 2],
+                             frozenset({0, 1}), frozenset({2}))
+        validation = encoded_set(val, config.spec)
+        shard = EncodedSet(validation.encoded[:3], np.zeros(3, dtype=np.int64))
+        params = ModelParams(np.zeros((1, 2)), np.array([[1e308] * 4, [-1e308] * 4]),
+                             np.zeros(2))
+        monkeypatch.setattr(model, "circuit_matrix_pays", lambda spec, rows: path == "matrix")
+        monkeypatch.setattr(model, "EVAL_BLOCK_AMPLITUDES", 3 * config.spec.dim)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="^round 0: non-finite validation loss$"):
                 run_round(0, config, params, [shard], validation)
 
     def test_each_client_trains_once_per_round(self, monkeypatch):

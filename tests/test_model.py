@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import probability_batch
+from qfedsim import model
 from qfedsim.core import (
     NoiseSpec,
     QuantumState,
@@ -25,12 +27,14 @@ from qfedsim.model import (
     RING,
     CircuitSpec,
     ModelParams,
+    circuit_matrix,
+    circuit_matrix_pays,
+    class_probabilities,
     draw_trajectory,
     head_scores,
     head_softmax,
     init_params,
     load_params,
-    probability_batch,
     readout_batch,
     run_ansatz_kernel,
     run_circuit,
@@ -393,6 +397,123 @@ class TestClassProbabilities:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="class scores"):
                 head_softmax(params, np.array([[1.0, 1.0]]))
+
+
+def force_path(monkeypatch, path):
+    """Make class_probabilities take the circuit matrix ("matrix") or the
+    kernels ("kernels") whatever the shape."""
+    monkeypatch.setattr(model, "circuit_matrix_pays", lambda spec, rows: path == "matrix")
+
+
+def unblocked_class_probabilities(spec, params, encoded):
+    """head_softmax over one unblocked kernel pass of every row."""
+    return head_softmax(params, probability_batch(spec, params.angles, encoded))
+
+
+class TestExactEvaluation:
+    """class_probabilities: the circuit matrix against the dense unitary and
+    the kernels, row blocks against one pass, and the shape rule."""
+
+    @pytest.mark.parametrize("entangler", [LINEAR_CHAIN, RING])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_circuit_matrix_is_the_transposed_unitary(self, n, layers, entangler):
+        spec = CircuitSpec(n, layers, entangler)
+        angles = np.random.default_rng(n * 10 + layers).uniform(-np.pi, np.pi, (layers, n))
+        unitary = oracles.ansatz_matrix(n, angles, spec.entangler_pairs())
+        assert np.max(np.abs(circuit_matrix(spec, angles) - unitary.T)) <= 1e-12
+
+    @pytest.mark.parametrize("entangler", [LINEAR_CHAIN, RING])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_matrix_path_matches_the_kernels(self, n, layers, entangler, monkeypatch):
+        # 1e-12 bounds the rounding of a 2**n-term dot product of unit
+        # vectors, several hundred ulps at 8 qubits.
+        spec = CircuitSpec(n, layers, entangler)
+        rng = np.random.default_rng(n * 10 + layers)
+        params = init_params(spec, 3, rng)
+        encoded = encode_batch(rng.normal(size=(37, spec.dim)), n)
+        kernels = unblocked_class_probabilities(spec, params, encoded)
+        unitary = oracles.ansatz_matrix(n, params.angles, spec.entangler_pairs())
+        dense = head_softmax(params, np.abs(encoded @ unitary.T) ** 2)
+        force_path(monkeypatch, "matrix")
+        monkeypatch.setattr(model, "EVAL_BLOCK_AMPLITUDES", 5 * spec.dim)
+        fast = class_probabilities(spec, params, encoded)
+        for got, want, ref in zip(fast, kernels, dense):
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 5, 16, 23, 24, 100])
+    @pytest.mark.parametrize("spec", [CircuitSpec(3, 2), CircuitSpec(4, 1, RING), CircuitSpec(6, 3)])
+    def test_kernel_blocks_give_the_readout_bits_of_one_pass(self, spec, block_rows,
+                                                             monkeypatch):
+        # 23 rows: every block size but 1, 23 and 100 leaves a ragged last
+        # block. The kernels treat rows independently, so the blocks'
+        # readouts are the bits of one pass. The head's BLAS matmul may
+        # round a row differently with another row count, so the class
+        # probabilities are compared to rounding.
+        rng = np.random.default_rng(block_rows)
+        params = init_params(spec, 4, rng)
+        encoded = encode_batch(rng.normal(size=(23, spec.dim)), spec.n_qubits)
+        readouts = []
+
+        def spy(amps, shots, rng):
+            readouts.append(readout_batch(amps, shots, rng))
+            return readouts[-1]
+
+        force_path(monkeypatch, "kernels")
+        monkeypatch.setattr(model, "readout_batch", spy)
+        monkeypatch.setattr(model, "EVAL_BLOCK_AMPLITUDES", block_rows * spec.dim)
+        got = class_probabilities(spec, params, encoded)
+        assert [len(r) for r in readouts[:-1]] == [block_rows] * (len(readouts) - 1)
+        assert np.array_equal(np.concatenate(readouts),
+                              probability_batch(spec, params.angles, encoded))
+        for part, want in zip(got, unblocked_class_probabilities(spec, params, encoded)):
+            assert np.max(np.abs(part - want)) <= 1e-15
+
+    def test_blocks_are_at_least_one_row(self, monkeypatch):
+        spec = CircuitSpec(3, 1)
+        params = make_params(spec, 2)
+        encoded = encode_batch(np.random.default_rng(0).normal(size=(3, 8)), 3)
+        force_path(monkeypatch, "kernels")
+        monkeypatch.setattr(model, "EVAL_BLOCK_AMPLITUDES", 1)
+        for got, want in zip(class_probabilities(spec, params, encoded),
+                             unblocked_class_probabilities(spec, params, encoded)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("path", ["matrix", "kernels"])
+    @pytest.mark.parametrize("row", [0, 9, 19])
+    def test_non_finite_score_in_any_block_raises(self, row, path, monkeypatch):
+        # Zero angles leave basis state 0 alone. Its class-0 score is
+        # 1.7e308 + 0.5e308, which overflows; every other row's p0 is below
+        # 0.4, so its score stays finite.
+        spec = CircuitSpec(2, 1)
+        features = np.random.default_rng(1).uniform(0.5, 1.0, size=(20, 4))
+        features[row] = [1.0, 0.0, 0.0, 0.0]
+        params = ModelParams(np.zeros((1, 2)), np.array([[1.7e308, 0, 0, 0], [0, 0, 0, 0]]),
+                             np.array([0.5e308, 0.0]))
+        force_path(monkeypatch, path)
+        monkeypatch.setattr(model, "EVAL_BLOCK_AMPLITUDES", 8 * spec.dim)
+        encoded = encode_batch(features, 2)
+        others = np.delete(encoded, row, axis=0)
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(class_probabilities(spec, params, others)[1]))
+            with pytest.raises(NumericError, match="^class scores contain non-finite entries$"):
+                class_probabilities(spec, params, encoded)
+
+    @pytest.mark.parametrize("n, layers, rows, expected", [
+        (4, 1, 36_000, True),     # ingest's validation set
+        (4, 1, 88, True),         # gentle's
+        (4, 1, 62, False),        # noisy's: under 4 * 2**n rows
+        (10, 3, 62, False),       # wide's
+        (10, 3, 8_000, True),
+        (10, 1, 100_000, False),  # 2**n > 32 * L * (n + 1)
+        (12, 1, 4096, False),
+        (12, 16, 100_000, False),  # wider than the cap
+    ])
+    def test_shape_rule(self, n, layers, rows, expected):
+        assert circuit_matrix_pays(CircuitSpec(n, layers), rows) is expected
 
 
 class TestCheckpoints:

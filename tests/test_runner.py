@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from qfedsim import runner
+from qfedsim import federation, runner
 from qfedsim.config import config_from_mapping
 from qfedsim.exceptions import ConfigError, DataError, DegenerateInputError, NumericError
 from qfedsim.model import load_params
@@ -247,6 +247,61 @@ class TestRun:
         row = int(np.flatnonzero(~held.features.any(axis=1))[0])
         with pytest.raises(DegenerateInputError, match=f"^{set_name} set row {row} is a zero"):
             run(config)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_huge_feature_rows_are_encoded_as_their_direction(self, tmp_path, monkeypatch,
+                                                             shots):
+        # Every 7th row's sum of squares overflows float64. Each encoded row
+        # must still be a unit vector, and the run must finish on finite
+        # losses, with exact or sampled readout.
+        labels = np.arange(60) % 3
+        features = np.random.default_rng(5).uniform(0.5, 1.5, size=(60, 4))
+        features[::7] *= 1e300
+        path = tmp_path / "huge.csv"
+        path.write_text("".join(
+            ",".join(map(str, [*row.tolist(), label])) + "\n" for row, label in zip(features, labels)
+        ))
+        norms = []
+        original = federation.encode_batch
+
+        def spy(rows, n_qubits):
+            encoded = original(rows, n_qubits)
+            norms.append(np.linalg.norm(encoded, axis=1))
+            return encoded
+
+        monkeypatch.setattr(federation, "encode_batch", spy)
+        result = run(make_config(output_dir=tmp_path / "out", shots=shots, dataset={
+            "kind": "csv", "path": str(path), "anomaly_classes": [2]}))
+        assert len(norms) == 2
+        assert np.allclose(np.concatenate(norms), 1.0, rtol=0, atol=1e-12)
+        assert all(np.isfinite(r.val_loss) for r in result.history.records)
+
+    @pytest.mark.parametrize("csv_row, set_name", [(9, "training"), (13, "validation")])
+    def test_non_finite_projected_row_names_its_set_and_row(self, tmp_path, csv_row,
+                                                           set_name):
+        # 8 features on 2 qubits are projected onto 4; a row of 1e308s
+        # projects to infinities.
+        labels = np.arange(30) % 3
+        features = np.random.default_rng(5).uniform(0.5, 1.5, size=(30, 8))
+        features[csv_row] = 1e308
+        path = tmp_path / "overflow.csv"
+        path.write_text("".join(
+            ",".join(map(str, [*row.tolist(), label])) + "\n" for row, label in zip(features, labels)
+        ))
+        out = tmp_path / "out"
+        config = make_config(
+            output_dir=out, dataset={"kind": "csv", "path": str(path), "anomaly_classes": [2]}
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            sets = split_dataset(build_dataset(config), config.val_fraction,
+                                 config.data_fraction, config.master_seed)
+        held = dict(zip(("training", "validation"), sets))[set_name]
+        row = int(np.flatnonzero(~np.isfinite(held.features).all(axis=1))[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError,
+                               match=f"^{set_name} set row {row} holds a non-finite value"):
+                run(config)
         assert not out.exists()
 
     def test_requires_output_dir(self):

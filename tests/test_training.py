@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import probability_batch
 from qfedsim import model, training
 from qfedsim.core import (
     NoiseSpec,
@@ -22,7 +23,6 @@ from qfedsim.model import (
     ModelParams,
     head_softmax,
     init_params,
-    probability_batch,
     readout_batch,
 )
 from qfedsim.training import (
