@@ -76,10 +76,7 @@ def main(argv=None) -> int:
             print(f"sweep complete: {len(results)} runs under {root}")
         else:
             print(compare(args.run_dirs), end="")
-    except SimulationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (SimulationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

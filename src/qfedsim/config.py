@@ -30,7 +30,7 @@ from .data import SCHEME_DIRICHLET, SCHEME_IID, SCHEME_STEP, PartitionScheme
 from .exceptions import ConfigError, ParseError, SimulationError
 from .federation import SCORE_MAX_PROB, THRESHOLD_YOUDEN, FederationConfig
 from .model import LINEAR_CHAIN, CircuitSpec
-from .training import MODE_CLASSIFY, TrainConfig
+from .training import TrainConfig
 
 MODE_QFL = "qfl"
 MODE_PQFL = "pqfl"
@@ -313,43 +313,24 @@ class ExperimentConfig:
         if self.sweep:
             sweep_points(self)
 
-    def circuit_spec(self) -> CircuitSpec:
-        return CircuitSpec(self.n_qubits, self.n_layers, self.entangler)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            eta=self.eta,
-            lam=self.lam,
-            local_epochs=self.local_epochs,
-            batch_size=self.batch_size,
-            mode=MODE_CLASSIFY,
-        )
-
-    def shot_spec(self) -> ShotSpec:
-        return ShotSpec(self.shots)
-
-    def noise_specs(self) -> tuple:
-        if isinstance(self.noise, tuple):
-            return tuple(map(NoiseSpec, self.noise))
-        return (NoiseSpec(self.noise),) * self.n_clients
-
-    def resolve_client_weights(self, shard_sizes) -> np.ndarray:
+    def federation_config(self, shard_sizes) -> FederationConfig:
         sizes = np.asarray(shard_sizes, dtype=np.float64)
         if self.client_weights == WEIGHTS_UNIFORM:
-            return np.ones_like(sizes) / sizes.size
-        if self.client_weights == WEIGHTS_BY_SIZE:
-            return sizes / sizes.sum()
-        return np.asarray(self.client_weights, dtype=np.float64)
-
-    def federation_config(self, shard_sizes) -> FederationConfig:
+            weights = np.ones_like(sizes) / sizes.size
+        elif self.client_weights == WEIGHTS_BY_SIZE:
+            weights = sizes / sizes.sum()
+        else:
+            weights = np.asarray(self.client_weights, dtype=np.float64)
         return FederationConfig(
             n_clients=self.n_clients,
             global_rounds=self.global_rounds,
-            client_weights=self.resolve_client_weights(shard_sizes),
-            train=self.train_config(),
-            spec=self.circuit_spec(),
-            shots=self.shot_spec(),
-            noise=self.noise_specs(),
+            client_weights=weights,
+            train=TrainConfig(eta=self.eta, lam=self.lam, local_epochs=self.local_epochs,
+                              batch_size=self.batch_size),
+            spec=CircuitSpec(self.n_qubits, self.n_layers, self.entangler),
+            shots=ShotSpec(self.shots),
+            noise=(tuple(map(NoiseSpec, self.noise)) if isinstance(self.noise, tuple)
+                   else (NoiseSpec(self.noise),) * self.n_clients),
             master_seed=self.master_seed,
             bits_per_value=self.bits_per_value,
             score_method=self.score_method,

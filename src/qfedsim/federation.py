@@ -4,7 +4,8 @@ One round k: every client starts from the round's global parameters (also the
 proximal anchor) and trains T local epochs on its shard with a generator
 derived from (master_seed, round, client). The clients train in lockstep, one
 stacked ansatz pass per step (training.train_lockstep), each getting the bits
-it would get alone. The server aggregates the results as the convex
+it would get alone. The training hands the server one (clients, P) matrix of
+the clients' parameter vectors, whose rows it averages as the convex
 combination sum(alpha_n * w_n). The new global model is then
 evaluated on a held-out validation set — exactly (no shots, no gate noise),
 so each round record is a pure function of the aggregated parameters. Each
@@ -164,26 +165,20 @@ def payload_bits(param_count: int, bits_per_value: int) -> int:
 # ---------------------------------------------------------------------------
 # Aggregation.
 
-def aggregate_weighted(param_sets, alphas) -> ModelParams:
-    """Element-wise convex combination sum(alpha_n * params_n), one
-    tensordot over the stacked parameter vectors."""
-    if not param_sets:
+def aggregate_weighted(weights: np.ndarray, alphas) -> np.ndarray:
+    """Element-wise convex combination sum(alpha_n * w_n) of the rows of the
+    (C, P) matrix `weights` of client vectors in ModelParams.vector layout:
+    one tensordot, returning the (P,) vector."""
+    if len(weights) == 0:
         raise DataError("nothing to aggregate")
-    first = param_sets[0]
-    if any(p.shapes != first.shapes for p in param_sets[1:]):
-        raise ShapeError("parameter shapes differ across clients")
     alphas = np.asarray(alphas, dtype=np.float64)
-    if alphas.shape != (len(param_sets),):
-        raise ShapeError(
-            f"{alphas.size} weights for {len(param_sets)} parameter sets"
-        )
+    if alphas.shape != (len(weights),):
+        raise ShapeError(f"{alphas.size} weights for {len(weights)} clients")
     if not abs(alphas.sum() - 1.0) <= 1e-9:
         raise ConfigError(f"weights sum to {alphas.sum()!r}, not 1")
     if not np.all(alphas >= 0):
         raise ConfigError("weights must be non-negative")
-    return first.with_vector(
-        np.tensordot(alphas, np.stack([p.vector for p in param_sets]), axes=1)
-    )
+    return np.tensordot(alphas, weights, axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +221,12 @@ def evaluate_global(spec: CircuitSpec, params: ModelParams, validation: EncodedS
 # Rounds.
 
 def train_on_encoded(config: FederationConfig, round_index: int,
-                     global_params: ModelParams, shards) -> list:
-    """The round's local training, one LocalTrainResult per client: every
-    client in lockstep (training.train_lockstep) from the round's global
-    parameters, which are also the proximal anchor, each on its own
-    generator. A failure raises the failing client's error as
+                     global_params: ModelParams, shards) -> tuple:
+    """The round's local training, as training.train_lockstep's (weights,
+    traces): the (C, P) matrix of final client vectors and the (C,
+    local_epochs) matrix of loss traces. Every client trains in lockstep
+    from the round's global parameters, which are also the proximal anchor,
+    each on its own generator. A failure raises the failing client's error as
     "client c, round k: ...": c is the lowest-index client among those that
     fail at the first failing step (a shard or label error before any
     training)."""
@@ -251,13 +247,15 @@ def run_round(round_index: int, config: FederationConfig, global_params: ModelPa
     `reference` go to evaluate_global. The clients train in one
     train_on_encoded call, each on its own generator derived from
     (master_seed, round, client), so no client's draws depend on another's.
+    The server averages the rows of its weight matrix, and each client's
+    loss is the last column of its trace matrix.
     """
     if len(client_shards) != config.n_clients:
         raise ConfigError(
             f"{len(client_shards)} shards for {config.n_clients} clients"
         )
-    results = train_on_encoded(config, round_index, global_params, client_shards)
-    new_global = aggregate_weighted([r.params for r in results], config.client_weights)
+    weights, traces = train_on_encoded(config, round_index, global_params, client_shards)
+    new_global = global_params.with_vector(aggregate_weighted(weights, config.client_weights))
     try:
         scores = evaluate_global(config.spec, new_global, validation, reference,
                                  config.score_method, config.threshold)
@@ -267,7 +265,7 @@ def run_round(round_index: int, config: FederationConfig, global_params: ModelPa
         round_index=round_index,
         params_checksum=params_checksum(new_global),
         **scores,
-        client_losses=tuple(float(r.loss_trace[-1]) for r in results),
+        client_losses=tuple(traces[:, -1].tolist()),
         payload_bits=payload_bits(new_global.vector.size, config.bits_per_value),
         circuit_evals=2 * config.spec.n_layers * config.spec.n_qubits
         * config.train.local_epochs * sum(len(shard.labels) for shard in client_shards),

@@ -26,8 +26,9 @@ together; local_train runs it with one client. The clients step in
 lockstep, and each step runs one ansatz pass (and one adjoint sweep) over
 every client's batch, each client's block at its own angles. The head, the
 loss, the reductions and every random draw stay per client, so each client
-gets the bits it would get trained alone. The circuit-evaluation cost model
-lives in federation.RoundRecord.
+gets the bits it would get trained alone; their parameters stay one
+(clients, P) matrix up to the server's average. The circuit-evaluation cost
+model lives in federation.RoundRecord.
 """
 
 from __future__ import annotations
@@ -395,9 +396,10 @@ def _passes(stack_sizes: list, width: int, dim: int):
 
 def _raise_first_failure(failures: dict, stepped: np.ndarray, shapes: tuple,
                         active: np.ndarray) -> None:
-    """Raise ClientFailure for the lowest-position failing client of a step:
-    its batch's failure, or else its non-finite stepped parameters."""
-    first = min([*failures, *np.flatnonzero(~np.isfinite(stepped).all(axis=1)).tolist()])
+    """Raise ClientFailure for the lowest-position client of a step with a
+    non-finite stepped row: its batch's failure, or else its non-finite
+    stepped parameters."""
+    first = int(np.flatnonzero(~np.isfinite(stepped).all(axis=1))[0])
     if first not in failures:
         try:
             model.check_finite(stepped[first], shapes)
@@ -408,10 +410,12 @@ def _raise_first_failure(failures: dict, stepped: np.ndarray, shapes: tuple,
 
 def train_lockstep(spec: CircuitSpec, start_params: ModelParams, shards: list,
                    config: TrainConfig, global_params: ModelParams | None, shots: ShotSpec,
-                   noises, rngs) -> list:
+                   noises, rngs) -> tuple:
     """Classify-mode local training of every client in `shards` at once, from
-    `start_params`: one LocalTrainResult per client, equal bit for bit to the
-    client trained alone (local_train).
+    `start_params`. Returns (weights, traces): the (C, P) matrix of the
+    clients' final parameter vectors in ModelParams.vector layout and the
+    (C, local_epochs) matrix of their loss traces, row c equal bit for bit
+    to client c trained alone (local_train).
 
     Each client's shard is a non-empty EncodedSet of normal rows, and
     noises[c] and rngs[c] are its NoiseSpec and generator, which drives its
@@ -419,15 +423,17 @@ def train_lockstep(spec: CircuitSpec, start_params: ModelParams, shards: list,
     rows (one gather of its shard, whose slices are its batches), then the
     clients step in lockstep: step k takes batch k of every
     client that has one left, in one classify_loss_and_grad call per pass
-    (see _passes), then one personalized_step over all of them. A client's
+    (see _passes), each writing its clients' rows of the step's losses and
+    gradients, then one personalized_step over all of them. A client's
     trace holds each epoch's sample-weighted mean batch loss, evaluated at
     the parameters the batch was seen with.
 
     Failures raise ClientFailure(c, error). A shard or label error is found
     before any client trains. After that the error is that of the
     lowest-index client among those that fail at the first failing step:
-    its batch's failure (see classify_loss_and_grad) or, with a finite
-    gradient, non-finite stepped parameters (naming the part).
+    its batch's failure (see classify_loss_and_grad), whose NaN gradient
+    row makes its stepped row NaN even at eta = 0, or else non-finite
+    stepped parameters (naming the part).
     """
     check_params(spec, start_params)
     for client, (shard, rng) in enumerate(zip(shards, rngs)):
@@ -464,23 +470,18 @@ def train_lockstep(spec: CircuitSpec, start_params: ModelParams, shards: list,
             batches = [EncodedSet(shuffled[c].encoded[start:stop], shuffled[c].labels[start:stop])
                        for c in active]
             current = weights[active]
-            results = [classify_loss_and_grad(spec, shapes, current[part], batches[part],
-                                              shots, pass_noises, pass_rngs)
-                       for part, pass_noises, pass_rngs in passes]
-            losses, grads, failures = results[0]
-            if len(results) > 1:
-                losses = np.concatenate([losses for losses, _, _ in results])
-                grads = np.concatenate([grads for _, grads, _ in results])
-                failures = {part.start + k: err for (part, *_), (*_, failed) in zip(passes, results)
-                            for k, err in failed.items()}
+            losses, grads, failures = np.empty(len(active)), np.empty(current.shape), {}
+            for part, pass_noises, pass_rngs in passes:
+                losses[part], grads[part], failed = classify_loss_and_grad(
+                    spec, shapes, current[part], batches[part], shots, pass_noises, pass_rngs)
+                failures.update((part.start + k, err) for k, err in failed.items())
             stepped = personalized_step(current, grads, config.eta, config.lam, anchor)
-            if failures or not np.isfinite(stepped).all():
+            if not np.isfinite(stepped).all():
                 _raise_first_failure(failures, stepped, shapes, active)
             weights[active] = stepped
             loss_sums[active] += losses * counts
         traces[:, epoch] = loss_sums / sizes
-    return [LocalTrainResult(start_params.with_vector(w), trace)
-            for w, trace in zip(weights, traces)]
+    return weights, traces
 
 
 def local_train(spec: CircuitSpec, start_params: ModelParams, shard: EncodedSet | None,
@@ -517,7 +518,8 @@ def local_train(spec: CircuitSpec, start_params: ModelParams, shard: EncodedSet 
             )
         return _train_vqe_loop(spec, start_params, observable, config, global_params)
     try:
-        return train_lockstep(spec, start_params, [shard], config, global_params, shots,
-                              [noise], [rng])[0]
+        weights, traces = train_lockstep(spec, start_params, [shard], config, global_params,
+                                         shots, [noise], [rng])
     except ClientFailure as failure:
         raise failure.error from None
+    return LocalTrainResult(start_params.with_vector(weights[0]), traces[0])

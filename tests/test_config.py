@@ -164,28 +164,28 @@ class TestClientWeights:
         )
         assert config.client_weights == (0.25, 0.75)
         assert np.array_equal(
-            config.resolve_client_weights((5, 5)), np.array([0.25, 0.75])
+            config.federation_config((5, 5)).client_weights, np.array([0.25, 0.75])
         )
 
     def test_by_size_weights(self):
         config = config_from_mapping(minimal(n_clients=2, client_weights=WEIGHTS_BY_SIZE))
-        assert np.allclose(config.resolve_client_weights((30, 10)), [0.75, 0.25])
+        assert np.allclose(config.federation_config((30, 10)).client_weights, [0.75, 0.25])
 
 
 class TestNoise:
     def test_scalar_broadcasts(self):
         config = config_from_mapping(minimal(n_clients=3, noise=0.25))
-        specs = config.noise_specs()
+        specs = config.federation_config((1, 1, 1)).noise
         assert len(specs) == 3
         assert all(s.epsilon == 0.25 and s.active for s in specs)
 
     def test_zero_noise_is_disabled(self):
-        specs = config_from_mapping(minimal(n_clients=2)).noise_specs()
+        specs = config_from_mapping(minimal(n_clients=2)).federation_config((1, 1)).noise
         assert all(not s.active for s in specs)
 
     def test_per_client_list(self):
         config = config_from_mapping(minimal(n_clients=2, noise=[0.0, 0.5]))
-        specs = config.noise_specs()
+        specs = config.federation_config((1, 1)).noise
         assert specs[0].epsilon == 0.0 and not specs[0].active
         assert specs[1].epsilon == 0.5 and specs[1].active
 

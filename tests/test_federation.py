@@ -1,5 +1,7 @@
 """Aggregation, payload accounting, federated rounds, validation scoring."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -167,45 +169,50 @@ def refuses(fault):
         run_federation(*with_fault(fault))
 
 
+def stacked(sets):
+    """The (C, P) matrix of the parameter sets' vectors, as a round hands it
+    to the server."""
+    return np.stack([p.vector for p in sets])
+
+
 class TestAggregate:
     def test_mean_of_constant_param_sets(self):
-        out = aggregate_weighted([const_params(0.0), const_params(2.0)], np.full(2, 0.5))
-        assert np.all(out.angles == 1.0)
-        assert np.all(out.head_weights == 1.0)
-        assert np.all(out.head_bias == 1.0)
+        out = aggregate_weighted(stacked([const_params(0.0), const_params(2.0)]),
+                                 np.full(2, 0.5))
+        assert out.shape == const_params(0.0).vector.shape
+        assert np.all(out == 1.0)
 
     def test_weighted_combination(self):
         out = aggregate_weighted(
-            [const_params(0.0), const_params(4.0)], np.array([0.25, 0.75])
+            stacked([const_params(0.0), const_params(4.0)]), np.array([0.25, 0.75])
         )
-        assert np.allclose(out.vector, 3.0, atol=1e-15)
+        assert np.allclose(out, 3.0, atol=1e-15)
 
     def test_one_hot_weights_select_a_client(self):
         a, b = random_params(1), random_params(2)
-        out = aggregate_weighted([a, b], np.array([1.0, 0.0]))
-        assert np.array_equal(out.vector, a.vector)
+        out = aggregate_weighted(stacked([a, b]), np.array([1.0, 0.0]))
+        assert np.array_equal(out, a.vector)
 
     def test_uniform_matches_stacked_mean(self):
         sets = [random_params(s) for s in range(5)]
-        out = aggregate_weighted(sets, np.full(5, 0.2))
+        out = aggregate_weighted(stacked(sets), np.full(5, 0.2))
         expected = np.mean([p.vector for p in sets], axis=0)
-        assert np.allclose(out.vector, expected, atol=1e-12)
+        assert np.allclose(out, expected, atol=1e-12)
 
     def test_weighted_matches_manual_sum(self):
         rng = np.random.default_rng(3)
         sets = [random_params(s) for s in range(4)]
         raw = rng.random(4)
         alphas = raw / raw.sum()
-        out = aggregate_weighted(sets, alphas)
+        out = aggregate_weighted(stacked(sets), alphas)
         expected = sum(a * p.vector for a, p in zip(alphas, sets))
-        assert np.allclose(out.vector, expected, atol=1e-12)
+        assert np.allclose(out, expected, atol=1e-12)
 
     def test_result_stays_in_convex_hull(self):
-        sets = [random_params(s) for s in range(3)]
-        stacked = np.stack([p.vector for p in sets])
-        out = aggregate_weighted(sets, np.full(3, 1.0 / 3)).vector
-        assert np.all(out >= stacked.min(axis=0) - 1e-12)
-        assert np.all(out <= stacked.max(axis=0) + 1e-12)
+        weights = stacked([random_params(s) for s in range(3)])
+        out = aggregate_weighted(weights, np.full(3, 1.0 / 3))
+        assert np.all(out >= weights.min(axis=0) - 1e-12)
+        assert np.all(out <= weights.max(axis=0) + 1e-12)
 
     @pytest.mark.parametrize("n_sets", [1, 3, 10])
     def test_matches_per_part_tensordot(self, n_sets):
@@ -213,37 +220,33 @@ class TestAggregate:
         sets = [random_params(s, spec, 3) for s in range(n_sets)]
         raw = np.random.default_rng(n_sets).random(n_sets)
         alphas = raw / raw.sum()
-        out = aggregate_weighted(sets, alphas)
+        out = sets[0].with_vector(aggregate_weighted(stacked(sets), alphas))
         for part in ("angles", "head_weights", "head_bias"):
             ref = np.tensordot(alphas, np.stack([getattr(p, part) for p in sets]), axes=1)
             assert np.allclose(getattr(out, part), ref, rtol=0.0, atol=1e-15)
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
-            aggregate_weighted([], np.array([]))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            aggregate_weighted(
-                [random_params(0), random_params(0, CircuitSpec(2, 2))], np.full(2, 0.5)
-            )
+            aggregate_weighted(np.empty((0, random_params(0).vector.size)), np.array([]))
 
     def test_weight_vector_length_checked(self):
         with pytest.raises(ShapeError):
-            aggregate_weighted([random_params(0)], np.array([0.5, 0.5]))
+            aggregate_weighted(stacked([random_params(0)]), np.array([0.5, 0.5]))
 
     def test_weight_sum_checked(self):
         with pytest.raises(ConfigError):
-            aggregate_weighted([random_params(0), random_params(1)], np.array([0.5, 0.4]))
+            aggregate_weighted(stacked([random_params(0), random_params(1)]),
+                               np.array([0.5, 0.4]))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
-            aggregate_weighted([random_params(0), random_params(1)], np.array([1.5, -0.5]))
+            aggregate_weighted(stacked([random_params(0), random_params(1)]),
+                               np.array([1.5, -0.5]))
 
     def test_nan_weight_rejected(self):
-        sets = [random_params(0)] * 3
+        weights = stacked([random_params(0)] * 3)
         with pytest.raises(ConfigError, match="weights"):
-            aggregate_weighted(sets, np.array([np.nan, 0.5, 0.5]))
+            aggregate_weighted(weights, np.array([np.nan, 0.5, 0.5]))
 
 
 class TestPayloadBits:
@@ -394,13 +397,20 @@ class TestEvaluateGlobal:
             return original(probs, centroid)
 
         monkeypatch.setattr(federation, "centroid_distance_scores", captured)
+        # The training set takes the circuit matrix, which rounds unlike the
+        # kernels; the kernel path must give the oracle's bits.
+        assert model.circuit_matrix_pays(config.spec, len(train))
+        matrix = run_federation(config, part, val)
+        monkeypatch.setattr(model, "circuit_matrix_pays", lambda spec, rows: False)
         history = run_federation(config, part, val)
         params = history.final_params
+        assert np.array_equal(matrix.final_params.vector, params.vector)
         readout = probability_batch(config.spec, params.angles,
                                     encode_batch(train.features, config.spec.n_qubits))
         expected = head_softmax(params, readout)[0].mean(axis=0)
-        assert len(centroids) == 1
-        assert np.array_equal(centroids[0], expected)
+        assert len(centroids) == 2
+        assert np.array_equal(centroids[1], expected)
+        assert np.allclose(centroids[0], expected, rtol=0.0, atol=1e-15)
         reference = evaluate_global(config.spec, params, encoded_set(val, config.spec),
                                     encoded_set(train, config.spec), SCORE_CENTROID,
                                     config.threshold)
@@ -427,16 +437,21 @@ class TestEvaluateGlobal:
         assert seen[0] is validation.encoded and seen[1] is reference.encoded
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_val_loss_is_the_cross_entropy_of_the_normal_rows_alone(self, seed):
+    def test_val_loss_is_the_cross_entropy_of_the_normal_rows_alone(self, seed, monkeypatch):
         # A head pass over the normal rows only, then a log-sum-exp
-        # cross-entropy: the loss read off the one pass over every row must
-        # be the same bits.
+        # cross-entropy: the loss read off the one kernel pass over every
+        # row must be the same bits, and the circuit matrix, which the set
+        # takes by default, must agree to rounding.
         rng = np.random.default_rng(seed)
         ds = with_anomaly_classes(synth_anomaly_dataset(3, 10, 8, 8, 3.0, rng), [1, 3])
         val = ds.subset(rng.permutation(len(ds)))
         spec = CircuitSpec(3, 2)
         params = init_params(spec, 2, rng)
         validation = encoded_set(val, spec)
+        assert model.circuit_matrix_pays(spec, len(validation.labels))
+        matrix = evaluate_global(spec, params, validation, None, SCORE_MAX_PROB,
+                                 THRESHOLD_YOUDEN)
+        monkeypatch.setattr(model, "circuit_matrix_pays", lambda spec, rows: False)
         out = evaluate_global(spec, params, validation, None, SCORE_MAX_PROB, THRESHOLD_YOUDEN)
         normal = validation.labels >= 0
         labels = validation.labels[normal]
@@ -445,6 +460,7 @@ class TestEvaluateGlobal:
         shifted = y - y.max(axis=1, keepdims=True)
         log_p = shifted[np.arange(len(labels)), labels] - np.log(np.exp(shifted).sum(axis=1))
         assert out["val_loss"] == float(-log_p.mean())
+        assert matrix["val_loss"] == pytest.approx(float(-log_p.mean()), rel=0.0, abs=1e-15)
 
 
 class TestRunRound:
@@ -460,6 +476,28 @@ class TestRunRound:
         )
         assert np.array_equal(new_global.vector, direct.params.vector)
         assert record.client_losses == (float(direct.loss_trace[-1]),)
+
+    def test_round_averages_each_client_trained_alone(self):
+        # Three clients on ragged Dirichlet shards, weighted by size: the new
+        # global vector is the tensordot of the clients' own local_train
+        # vectors, and each client loss the last entry of its own trace.
+        config, _, val = make_setup(n_clients=3, epochs=2, seed=6)
+        train, _ = split_synth(6)
+        part = partition(train, PartitionScheme(SCHEME_DIRICHLET, alpha=0.5), 3,
+                         np.random.default_rng(7))
+        sizes = np.array([len(shard) for shard in part.shards])
+        assert len(set(sizes.tolist())) == 3
+        config = replace(config, client_weights=sizes / sizes.sum())
+        shards = shards_of(part, config.spec)
+        start = init_params(config.spec, 2, derive_rng(config.master_seed, STAGE_INIT))
+        new_global, record = run_round(0, config, start, shards, encoded_set(val, config.spec))
+        alone = [local_train(config.spec, start, shard, config.train, start, config.shots,
+                             config.noise[c], client_rng(config.master_seed, 0, c))
+                 for c, shard in enumerate(shards)]
+        expected = np.tensordot(config.client_weights,
+                                np.stack([result.params.vector for result in alone]), axes=1)
+        assert new_global.vector.tobytes() == expected.tobytes()
+        assert record.client_losses == tuple(float(result.loss_trace[-1]) for result in alone)
 
     def test_zero_eta_round_returns_same_params(self):
         config, part, val = make_setup(eta=0.0, seed=11)

@@ -844,13 +844,16 @@ class TestTrainLockstep:
         start = make_params(spec, 3, seed=seed)
         anchor = make_params(spec, 3, seed=seed + 1)
         rngs = client_rngs(seed, len(shards))
-        together = train_lockstep(spec, start, shards, config, anchor, shots, noises, rngs)
+        weights, traces = train_lockstep(spec, start, shards, config, anchor, shots, noises,
+                                         rngs)
+        assert weights.shape == (len(shards), start.vector.size)
+        assert traces.shape == (len(shards), config.local_epochs)
         alone_rngs = client_rngs(seed, len(shards))
         for c, shard in enumerate(shards):
             alone = local_train(spec, start, shard, config, anchor, shots, noises[c],
                                 alone_rngs[c])
-            assert together[c].params.vector.tobytes() == alone.params.vector.tobytes(), c
-            assert together[c].loss_trace.tobytes() == alone.loss_trace.tobytes(), c
+            assert weights[c].tobytes() == alone.params.vector.tobytes(), c
+            assert traces[c].tobytes() == alone.loss_trace.tobytes(), c
             assert rngs[c].bit_generator.state == alone_rngs[c].bit_generator.state, c
 
     @pytest.mark.parametrize("lam", [0.0, 0.1])
