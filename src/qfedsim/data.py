@@ -5,7 +5,10 @@ followed by one integer class label; blank lines are skipped. Line 1 is a
 header when its first field is not a number to Python's `float`. A number is
 what numpy's text reader accepts: no digit-group underscores, no non-ASCII
 digits. Non-finite values, and labels that are not integers of magnitude
-below 2**63, are rejected with the line they are on.
+below 2**63, are rejected with the line they are on, as are bytes that are
+not UTF-8. A process parses each file content once: `load_features` keeps
+the last table it parsed, keyed by the sha256 of the file's bytes, and
+returns it while the bytes it reads are the same.
 
 Anomalies never enter training shards — the model trains on normal classes
 only and anomaly labels exist to build scored validation sets.
@@ -13,6 +16,8 @@ only and anomaly labels exist to build scored validation sets.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -36,6 +41,9 @@ PARTITION_RETRIES = 200
 SCHEME_IID = "iid"
 SCHEME_STEP = "step"
 SCHEME_DIRICHLET = "dirichlet"
+
+# (sha256 of the bytes, dataset) of the last file load_features parsed.
+_last_load = None
 
 
 @dataclass(frozen=True)
@@ -139,25 +147,55 @@ class PartitionStats:
 def load_features(path) -> LabeledDataset:
     """Parse a feature CSV into a dataset; all classes start as normal.
 
-    The data lines stream through numpy's C text reader in one pass. When a
-    value check fails on the parsed table, the bad row's physical line is
-    found by counting lines; only a file that numpy cannot parse is read
-    again, line by line, to name its first bad line.
+    The file is read whole, once. When its bytes have the sha256 of the last
+    file this process parsed, that file's dataset is returned: its arrays are
+    read-only views, so every caller can share it. Otherwise the cached
+    dataset is dropped, the bytes are parsed, and the new dataset is kept in
+    its place; a failed parse keeps nothing.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = (line for line in _lines_after_header(fh)[1] if line.strip())
-        head = next(rows, None)
-        if head is None:
-            raise DataError(f"{path} holds no samples")
-        try:
-            table = _parse_rows(chain([head], rows))
-        except (ParseError, SchemaError):
-            _raise_at_first_bad_line(fh)
-        bad = _first_bad_value(table)
-        if bad is not None:
-            row, message = bad
-            lineno, line = next(islice(_numbered_data_lines(fh), row, None))
-            raise ParseError(f"line {lineno}: {message} in {line.strip()!r}")
+    global _last_load
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    digest = hashlib.sha256(raw).digest()
+    if _last_load is not None and _last_load[0] == digest:
+        return _last_load[1]
+    _last_load = None
+    dataset = _parse_csv(raw)
+    _last_load = digest, dataset
+    return dataset
+
+
+def _parse_csv(raw: bytes) -> LabeledDataset:
+    """The dataset of a feature CSV's bytes.
+
+    The bytes are read as a file opened as UTF-8 text would be, universal
+    newlines included. The data lines stream through numpy's C text reader
+    in one pass. When a value check fails on the parsed table, the bad row's
+    physical line is found by counting lines; only bytes that numpy cannot
+    parse are scanned again, in chunks, to name the first bad line.
+    """
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        before = raw[:err.start]
+        lineno = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise ParseError(
+            f"line {lineno}: byte 0x{raw[err.start]:02x} is not UTF-8 ({err.reason})"
+        ) from None
+    fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    rows = (line for line in _lines_after_header(fh)[1] if line.strip())
+    head = next(rows, None)
+    if head is None:
+        raise DataError("the file holds no samples")
+    try:
+        table = _parse_rows(chain([head], rows))
+    except (ParseError, SchemaError) as err:
+        _raise_at_first_bad_line(fh, err)
+    bad = _first_bad_value(table)
+    if bad is not None:
+        row, message = bad
+        lineno, line = next(islice(_numbered_data_lines(fh), row, None))
+        raise ParseError(f"line {lineno}: {message} in {line.strip()!r}")
     labels = table[:, -1].astype(np.int64)
     return LabeledDataset(
         table[:, :-1], labels, frozenset(np.unique(labels).tolist()), frozenset()
@@ -214,10 +252,11 @@ def _first_bad_value(table: np.ndarray):
     return row, "label is not an integer of magnitude below 2**63"
 
 
-def _raise_at_first_bad_line(fh):
+def _raise_at_first_bad_line(fh, whole_file_error):
     """Name the first bad line of a file numpy could not parse whole: parse
     its data lines in chunks of _SCAN_CHUNK, the width pinned to the first
-    line's, and re-read line by line only the first chunk that fails."""
+    line's, and re-read line by line only the first chunk that fails. If no
+    line fails on its own, raise the whole file's error."""
     lines, width = _numbered_data_lines(fh), None
     while chunk := list(islice(lines, _SCAN_CHUNK)):
         try:
@@ -236,7 +275,7 @@ def _raise_at_first_bad_line(fh):
         except (ParseError, SchemaError) as err:
             raise type(err)(f"line {lineno}: {err} in {line.strip()!r}") from None
         width = table.shape[1]
-    raise DataError(f"{fh.name} changed while it was read")
+    raise whole_file_error
 
 
 def with_anomaly_classes(dataset: LabeledDataset, anomaly_ids) -> LabeledDataset:

@@ -37,7 +37,7 @@ from .data import (
     synth_anomaly_dataset,
     with_anomaly_classes,
 )
-from .exceptions import ConfigError, DataError
+from .exceptions import ConfigError, DataError, SimulationError
 from .federation import ROUND_METRICS, RoundHistory, run_federation
 from .model import save_params
 from .seeding import STAGE_DATA, STAGE_SPLIT, STAGE_PARTITION, derive_rng
@@ -65,7 +65,8 @@ class RunResult:
 
 def build_dataset(config: ExperimentConfig) -> LabeledDataset:
     """Materialize the configured dataset, projected down to the circuit's
-    capacity (2^n amplitudes) when the raw features are wider."""
+    capacity (2^n amplitudes) when the raw features are wider. A CSV's load
+    and class errors are prefixed with its path."""
     if config.dataset.kind == DATASET_SYNTHETIC:
         dataset = synth_anomaly_dataset(
             config.dataset.n_normal_classes,
@@ -76,8 +77,11 @@ def build_dataset(config: ExperimentConfig) -> LabeledDataset:
             derive_rng(config.master_seed, STAGE_DATA),
         )
     else:
-        dataset = load_features(config.dataset.path)
-        dataset = with_anomaly_classes(dataset, config.dataset.anomaly_classes)
+        try:
+            dataset = load_features(config.dataset.path)
+            dataset = with_anomaly_classes(dataset, config.dataset.anomaly_classes)
+        except SimulationError as err:
+            raise type(err)(f"{config.dataset.path}: {err}") from None
     capacity = 1 << config.n_qubits
     if dataset.feature_dim > capacity:
         dataset = reduce_features(

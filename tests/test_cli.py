@@ -132,6 +132,20 @@ class TestRunCommand:
         assert f"{ENV_SEED} must be an integer, got 'abc'" in err
         assert not (tmp_path / "z").exists()
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"1.0,2.0,0\n2.0,1.0,1\n3.0,abc,1\n", "line 3: non-numeric field in '3.0,abc,1'"),
+        (b"1.0,2.0,0\n2.0,1.0,1\n3.0,\xe9,1\n",
+         "line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+    ])
+    def test_csv_error_names_the_file_and_line(self, tmp_path, capsys, raw, message):
+        csv = tmp_path / "data.csv"
+        csv.write_bytes(raw)
+        config = write_config(
+            tmp_path, dataset={"kind": "csv", "path": str(csv), "anomaly_classes": [1]}
+        )
+        assert main(["run", "--config", config, "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {csv}: {message}\n"
+
     def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
         assert main(
             ["run", "--config", str(tmp_path / "absent.json"),

@@ -1,6 +1,7 @@
 """Dataset loading, synthesis, projection, partitioning, heterogeneity."""
 
 import math
+import os
 
 import numpy as np
 import oracles
@@ -150,6 +151,42 @@ class TestLoadFeatures:
         assert ds.labels.tolist() == [3, 3]
         assert ds.normal_classes == {3}
         assert ds.anomaly_classes == frozenset()
+
+    @pytest.mark.parametrize("raw, lineno", [
+        (b"1.0,2.0,0\n3.0,\xe9,1\n", 2),
+        (b"f1,f2,label\r\n1.0,2.0,0\r\n\r\n3.0,4.0,1\xe9\r\n", 4),
+        (b"1.0,2.0,0\r3.0,4.0,1\r5.0,6.0,\xff\r", 3),
+        (b"f\xe9,f2,label\n1.0,2.0,0\n", 1),
+        (b"1.0,2.0,0\n1.0,2.0,1\xc3", 2),
+    ])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, raw, lineno):
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match=rf"^line {lineno}: byte 0x.. is not UTF-8"):
+            load_features(path)
+
+    def test_utf8_header_loads(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes("température,f2,label\n1.0,2.0,0\n".encode("utf-8"))
+        assert load_features(path).features.tolist() == [[1.0, 2.0]]
+
+    def test_whole_file_error_stands_when_no_line_fails_alone(self, tmp_path, monkeypatch):
+        # The line scan runs only after the whole-file parse failed; if it
+        # finds no bad line, that first error is what the caller sees.
+        monkeypatch.setattr(data, "_last_load", None)
+        calls = []
+        loadtxt = np.loadtxt
+
+        def first_call_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("could not convert")
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", first_call_fails)
+        with pytest.raises(ParseError, match="^non-numeric field$"):
+            load_features(self.write(tmp_path, "1.0,2.0,0\n3.0,4.0,1\n"))
+        assert len(calls) == 2
 
     def test_repr_round_trip_is_bit_identical(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -313,6 +350,74 @@ class TestLoadFeaturesProperties:
             assert oracles.load_csv_rows(path)[1] == [0, 1]
             with pytest.raises(ParseError, match="^line 2:"):
                 load_features(path)
+
+
+class TestLoadCache:
+    """load_features keeps the last parsed file, keyed by its bytes' sha256."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(data, "_last_load", None)
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        return calls
+
+    def write(self, path, seed=0):
+        lines, _, _, _ = random_csv(np.random.default_rng(seed))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_cached_load_is_bit_equal_to_a_fresh_one(self, tmp_path, parses):
+        path = self.write(tmp_path / "a.csv")
+        first = load_features(path)
+        assert load_features(path) is first
+        assert len(parses) == 1
+        load_features(self.write(tmp_path / "b.csv", seed=1))
+        fresh = load_features(path)
+        assert len(parses) == 3
+        assert fresh is not first
+        assert fresh.features.tobytes() == first.features.tobytes()
+        assert fresh.labels.tobytes() == first.labels.tobytes()
+        assert (fresh.normal_classes, fresh.anomaly_classes) == (
+            first.normal_classes, first.anomaly_classes)
+        assert not first.features.flags.writeable and not first.labels.flags.writeable
+
+    def test_key_is_the_content_not_the_file_status(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1.0,2.0,0\n3.0,4.0,1\n")
+        assert load_features(path).features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        before = os.stat(path)
+        path.write_text("5.0,6.0,0\n7.0,8.0,1\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert load_features(path).features.tolist() == [[5.0, 6.0], [7.0, 8.0]]
+
+    def test_identical_bytes_at_another_path_hit_the_cache(self, tmp_path, parses):
+        first = load_features(self.write(tmp_path / "a.csv"))
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes((tmp_path / "a.csv").read_bytes())
+        assert load_features(copy) is first
+        assert len(parses) == 1
+
+    def test_bad_file_raises_the_same_error_on_every_load(self, tmp_path, parses):
+        good = self.write(tmp_path / "good.csv")
+        load_features(good)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1.0,2.0,0\n\n3.0,abc,1\n")
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ParseError, match="^line 3:") as err:
+                load_features(bad)
+            messages.append(str(err.value))
+        assert messages == [messages[0]] * 3
+        parsed = len(parses)
+        load_features(good)
+        assert len(parses) == parsed + 1
 
 
 class TestWithAnomalyClasses:

@@ -3,13 +3,21 @@
 import json
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qfedsim import federation, runner
-from qfedsim.config import config_from_mapping
-from qfedsim.exceptions import ConfigError, DataError, DegenerateInputError, NumericError
+from qfedsim import data, federation, runner
+from qfedsim.config import config_from_mapping, sweep_points
+from qfedsim.exceptions import (
+    ConfigError,
+    DataError,
+    DegenerateInputError,
+    LabelError,
+    NumericError,
+    ParseError,
+)
 from qfedsim.model import load_params
 from qfedsim.runner import (
     CONFIG_NAME,
@@ -107,6 +115,20 @@ class TestBuildDataset:
         )
         ds = build_dataset(config)
         assert ds.feature_dim == 4  # 2 qubits hold 4 amplitudes
+
+    def test_csv_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1.0,2.0,0\n2.0,1.0,1\n3.0,abc,1\n")
+        config = make_config(
+            output_dir=tmp_path / "out",
+            dataset={"kind": "csv", "path": str(path), "anomaly_classes": [1]},
+        )
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 3: non-numeric"):
+            run(config)
+        path.write_text("1.0,2.0,0\n2.0,1.0,0\n")
+        with pytest.raises(LabelError, match=f"^{re.escape(str(path))}: anomaly classes"):
+            run(config)
+        assert not (tmp_path / "out").exists()
 
     def test_narrow_features_left_alone(self, tmp_path):
         path = tmp_path / "narrow.csv"
@@ -408,6 +430,32 @@ class TestSweep:
             sweep(make_config(output_dir=root, sweep={"lambda": [0.0, 0.1]}))
         assert os.listdir(root) == ["lambda_0.1"]
         assert os.listdir(root / "lambda_0.1") == ["notes.txt"]
+
+    def test_csv_sweep_parses_once_and_each_point_matches_a_cold_run(self, tmp_path,
+                                                                   monkeypatch):
+        labels = np.arange(30) % 3
+        features = np.random.default_rng(5).uniform(0.5, 1.5, size=(30, 4))
+        path = tmp_path / "data.csv"
+        path.write_text("".join(
+            ",".join(map(repr, [*row.tolist(), int(label)])) + "\n"
+            for row, label in zip(features, labels)
+        ))
+        monkeypatch.setattr(data, "_last_load", None)
+        parses = []
+        parse = data._parse_csv
+        monkeypatch.setattr(data, "_parse_csv", lambda raw: parses.append(1) or parse(raw))
+        config = make_config(
+            output_dir=tmp_path / "sweep", sweep={"lambda": [0.0, 0.1]},
+            dataset={"kind": "csv", "path": str(path), "anomaly_classes": [2]},
+        )
+        results = sweep(config)
+        assert len(parses) == 1
+        for (_, point), result in zip(sweep_points(config), results):
+            swept = {name: read_bytes(result.output_dir, name) for name in ARTIFACTS}
+            monkeypatch.setattr(data, "_last_load", None)
+            cold = run(replace(point, output_dir=result.output_dir))
+            assert {name: read_bytes(cold.output_dir, name) for name in ARTIFACTS} == swept
+        assert len(parses) == 3
 
     def test_sweep_requires_axes(self, tmp_path):
         with pytest.raises(ConfigError, match="sweep"):
